@@ -2,8 +2,8 @@
 
 Everything here is computed over the rationals with a p-adic or trivial
 absolute value.  Norms live in the multiplicative group generated by primes
-with rational exponents, so every comparison is either an exact equality of
-exponent vectors or a certified interval separation.  No floats enter any
+with rational exponents, and every comparison is decided in integers (two
+powers of the values, cleared of fractional exponents).  No floats enter any
 verdict.
 """
 

@@ -20,9 +20,9 @@ bound) to 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from afnd.linalg import NormAwareElimination
 from afnd.scalar import FieldSpec, NormValue, scalar_norm
@@ -118,6 +118,9 @@ class AffinoidPresentation:
         self.localization = localization
         self._generic_cache: dict[int, "NormAwareElimination | None"] = {}
         self._basis_cache: dict[int, list[Exponent]] = {}
+        self._shape_cache: dict[
+            int, tuple[list[Exponent], dict[Exponent, int]]
+        ] = {}
         self._normalize()
         if strategy is not None and strategy != self.strategy:
             raise PresentationError(
@@ -400,6 +403,20 @@ class AffinoidPresentation:
 
     def _shape_monomials(self, degree: int) -> list[Exponent]:
         """Monomials surviving substitution and Laurent normalization."""
+        return self._shape_basis(degree)[0]
+
+    def _shape_basis(
+        self, degree: int
+    ) -> tuple[list[Exponent], dict[Exponent, int]]:
+        """The shape monomials of degree <= D and their column index map.
+
+        Both depend only on the substitution and Laurent layers, which are
+        fixed once `_normalize` has run, so they are computed once per D.
+        Callers must not mutate the returned list or map.
+        """
+        cached = self._shape_cache.get(degree)
+        if cached is not None:
+            return cached
         ambient = self.ambient
         free = self.free_variable_indices()
         pair_idx = [
@@ -420,7 +437,10 @@ class AffinoidPresentation:
 
         rec(0, degree, [])
         out.sort(key=grevlex_key)
-        return out
+        cached = self._shape_cache[degree] = (
+            out, {e: j for j, e in enumerate(out)}
+        )
+        return cached
 
     def _generic_elimination(self, degree: int) -> "NormAwareElimination | None":
         if degree in self._generic_cache:
@@ -428,8 +448,7 @@ class AffinoidPresentation:
         if not self.generic_relations:
             self._generic_cache[degree] = None
             return None
-        shape_basis = self._shape_monomials(degree)
-        col_of = {e: j for j, e in enumerate(shape_basis)}
+        shape_basis, col_of = self._shape_basis(degree)
         weights = [self.ambient.monomial_weight(e) for e in shape_basis]
         rows = []
         for rel in self.generic_relations:
@@ -487,8 +506,7 @@ class AffinoidPresentation:
             raise PresentationError(
                 f"degree {out.total_degree()} exceeds truncation {degree}"
             )
-        shape_basis = self._shape_monomials(degree)
-        col_of = {e: j for j, e in enumerate(shape_basis)}
+        shape_basis, col_of = self._shape_basis(degree)
         vec = [Fraction(0)] * len(shape_basis)
         for e, c in out.terms.items():
             vec[col_of[e]] = c

@@ -18,7 +18,6 @@ reports strict exactness with certified preimage-norm constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional, Sequence
 

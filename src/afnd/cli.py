@@ -34,7 +34,9 @@ Multi-line constructs open with a header and close with `end`:
 Checks run in declaration order and the JSON report lists them in that
 order.  Reports contain no timestamps or timings, so two runs on the same
 input produce byte-identical output.  The exit status is 0 exactly when
-every check verdict is holds / exact / covered / ok.
+every check verdict is holds / exact / covered / ok, and 2 with a
+`line N:` message when the file is malformed or the library rejects what a
+line asks for (a zero radius, a norm-table element above the truncation).
 """
 
 from __future__ import annotations
@@ -43,10 +45,10 @@ import argparse
 import json
 import logging
 import os
-import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from afnd.affinoid import (
     AffinoidPresentation,
@@ -104,6 +106,18 @@ def _parse_radius(text: str, lineno: int) -> NormValue:
         return NormValue.parse(text)
     except (ValueError, ArithmeticError) as exc:
         raise ScenarioError(f"bad norm value {text!r}: {exc}", lineno)
+
+
+@contextmanager
+def _at_line(lineno: int) -> Iterator[None]:
+    """Report a ValueError (PresentationError included) raised by the
+    library as a ScenarioError at `lineno`."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(str(exc), lineno) from None
 
 
 def _parse_expr(
@@ -192,12 +206,14 @@ def parse_scenario(text: str) -> Scenario:
                         "algebra blocks hold `var NAME RADIUS` and "
                         "`relation EXPR` lines", ln
                     )
-            ambient = Polyradius(field_spec, tuple(names), tuple(radii))
-            alg = free_affinoid(ambient)
-            rels = [
-                _parse_expr(expr, ambient, ln) for ln, expr in relation_lines
-            ]
-            algebras[toks[1]] = quotient(alg, rels) if rels else alg
+            with _at_line(lineno):
+                ambient = Polyradius(field_spec, tuple(names), tuple(radii))
+                alg = free_affinoid(ambient)
+                rels = [
+                    _parse_expr(expr, ambient, ln)
+                    for ln, expr in relation_lines
+                ]
+                algebras[toks[1]] = quotient(alg, rels) if rels else alg
         elif head in ("localize", "module"):
             if len(toks) != 4 or toks[2] != "of":
                 raise ScenarioError(f"usage: {head} NAME of BASE", lineno)
@@ -213,7 +229,8 @@ def parse_scenario(text: str) -> Scenario:
                     rels.append(
                         _parse_expr(" ".join(btoks[1:]), base.ambient, ln)
                     )
-                algebras[toks[1]] = quotient(base, rels)
+                with _at_line(lineno):
+                    algebras[toks[1]] = quotient(base, rels)
             else:
                 current = base
                 for ln, btoks in body:
@@ -224,12 +241,15 @@ def parse_scenario(text: str) -> Scenario:
                         )
                     f = _parse_expr(btoks[1], current.ambient, ln)
                     r = _parse_radius(btoks[2], ln)
-                    if btoks[0] == "bound":
-                        current = weierstrass_localization(current, [f], [r])
-                    else:
-                        current = laurent_localization(
-                            current, g=[f], g_radii=[r]
-                        )
+                    with _at_line(ln):
+                        if btoks[0] == "bound":
+                            current = weierstrass_localization(
+                                current, [f], [r]
+                            )
+                        else:
+                            current = laurent_localization(
+                                current, g=[f], g_radii=[r]
+                            )
                 if current is base:
                     raise ScenarioError("empty localize block", lineno)
                 algebras[toks[1]] = current
@@ -388,7 +408,8 @@ def run_scenario(
     all_passed = True
     for spec in sc.checks:
         log.info("running check %s (%s)", spec.name, spec.kind)
-        record = _run_check(spec, sc, d)
+        with _at_line(spec.line):
+            record = _run_check(spec, sc, d)
         records.append(record)
         if record["verdict"] not in PASSING:
             all_passed = False
@@ -428,14 +449,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--fail-fast", action="store_true",
         help="stop at the first failing check",
     )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for randomized property corpora",
-    )
     args = parser.parse_args(argv)
     level = os.environ.get("AFND_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    random.seed(args.seed)
     if args.degree is not None and args.degree < 1:
         parser.error("--degree must be >= 1")
     try:

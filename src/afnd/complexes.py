@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
-from afnd.affinoid import AffinoidPresentation, Relator, localization_chain
+from afnd.affinoid import AffinoidPresentation, localization_chain
 from afnd.linalg import (
     NormAwareElimination,
     kernel_basis,
@@ -30,8 +30,8 @@ from afnd.linalg import (
     sparse_rref,
     vector_norm,
 )
-from afnd.scalar import FieldSpec, NormValue, scalar_norm
-from afnd.tate import Exponent, Polyradius, TateElement
+from afnd.scalar import FieldSpec, NormValue
+from afnd.tate import Exponent, TateElement
 
 
 @dataclass(frozen=True)

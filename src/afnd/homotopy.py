@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from afnd.affinoid import AffinoidPresentation, quotient, tensor_over
 from afnd.complexes import (
@@ -25,7 +25,6 @@ from afnd.complexes import (
     resolution_of,
 )
 from afnd.linalg import kernel_basis, rref
-from afnd.scalar import NormValue
 from afnd.tate import TateElement
 
 HOLDS = "holds"

@@ -14,6 +14,7 @@ Two elimination routines are used throughout the package:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -134,6 +135,14 @@ def kernel_basis(matrix: Sequence[Sequence[Fraction]]) -> list[Row]:
     return basis
 
 
+def _integral_power(w: NormValue, L: int) -> Fraction:
+    """w^L as a rational; L must clear every exponent denominator of w."""
+    out = Fraction(1)
+    for p, e in w.exponents.items():
+        out *= Fraction(p) ** (e * L).numerator
+    return out
+
+
 class NormAwareElimination:
     """Greedy ultrametric Gauss-Jordan factorization of one exact matrix.
 
@@ -144,10 +153,12 @@ class NormAwareElimination:
     singular values in the greedy (non-increasing) order and `solve` produces
     norm-minimal preimages.
 
-    Rows are kept sparse.  When the field norm and all the weights involve a
-    single prime, scores are compared through their exponents; otherwise the
-    factored norm values are compared directly.  Both paths choose the same
-    pivots.
+    Rows are kept sparse.  Pivots are chosen on an exact rational key: with L
+    the lcm of the denominators of every weight exponent, the key of (i, j)
+    is score(i, j)^L = row_w(i)^L * col_w(j)^-L * |a_ij|^L.  x -> x^L is
+    strictly increasing and distinct factored values have distinct L-th
+    powers, so the key orders and ties exactly as the score does.  The
+    factored score is built only for the chosen pivots.
     """
 
     def __init__(
@@ -179,39 +190,20 @@ class NormAwareElimination:
         self._eliminate()
 
     def _setup_scoring(self) -> None:
-        primes: set[int] = set()
-        if self.field.mode == "p-adic":
-            primes.add(self.field.p)
-        for w in self.row_weights + self.col_weights:
-            primes.update(w.exponents)
-        if len(primes) <= 1:
-            self._prime = primes.pop() if primes else 2
-            zero = Fraction(0)
-            self._row_exp = [
-                w.exponents.get(self._prime, zero) for w in self.row_weights
-            ]
-            self._col_exp = [
-                w.exponents.get(self._prime, zero) for w in self.col_weights
-            ]
-        else:
-            self._prime = None
-
-    def _score_key(self, i: int, j: int, entry: Fraction):
-        """A totally ordered score; exponent of the single prime if possible."""
-        if self._prime is not None:
-            e = self._row_exp[i] - self._col_exp[j]
-            if self.field.mode == "p-adic":
-                e -= padic_valuation(entry, self.field.p)
-            return e
-        return (
-            scalar_norm(self.field, entry)
-            * self.row_weights[i]
-            / self.col_weights[j]
+        weights = self.row_weights + self.col_weights
+        L = math.lcm(
+            1, *(e.denominator for w in weights for e in w.exponents.values())
         )
+        self._row_key = [_integral_power(w, L) for w in self.row_weights]
+        self._col_key = [1 / _integral_power(w, L) for w in self.col_weights]
+        self._L = L
 
-    def _score_to_norm(self, key) -> NormValue:
-        if self._prime is not None:
-            return NormValue.prime_power(self._prime, key) if key else NormValue.one()
+    def _key(self, i: int, j: int, entry: Fraction) -> Fraction:
+        key = self._row_key[i] * self._col_key[j]
+        if self.field.mode == "p-adic":
+            v = padic_valuation(entry, self.field.p)
+            if v:
+                key *= Fraction(self.field.p) ** (-self._L * v)
         return key
 
     def _best_of_row(self, i: int, used_cols: set[int]):
@@ -220,7 +212,7 @@ class NormAwareElimination:
         for j, entry in self.srows[i].items():
             if j in used_cols:
                 continue
-            s = self._score_key(i, j, entry)
+            s = self._key(i, j, entry)
             if best is None or s > best or (s == best and j < best_col):
                 best, best_col = s, j
         return best, best_col
@@ -244,9 +236,13 @@ class NormAwareElimination:
             j = cache[i][1]
             used_cols.add(j)
             active.remove(i)
-            self.pivots.append((i, j))
-            self.pivot_scores.append(self._score_to_norm(pick_score))
             pv = self.srows[i][j]
+            self.pivots.append((i, j))
+            self.pivot_scores.append(
+                scalar_norm(self.field, pv)
+                * self.row_weights[i]
+                / self.col_weights[j]
+            )
             row = self.srows[i]
             trow = self.transform[i]
             touched = [

@@ -3,23 +3,22 @@
 Scalars are plain :class:`fractions.Fraction` values; the base field is the
 rationals carrying either a p-adic absolute value or the trivial one.  Norm
 values are kept in factored form (finite map prime -> rational exponent) so
-that products, quotients and rational roots of radii stay exact.  Ordering
-two distinct norm values falls back to interval evaluation of the log, with
-the working precision doubled until the intervals separate; distinct exponent
-vectors always denote distinct reals, so this terminates.
+that products, quotients and rational roots of radii stay exact.  Two norm
+values are ordered in integers: with d the difference of their exponent
+vectors and L the lcm of its denominators, a > b exactly when the integer
+prod_{d_p > 0} p^(L d_p) exceeds prod_{d_p < 0} p^(-L d_p).  Raising to the
+L-th power is strictly increasing on positive reals, so this is the order of
+the real values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-import mpmath
-
 Rational = Union[int, Fraction]
-
-_COMPARE_START_PREC = 64
 
 
 def _is_prime(n: int) -> bool:
@@ -107,6 +106,17 @@ class NormValue:
             self, "_exps", tuple(sorted(cleaned.items()))
         )
 
+    @classmethod
+    def _trusted(cls, exps: dict[int, Fraction]) -> "NormValue":
+        """Build from a prime -> nonzero Fraction map that is known valid.
+
+        Arithmetic results use this: their primes were validated when the
+        operands entered, so the trial division is skipped.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "_exps", tuple(sorted(exps.items())))
+        return out
+
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("NormValue is immutable")
 
@@ -172,8 +182,12 @@ class NormValue:
             return NormValue.zero()
         exps = dict(self._exps)
         for p, e in other._exps:
-            exps[p] = exps.get(p, Fraction(0)) + e
-        return NormValue(exps)
+            s = exps.get(p, 0) + e
+            if s:
+                exps[p] = s
+            else:
+                del exps[p]
+        return NormValue._trusted(exps)
 
     def __truediv__(self, other: "NormValue") -> "NormValue":
         return self * other.inverse()
@@ -181,7 +195,7 @@ class NormValue:
     def inverse(self) -> "NormValue":
         if self._exps is None:
             raise ZeroDivisionError("inverse of zero norm value")
-        return NormValue({p: -e for p, e in self._exps})
+        return NormValue._trusted({p: -e for p, e in self._exps})
 
     def __pow__(self, k: Rational) -> "NormValue":
         k = Fraction(k)
@@ -189,21 +203,11 @@ class NormValue:
             if k <= 0:
                 raise ZeroDivisionError("0 to a nonpositive power")
             return NormValue.zero()
-        return NormValue({p: e * k for p, e in self._exps})
+        if k == 0:
+            return NormValue.one()
+        return NormValue._trusted({p: e * k for p, e in self._exps})
 
     # -- ordering ----------------------------------------------------------
-
-    def _log_interval(self, prec: int):
-        saved = mpmath.iv.prec
-        try:
-            mpmath.iv.prec = prec
-            total = mpmath.iv.mpf(0)
-            for p, e in self._exps:
-                term = mpmath.iv.log(p) * mpmath.iv.mpf(e.numerator)
-                total += term / mpmath.iv.mpf(e.denominator)
-            return total
-        finally:
-            mpmath.iv.prec = saved
 
     def compare(self, other: "NormValue") -> int:
         """Trichotomous comparison, -1 / 0 / +1."""
@@ -215,28 +219,31 @@ class NormValue:
             return -1
         if other._exps is None:
             return 1
+        diff = dict(self._exps)
+        for p, e in other._exps:
+            diff[p] = diff.get(p, 0) - e
         # Monotone fast path: every prime is > 1, so a difference of exponent
         # vectors with a consistent sign decides the comparison outright.
-        mine = dict(self._exps)
-        theirs = dict(other._exps)
-        signs = set()
-        for p in set(mine) | set(theirs):
-            d = mine.get(p, Fraction(0)) - theirs.get(p, Fraction(0))
+        pos = neg = False
+        for d in diff.values():
             if d > 0:
-                signs.add(1)
+                pos = True
             elif d < 0:
-                signs.add(-1)
-        if len(signs) == 1:
-            return signs.pop()
-        prec = _COMPARE_START_PREC
-        while True:
-            a = self._log_interval(prec)
-            b = other._log_interval(prec)
-            if a.b < b.a:
-                return -1
-            if b.b < a.a:
-                return 1
-            prec *= 2
+                neg = True
+        if not neg:
+            return 1
+        if not pos:
+            return -1
+        # Mixed signs: compare the L-th powers of both sides as integers.
+        L = math.lcm(*(d.denominator for d in diff.values()))
+        up = down = 1
+        for p, d in diff.items():
+            k = d.numerator * (L // d.denominator)
+            if k > 0:
+                up *= p**k
+            elif k < 0:
+                down *= p**-k
+        return 1 if up > down else -1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NormValue) and self._exps == other._exps
@@ -303,11 +310,9 @@ def scalar_norm(spec: FieldSpec, a: Rational) -> NormValue:
         return NormValue.zero()
     if spec.mode == "trivial":
         return NormValue.one()
-    return NormValue.prime_power(spec.p, -padic_valuation(a, spec.p))
-
-
-def compare(a: NormValue, b: NormValue) -> int:
-    return a.compare(b)
+    v = padic_valuation(a, spec.p)
+    # FieldSpec has validated the prime.
+    return NormValue._trusted({spec.p: Fraction(-v)} if v else {})
 
 
 def max_norm(values: Iterable[NormValue]) -> NormValue:
@@ -317,12 +322,3 @@ def max_norm(values: Iterable[NormValue]) -> NormValue:
         if v > best:
             best = v
     return best
-
-
-def scalar_to_str(a: Rational) -> str:
-    """Exact fraction string "n/d" (or "n" for integers)."""
-    return str(Fraction(a))
-
-
-def scalar_from_str(text: str) -> Fraction:
-    return Fraction(text.strip())

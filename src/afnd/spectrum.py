@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from afnd.affinoid import AffinoidPresentation, DomainInequality, tensor_over
-from afnd.scalar import FieldSpec, NormValue, scalar_norm
+from afnd.scalar import NormValue, scalar_norm
 from afnd.tate import Polyradius, TateElement
 
 
@@ -73,12 +73,26 @@ def domain_of(
 ) -> "RationalDomainData | ConjunctionDomain":
     """The domain cut out by a localization's recorded inequalities.
 
-    Conjunctions with different denominators are folded into one data object
-    by storing each inequality as its own (f, g, r) triple.
+    The localization chain is walked back to its root, and the inequalities
+    of every step are re-expressed on the root's ambient, where the sample
+    points live.  Conjunctions with different denominators are folded into
+    one data object by storing each inequality as its own (f, g, r) triple.
     """
     if piece.localization is None:
         raise ValueError("piece carries no localization data")
-    ineqs = piece.localization.inequalities
+    steps = []
+    node = piece
+    while node.localization is not None:
+        steps.append(node.localization.inequalities)
+        node = node.localization.base
+    root = node.ambient
+    ineqs = [
+        DomainInequality(
+            _on_root(ineq.num, root), _on_root(ineq.den, root), ineq.bound
+        )
+        for step in reversed(steps)
+        for ineq in step
+    ]
     if not ineqs:
         raise ValueError("piece carries no domain inequalities")
     gs = {ineq.den for ineq in ineqs}
@@ -90,6 +104,22 @@ def domain_of(
     # Mixed denominators: clear them pairwise into a common shape is not
     # always possible; keep the raw inequalities instead.
     return ConjunctionDomain(tuple(ineqs), name)
+
+
+def _on_root(f: TateElement, root: Polyradius) -> TateElement:
+    """f, which uses only the root's variables, as an element on `root`."""
+    if f.ambient == root:
+        return f
+    positions = [f.ambient.index(n) for n in root.names]
+    extra = [n for i, n in enumerate(f.ambient.names) if i not in positions]
+    for n in extra:
+        if f.uses(n):
+            raise ValueError(
+                f"domain inequality uses the localization variable {n!r}"
+            )
+    return TateElement(
+        root, {tuple(e[i] for i in positions): c for e, c in f.terms.items()}
+    )
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ reduction.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +35,10 @@ class Polyradius:
     field: FieldSpec
     names: tuple[str, ...]
     radii: tuple[NormValue, ...]
+    # monomial_weight results; the radii are fixed, so entries never go stale.
+    _weights: dict[Exponent, NormValue] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.names) != len(set(self.names)):
@@ -58,10 +63,13 @@ class Polyradius:
         return self.radii[self.index(name)]
 
     def monomial_weight(self, exponent: Exponent) -> NormValue:
-        w = NormValue.one()
-        for r, e in zip(self.radii, exponent):
-            if e:
-                w = w * r**e
+        w = self._weights.get(exponent)
+        if w is None:
+            w = NormValue.one()
+            for r, e in zip(self.radii, exponent):
+                if e:
+                    w = w * r**e
+            self._weights[exponent] = w
         return w
 
     def extend(self, names: Sequence[str], radii: Sequence[NormValue]) -> "Polyradius":

@@ -108,3 +108,72 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["scenario"] == "norm-table"
+
+
+THREE_PIECE_POINTS = """
+scenario three-piece-points
+degree 16
+field p-adic 5
+algebra A
+  var x 1
+end
+localize V1 of A
+  bound x 5^-2
+end
+localize V2 of A
+  bound x 5^-1
+  invert x 5^2
+end
+localize V3 of A
+  invert x 5
+end
+check points cover A V1 V2 V3
+"""
+
+
+def test_cover_with_chained_localization(tmp_path):
+    # V2 is |x| <= 5^-1 followed by |x| >= 5^-2; its second inequality
+    # lives in the intermediate ambient (x, T) and must be read on (x).
+    path = tmp_path / "three.afnd"
+    path.write_text(THREE_PIECE_POINTS)
+    check = run_scenario(str(path))["checks"][0]
+    assert check["verdict"] == "covered"
+    assert check["points_checked"] == 9
+    assert check["witnesses"] == []
+
+
+HEADER = "scenario h\ndegree 3\nfield p-adic 5\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (HEADER + "algebra A\n  var x 0\nend\n", 4, "radii must be positive"),
+        (
+            HEADER + "algebra A\n  var x 1\nend\n"
+            "check t norm-table A\n  element x^5\nend\n",
+            7,
+            "truncation degree 3",
+        ),
+        (
+            "scenario h\nfield trivial\nalgebra A\n  var x 1\nend\n"
+            "localize V of A\n  bound x 1\nend\ncheck c cover A V\n",
+            9,
+            "p-adic",
+        ),
+        (
+            HEADER + "algebra A\n  var x 1\nend\ncheck c cover A A\n",
+            7,
+            "no localization data",
+        ),
+    ],
+    ids=["zero-radius", "norm-table-above-truncation", "cover-trivial-field",
+         "cover-of-non-localization"],
+)
+def test_library_errors_exit_2_with_line(tmp_path, capsys, text, line, message):
+    path = tmp_path / "bad.afnd"
+    path.write_text(text)
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ")
+    assert message in err

@@ -12,7 +12,7 @@ from afnd.linalg import (
     sparse_rref,
     vector_norm,
 )
-from afnd.scalar import FieldSpec, NormValue
+from afnd.scalar import FieldSpec, NormValue, scalar_norm
 
 Q5 = FieldSpec.padic(5)
 F = Fraction
@@ -112,3 +112,59 @@ def test_norm_aware_multi_prime_agrees_with_single():
         col_w = [NormValue.prime_power(5, rng.randint(-1, 1)) for _ in range(nc)]
         elim = NormAwareElimination(Q5, mat, row_w, col_w)
         assert elim.rank == rank(mat)
+
+
+def reference_elimination(field, mat, row_w, col_w):
+    """Greedy pivoting by direct NormValue comparison of every score.
+
+    Each step takes the largest |a_ij| * row_w[i] / col_w[j] over the
+    unpivoted rows and unused columns, the smallest row and then the
+    smallest column among equal scores, and clears its column.
+    """
+    rows = [list(r) for r in mat]
+    active = list(range(len(rows)))
+    used: set[int] = set()
+    pivots, scores = [], []
+    while True:
+        best = None
+        for i in active:
+            for j, a in enumerate(rows[i]):
+                if a and j not in used:
+                    s = scalar_norm(field, a) * row_w[i] / col_w[j]
+                    if best is None or s > best[0]:
+                        best = (s, i, j)
+        if best is None:
+            return pivots, scores
+        s, i, j = best
+        pivots.append((i, j))
+        scores.append(s)
+        active.remove(i)
+        used.add(j)
+        for i2 in active:
+            f = rows[i2][j] / rows[i][j]
+            if f:
+                rows[i2] = [x - f * y for x, y in zip(rows[i2], rows[i])]
+
+
+def test_norm_aware_matches_reference_on_two_prime_weights():
+    # Weights 2^(a/b) * 5^(c/d) mix the primes with rational exponents; the
+    # entries carry 5-adic valuations from -1 to 2, with repeated scores.
+    rng = random.Random(17)
+    entries = [0, 0, 1, -2, 3, 5, -10, 25, F(1, 5), F(7, 5), 50]
+    def weight():
+        return NormValue({
+            2: F(rng.randint(-3, 3), rng.randint(1, 3)),
+            5: F(rng.randint(-2, 2), rng.randint(1, 2)),
+        })
+    for field in (Q5, FieldSpec.trivial()):
+        for _ in range(60):
+            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+            mat = M([[rng.choice(entries) for _ in range(nc)] for _ in range(nr)])
+            row_w = [weight() for _ in range(nr)]
+            col_w = [weight() for _ in range(nc)]
+            if rng.random() < 0.3:
+                col_w = [col_w[0]] * nc  # many exact ties
+            elim = NormAwareElimination(field, mat, row_w, col_w)
+            pivots, scores = reference_elimination(field, mat, row_w, col_w)
+            assert elim.pivots == pivots
+            assert elim.pivot_scores == scores

@@ -1,11 +1,16 @@
 """Field norms and the exact factored norm-value domain."""
 
 import math
+import pathlib
 import random
+import subprocess
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
+import afnd
 from afnd.scalar import (
     FieldSpec,
     NormValue,
@@ -61,7 +66,7 @@ def test_norm_value_ordering_same_prime():
 
 
 def test_norm_value_ordering_mixed_primes():
-    # 2^(3/2) = 2.828... vs 3: needs the interval refinement path.
+    # 2^(3/2) = 2.828... vs 3: mixed signs, compared as 2^3 vs 3^2.
     a = NormValue.prime_power(2, Fraction(3, 2))
     b = NormValue.prime_power(3, 1)
     assert a < b
@@ -69,20 +74,60 @@ def test_norm_value_ordering_mixed_primes():
     assert NormValue.prime_power(2, 3) > NormValue.of_rational(6)
 
 
+def _decimal_log(exps):
+    """sum e_p * ln(p) to 120 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 120
+        return sum(
+            (Decimal(e.numerator) / e.denominator * Decimal(p).ln()
+             for p, e in exps.items()),
+            Decimal(0),
+        )
+
+
+# 2^282 * 3^274 and 5^57 * 7^208 differ by about 7.2e-10 in the log, and
+# their cube roots by a third of that: too close for the float oracle.
+NEAR_TIES = [
+    ({2: Fraction(282), 3: Fraction(274)}, {5: Fraction(57), 7: Fraction(208)}),
+    (
+        {2: Fraction(94), 3: Fraction(274, 3)},
+        {5: Fraction(19), 7: Fraction(208, 3)},
+    ),
+]
+
+
 def test_norm_value_float_log_oracle():
-    """Orderings agree with floating-point logarithms on a random corpus."""
+    """Orderings agree with floating-point logarithms on a random corpus.
+
+    Pairs whose logs are too close for floats are decided by a 120-digit
+    decimal logarithm instead.
+    """
     rng = random.Random(7)
     primes = [2, 3, 5, 7]
+    corpus = []
     for _ in range(300):
         exps_a = {p: Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for p in primes}
         exps_b = {p: Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for p in primes}
+        corpus.append((exps_a, exps_b))
+    corpus += NEAR_TIES + [(b, a) for a, b in NEAR_TIES]
+    decided_by_decimal = 0
+    for exps_a, exps_b in corpus:
         a = NormValue({p: e for p, e in exps_a.items() if e})
         b = NormValue({p: e for p, e in exps_b.items() if e})
+        if a == b:
+            assert a.compare(b) == 0
+            continue
         la = sum(float(e) * math.log(p) for p, e in exps_a.items())
         lb = sum(float(e) * math.log(p) for p, e in exps_b.items())
-        if abs(la - lb) < 1e-9:
-            continue  # too close for the float oracle to adjudicate
-        assert (a < b) == (la < lb)
+        if abs(la - lb) >= 1e-9:
+            assert (a < b) == (la < lb)
+            continue
+        da, db = _decimal_log(exps_a), _decimal_log(exps_b)
+        assert abs(da - db) > Decimal("1e-100")
+        assert (a < b) == (da < db)
+        assert (a > b) == (da > db)
+        decided_by_decimal += 1
+    assert decided_by_decimal >= 2 * len(NEAR_TIES)
 
 
 def test_norm_value_str_roundtrip():
@@ -94,3 +139,16 @@ def test_max_norm():
     vals = [NormValue.prime_power(5, -k) for k in range(3)]
     assert max_norm(vals) == NormValue.one()
     assert max_norm([]) == NormValue.zero()
+
+
+def test_cli_import_does_not_load_mpmath():
+    src_dir = str(pathlib.Path(afnd.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, afnd.cli; print('mpmath' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src_dir},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -11,6 +11,7 @@ from afnd.affinoid import (
 )
 from afnd.scalar import FieldSpec, NormValue
 from afnd.spectrum import (
+    ConjunctionDomain,
     GaussPoint,
     RigidPoint,
     conservativity_probe,
@@ -108,3 +109,31 @@ def test_conservativity_probe_inside_cover():
     probe = weierstrass_localization(A, [x], [NormValue.prime_power(5, -1)])
     report = conservativity_probe(A, [v1, v2], probe)
     assert not report.violated
+
+
+def test_domain_of_chained_localization_reads_every_step():
+    A = free_affinoid(UNIT)
+    x = parse_element("x", A.ambient)
+    step = weierstrass_localization(A, [x], [NormValue.prime_power(5, -1)])
+    V = laurent_localization(
+        step, g=[x.in_ambient(step.ambient)], g_radii=[NormValue.of_rational(25)]
+    )
+    dom = domain_of(V)
+    assert isinstance(dom, ConjunctionDomain)
+    assert [i.num.ambient for i in dom.inequalities] == [UNIT, UNIT]
+    inside = GaussPoint((Fraction(0),), (NormValue.prime_power(5, Fraction(-3, 2)),))
+    too_big = GaussPoint((Fraction(0),), (NormValue.one(),))
+    too_small = RigidPoint((Fraction(125),))
+    assert member(inside, dom)
+    assert not member(too_big, dom)
+    assert not member(too_small, dom)
+
+
+def test_domain_of_rejects_localization_variables():
+    A = free_affinoid(UNIT)
+    x = parse_element("x", A.ambient)
+    step = weierstrass_localization(A, [x], [NormValue.one()])
+    t = parse_element(step.localization.relators[0].var, step.ambient)
+    V = weierstrass_localization(step, [t], [NormValue.prime_power(5, -1)])
+    with pytest.raises(ValueError, match="localization variable"):
+        domain_of(V)
