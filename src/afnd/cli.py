@@ -61,7 +61,13 @@ from afnd.cech import ALTERNATING, CoverData, acyclicity_check
 from afnd.complexes import CycleWitness
 from afnd.homotopy import check_transversal, is_epimorphism, is_homotopy_epi
 from afnd.scalar import FieldSpec, NormValue
-from afnd.spectrum import cover_check, domain_of
+from afnd.spectrum import (
+    cover_check,
+    default_sample,
+    domain_of,
+    member,
+    root_ambient,
+)
 from afnd.tate import ElementSyntaxError, Polyradius, TateElement, parse_element
 
 log = logging.getLogger("afnd")
@@ -364,9 +370,35 @@ def _run_check(spec: CheckSpec, sc: Scenario, degree: int) -> dict:
         )
     elif spec.kind == "cover":
         base = arg_algebra(0)
-        pieces = [algebras[a] for a in spec.args[1:]]
-        domains = [domain_of(p, name) for p, name in zip(pieces, spec.args[1:])]
-        report = cover_check(domains, ambient=base.ambient)
+        if sc.field_spec.mode != "p-adic":
+            raise ScenarioError(
+                "cover checks sample points and need a p-adic field",
+                spec.line,
+            )
+        # Points and domains both live on the polydisc at the root of the
+        # base's localization chain; a localized base keeps only its points.
+        root = root_ambient(base)
+        points = default_sample(root)
+        if base.localization is not None:
+            with _at_line(spec.line):
+                region = domain_of(base)
+            points = [pt for pt in points if member(pt, region)]
+        domains = []
+        for ref in spec.args[1:]:
+            piece = algebras[ref]
+            if piece.localization is None:
+                raise ScenarioError(
+                    f"cover piece {ref!r} carries no localization data",
+                    spec.line,
+                )
+            if root_ambient(piece) != root:
+                raise ScenarioError(
+                    f"cover piece {ref!r} does not localize the polydisc "
+                    f"of {spec.args[0]!r}", spec.line,
+                )
+            with _at_line(spec.line):
+                domains.append(domain_of(piece, ref))
+        report = cover_check(domains, points)
         record.update(
             verdict="covered" if report.covered else "uncovered",
             points_checked=report.points_checked,
@@ -377,7 +409,8 @@ def _run_check(spec: CheckSpec, sc: Scenario, degree: int) -> dict:
         table = []
         for expr in spec.elements:
             el = _parse_expr(expr, alg.ambient, spec.line)
-            reduced = alg.reduce(el, degree)
+            with _at_line(spec.line):
+                reduced = alg.reduce(el, degree)
             table.append(
                 {
                     "element": expr,
@@ -408,8 +441,7 @@ def run_scenario(
     all_passed = True
     for spec in sc.checks:
         log.info("running check %s (%s)", spec.name, spec.kind)
-        with _at_line(spec.line):
-            record = _run_check(spec, sc, d)
+        record = _run_check(spec, sc, d)
         records.append(record)
         if record["verdict"] not in PASSING:
             all_passed = False

@@ -106,17 +106,6 @@ class NormValue:
             self, "_exps", tuple(sorted(cleaned.items()))
         )
 
-    @classmethod
-    def _trusted(cls, exps: dict[int, Fraction]) -> "NormValue":
-        """Build from a prime -> nonzero Fraction map that is known valid.
-
-        Arithmetic results use this: their primes were validated when the
-        operands entered, so the trial division is skipped.
-        """
-        out = object.__new__(cls)
-        object.__setattr__(out, "_exps", tuple(sorted(exps.items())))
-        return out
-
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("NormValue is immutable")
 
@@ -182,12 +171,8 @@ class NormValue:
             return NormValue.zero()
         exps = dict(self._exps)
         for p, e in other._exps:
-            s = exps.get(p, 0) + e
-            if s:
-                exps[p] = s
-            else:
-                del exps[p]
-        return NormValue._trusted(exps)
+            exps[p] = exps.get(p, Fraction(0)) + e
+        return NormValue(exps)
 
     def __truediv__(self, other: "NormValue") -> "NormValue":
         return self * other.inverse()
@@ -195,7 +180,7 @@ class NormValue:
     def inverse(self) -> "NormValue":
         if self._exps is None:
             raise ZeroDivisionError("inverse of zero norm value")
-        return NormValue._trusted({p: -e for p, e in self._exps})
+        return NormValue({p: -e for p, e in self._exps})
 
     def __pow__(self, k: Rational) -> "NormValue":
         k = Fraction(k)
@@ -203,9 +188,7 @@ class NormValue:
             if k <= 0:
                 raise ZeroDivisionError("0 to a nonpositive power")
             return NormValue.zero()
-        if k == 0:
-            return NormValue.one()
-        return NormValue._trusted({p: e * k for p, e in self._exps})
+        return NormValue({p: e * k for p, e in self._exps})
 
     # -- ordering ----------------------------------------------------------
 
@@ -310,9 +293,7 @@ def scalar_norm(spec: FieldSpec, a: Rational) -> NormValue:
         return NormValue.zero()
     if spec.mode == "trivial":
         return NormValue.one()
-    v = padic_valuation(a, spec.p)
-    # FieldSpec has validated the prime.
-    return NormValue._trusted({spec.p: Fraction(-v)} if v else {})
+    return NormValue.prime_power(spec.p, -padic_valuation(a, spec.p))
 
 
 def max_norm(values: Iterable[NormValue]) -> NormValue:

@@ -68,6 +68,14 @@ class RationalDomainData:
             raise ValueError("one bound per function required")
 
 
+def root_ambient(piece: AffinoidPresentation) -> Polyradius:
+    """The ambient of the algebra at the start of `piece`'s localization
+    chain: the polydisc that `domain_of` reads every inequality on."""
+    while piece.localization is not None:
+        piece = piece.localization.base
+    return piece.ambient
+
+
 def domain_of(
     piece: AffinoidPresentation, name: str = ""
 ) -> "RationalDomainData | ConjunctionDomain":

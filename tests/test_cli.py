@@ -131,15 +131,48 @@ check points cover A V1 V2 V3
 """
 
 
-def test_cover_with_chained_localization(tmp_path):
-    # V2 is |x| <= 5^-1 followed by |x| >= 5^-2; its second inequality
-    # lives in the intermediate ambient (x, T) and must be read on (x).
-    path = tmp_path / "three.afnd"
-    path.write_text(THREE_PIECE_POINTS)
+LOCALIZED_BASE = """
+scenario localized-base
+degree 8
+field p-adic 5
+algebra A
+  var x 1
+end
+localize V of A
+  bound x 5^-1
+end
+localize W1 of V
+  bound x 5^-2
+end
+localize W2 of V
+  invert x {r}
+end
+check c cover V W1 W2
+"""
+
+
+@pytest.mark.parametrize(
+    "text, verdict, points, witnesses",
+    [
+        # V2 is |x| <= 5^-1 followed by |x| >= 5^-2; its second inequality
+        # lives in the intermediate ambient (x, T) and must be read on (x).
+        (THREE_PIECE_POINTS, "covered", 9, []),
+        # The base V is |x| <= 5^-1 on the disc |x| <= 1: only the six
+        # sample points of the disc that lie in V are checked.
+        (LOCALIZED_BASE.format(r="5^2"), "covered", 6, []),
+        (LOCALIZED_BASE.format(r="5"), "uncovered", 6, ["gauss(0±5^-3/2)"]),
+    ],
+    ids=["three-piece", "localized-base", "localized-base-gap"],
+)
+def test_cover_with_chained_localization(
+    tmp_path, text, verdict, points, witnesses
+):
+    path = tmp_path / "cover.afnd"
+    path.write_text(text)
     check = run_scenario(str(path))["checks"][0]
-    assert check["verdict"] == "covered"
-    assert check["points_checked"] == 9
-    assert check["witnesses"] == []
+    assert check["verdict"] == verdict
+    assert check["points_checked"] == points
+    assert check["witnesses"] == witnesses
 
 
 HEADER = "scenario h\ndegree 3\nfield p-adic 5\n"
@@ -166,9 +199,15 @@ HEADER = "scenario h\ndegree 3\nfield p-adic 5\n"
             7,
             "no localization data",
         ),
+        (
+            HEADER + "algebra A\n  var x 1\nend\nalgebra B\n  var y 1\nend\n"
+            "localize W of B\n  bound y 5^-1\nend\ncheck c cover A W\n",
+            13,
+            "does not localize the polydisc",
+        ),
     ],
     ids=["zero-radius", "norm-table-above-truncation", "cover-trivial-field",
-         "cover-of-non-localization"],
+         "cover-of-non-localization", "cover-piece-on-another-polydisc"],
 )
 def test_library_errors_exit_2_with_line(tmp_path, capsys, text, line, message):
     path = tmp_path / "bad.afnd"
