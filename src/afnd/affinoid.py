@@ -106,7 +106,6 @@ class AffinoidPresentation:
         ambient: Polyradius,
         relations: Sequence[TateElement] = (),
         strategy: str | None = None,
-        certificate: BezoutCertificate | None = None,
         localization: LocalizationData | None = None,
     ):
         self.ambient = ambient
@@ -114,7 +113,6 @@ class AffinoidPresentation:
         for rel in self.relations:
             if rel.ambient != ambient:
                 raise PresentationError("relation outside the ambient algebra")
-        self.certificate = certificate
         self.localization = localization
         self._generic_cache: dict[int, "NormAwareElimination | None"] = {}
         self._basis_cache: dict[int, list[Exponent]] = {}
@@ -459,15 +457,8 @@ class AffinoidPresentation:
                 )
                 if prod.total_degree() > degree:
                     continue
-                row = [Fraction(0)] * len(shape_basis)
-                ok = True
-                for e, c in prod.terms.items():
-                    j = col_of.get(e)
-                    if j is None:
-                        ok = False
-                        break
-                    row[j] = c
-                if ok and any(row):
+                row = {col_of.get(e): c for e, c in prod.terms.items()}
+                if row and None not in row:  # every term is a shape monomial
                     rows.append(row)
         if not rows:
             self._generic_cache[degree] = None
@@ -695,17 +686,9 @@ def rational_localization(
         s_var = step.localization.relators[0].var
         s = TateElement.variable(step.ambient, s_var)
         fs = [fi.in_ambient(step.ambient) * s for fi in f]
-        out = weierstrass_localization(step, fs, r)
-        ineqs = tuple(
-            [DomainInequality(fi, g, ri) for fi, ri in zip(f, r)]
-        )
-        out.localization = LocalizationData(
-            kind="rational",
-            base=step,
-            relators=out.localization.relators,
-            inequalities=ineqs,
-        )
-        return out
+        specs = [(fi, ri, "weierstrass") for fi, ri in zip(fs, r)]
+        ineqs = [DomainInequality(fi, g, ri) for fi, ri in zip(f, r)]
+        return _append_localization(step, specs, "rational", ineqs)
     # Raw presentation with relators g T_i - f_i; resolutions fall back to
     # the validity-checked multi-relator Koszul complex.
     names = list(base.ambient.names)
@@ -722,9 +705,7 @@ def rational_localization(
         relators.append(Relator(element, var, ri, "generic"))
     ineqs = tuple(DomainInequality(fi, g, ri) for fi, ri in zip(f, r))
     data = LocalizationData("rational", base, tuple(relators), ineqs)
-    return AffinoidPresentation(
-        ambient, relations, certificate=certificate, localization=data
-    )
+    return AffinoidPresentation(ambient, relations, localization=data)
 
 
 def tensor_over(

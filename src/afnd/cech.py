@@ -12,7 +12,9 @@ Both are augmented: level 0 carries the base (or a cyclic module over it),
 level q the q-fold intersections (tensor products over the base).  The
 acyclicity check refuses to run until every piece has been verified to be a
 homotopy epimorphism over the base at the requested truncation degree, and
-reports strict exactness with certified preimage-norm constants.
+reports strict exactness with certified preimage-norm constants.  A caller
+that has already proved those verdicts at that degree passes them in as the
+`precondition`, so a run proves each piece once.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from afnd.complexes import (
     strict_exactness,
 )
 from afnd.homotopy import HOLDS, MorphismVerdict, is_homotopy_epi
+from afnd.linalg import kernel_basis
 from afnd.scalar import NormValue
 from afnd.tate import TateElement
 
@@ -179,13 +182,25 @@ def acyclicity_check(
     degree: int,
     module: AffinoidPresentation | None = None,
     style: str = ALTERNATING,
+    precondition: Sequence[MorphismVerdict] | None = None,
 ) -> AcyclicityReport:
     """Strict exactness of the augmented cover complex at the truncation.
 
     Refuses with a diagnostic unless every piece is verified to be a
-    homotopy epimorphism over the base first.
+    homotopy epimorphism over the base first.  `precondition` passes those
+    verdicts, one per piece in order, when the caller has already proved
+    them at this degree; without it the pieces are verified here.
     """
-    verdicts = cover.verify_pieces(degree)
+    if precondition is None:
+        verdicts = cover.verify_pieces(degree)
+    else:
+        verdicts = list(precondition)
+        if len(verdicts) != len(cover.pieces) or any(
+            v.truncation != degree for v in verdicts
+        ):
+            raise ValueError(
+                "precondition needs one verdict per piece at this degree"
+            )
     bad = [i for i, v in enumerate(verdicts) if v.status != HOLDS]
     if bad:
         details = "; ".join(
@@ -219,7 +234,5 @@ def acyclicity_check(
 
 
 def _kernel_head(cx: ChainComplex, degree: int):
-    from afnd.linalg import kernel_basis
-
     m = cx.matrix(0, degree)
-    return kernel_basis(m.entries) if m.entries else []
+    return kernel_basis(m.entries, m.source.dim) if m.entries else []

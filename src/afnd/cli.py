@@ -59,7 +59,12 @@ from afnd.affinoid import (
 )
 from afnd.cech import ALTERNATING, CoverData, acyclicity_check
 from afnd.complexes import CycleWitness
-from afnd.homotopy import check_transversal, is_epimorphism, is_homotopy_epi
+from afnd.homotopy import (
+    MorphismVerdict,
+    check_transversal,
+    is_epimorphism,
+    is_homotopy_epi,
+)
 from afnd.scalar import FieldSpec, NormValue
 from afnd.spectrum import (
     cover_check,
@@ -305,7 +310,25 @@ def _witness_json(w: Optional[CycleWitness]) -> Optional[dict]:
     }
 
 
-def _run_check(spec: CheckSpec, sc: Scenario, degree: int) -> dict:
+def _homotopy_epi(
+    proved: dict,
+    base: AffinoidPresentation,
+    target: AffinoidPresentation,
+    degree: int,
+) -> MorphismVerdict:
+    """The verdict on base -> target, proved at most once per run.
+
+    `proved` maps (base, target, degree) to the verdicts the run has
+    proved.  Presentations hash by identity and do not change after
+    construction, so a verdict stays valid while the scenario holds them.
+    """
+    key = (base, target, degree)
+    if key not in proved:
+        proved[key] = is_homotopy_epi(base, target, degree)
+    return proved[key]
+
+
+def _run_check(spec: CheckSpec, sc: Scenario, degree: int, proved: dict) -> dict:
     record: dict = {"name": spec.name, "kind": spec.kind}
     algebras = sc.algebras
 
@@ -319,8 +342,10 @@ def _run_check(spec: CheckSpec, sc: Scenario, degree: int) -> dict:
 
     if spec.kind in ("epi", "hoepi"):
         base, target = arg_algebra(0), arg_algebra(1)
-        fn = is_epimorphism if spec.kind == "epi" else is_homotopy_epi
-        verdict = fn(base, target, degree)
+        if spec.kind == "epi":
+            verdict = is_epimorphism(base, target, degree)
+        else:
+            verdict = _homotopy_epi(proved, base, target, degree)
         record.update(
             verdict=verdict.status,
             degree=verdict.truncation,
@@ -349,9 +374,13 @@ def _run_check(spec: CheckSpec, sc: Scenario, degree: int) -> dict:
                 "usage: check NAME cech BASE DEPTH PIECE...", spec.line
             )
         depth = int(spec.args[1])
-        pieces = tuple(algebras[a] for a in spec.args[2:])
+        cover = CoverData(base, tuple(algebras[a] for a in spec.args[2:]))
         report = acyclicity_check(
-            CoverData(base, pieces), depth, degree, style=ALTERNATING
+            cover, depth, degree, style=ALTERNATING,
+            precondition=[
+                _homotopy_epi(proved, base, piece, degree)
+                for piece in cover.pieces
+            ],
         )
         record.update(
             verdict=report.status,
@@ -439,9 +468,10 @@ def run_scenario(
     )
     records = []
     all_passed = True
+    proved: dict = {}  # shared by `hoepi` checks and `cech` pieces
     for spec in sc.checks:
         log.info("running check %s (%s)", spec.name, spec.kind)
-        record = _run_check(spec, sc, d)
+        record = _run_check(spec, sc, d, proved)
         records.append(record)
         if record["verdict"] not in PASSING:
             all_passed = False

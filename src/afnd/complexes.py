@@ -9,8 +9,9 @@ coefficient, which covers both Koszul differentials (multiplication by a
 relator) and restriction maps between localizations (coefficient 1, rename of
 tensor variables).
 
-All matrices are exact; images that overflow the requested degree enlarge the
-target truncation instead of dropping terms.  "Homology vanishes at degree D"
+All matrices are exact and sparse, one row per target basis vector, and each
+differential is built once per complex and degree.  Images that overflow the
+requested degree enlarge the target truncation instead of dropping terms.  "Homology vanishes at degree D"
 therefore means: every cycle supported in degree <= D is the boundary of a
 chain supported in degree <= D.
 """
@@ -18,13 +19,13 @@ chain supported in degree <= D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from afnd.affinoid import AffinoidPresentation, localization_chain
 from afnd.linalg import (
     NormAwareElimination,
+    SparseRow,
     kernel_basis,
     reduce_against,
     sparse_rref,
@@ -61,11 +62,12 @@ class LevelBasis:
 
 @dataclass
 class DifferentialMatrix:
-    """d^n on degree-bounded bases: rows indexed by the target basis."""
+    """d^n on degree-bounded bases: one sparse row per target basis vector,
+    keyed by source basis index.  Shared by every caller; do not mutate."""
 
     source: LevelBasis
     target: LevelBasis
-    entries: list[list[Fraction]]
+    entries: list[SparseRow]
 
 
 class ChainComplex:
@@ -89,6 +91,7 @@ class ChainComplex:
                     [comp] if isinstance(comp, MapComponent) else list(comp)
                 )
             self.components[n] = level_cs
+        self._matrices: dict[tuple[int, int], DifferentialMatrix] = {}
         for n, cs in self.components.items():
             for (t, s) in cs:
                 if n not in self.levels or n + 1 not in self.levels:
@@ -137,7 +140,17 @@ class ChainComplex:
         return out
 
     def matrix(self, n: int, degree: int) -> DifferentialMatrix:
-        """d^n from the degree-<=degree source basis, exact."""
+        """d^n from the degree-<=degree source basis, exact.
+
+        Built once per (n, degree): levels and components are fixed after
+        construction, so later calls return the same matrix.
+        """
+        key = (n, degree)
+        if key not in self._matrices:
+            self._matrices[key] = self._build_matrix(n, degree)
+        return self._matrices[key]
+
+    def _build_matrix(self, n: int, degree: int) -> DifferentialMatrix:
         source = self.level_basis(n, degree)
         images = self._image_elements(n, source)
         growth = degree
@@ -146,9 +159,7 @@ class ChainComplex:
                 growth = max(growth, v.total_degree())
         target = self.level_basis(n + 1, growth)
         col_of = {key: j for j, key in enumerate(target.entries)}
-        entries = [
-            [Fraction(0)] * source.dim for _ in range(target.dim)
-        ]
+        entries: list[SparseRow] = [{} for _ in range(target.dim)]
         targets = self.levels[n + 1]
         for j, img in enumerate(images):
             for t, v in img.items():
@@ -159,20 +170,20 @@ class ChainComplex:
         return DifferentialMatrix(source, target, entries)
 
     def embed(
-        self, n: int, coords: Sequence[Fraction], frm: LevelBasis, into: LevelBasis
-    ) -> list[Fraction]:
-        """Re-express a level-n vector on a larger-degree basis."""
+        self, n: int, coords: SparseRow, frm: LevelBasis, into: LevelBasis
+    ) -> SparseRow:
+        """Re-express a sparse level-n vector on a larger-degree basis."""
         summands = self.levels[n]
         elems = {
             si: TateElement.zero(s.algebra.ambient)
             for si, s in enumerate(summands)
         }
-        for c, (si, e) in zip(coords, frm.entries):
-            if c:
-                alg = summands[si].algebra
-                elems[si] = elems[si] + TateElement.monomial(alg.ambient, e, c)
+        for k, c in coords.items():
+            si, e = frm.entries[k]
+            alg = summands[si].algebra
+            elems[si] = elems[si] + TateElement.monomial(alg.ambient, e, c)
         col_of = {key: j for j, key in enumerate(into.entries)}
-        out = [Fraction(0)] * into.dim
+        out: SparseRow = {}
         for si, v in elems.items():
             nf = summands[si].algebra.normal_form(v, into.truncation)
             for e, c in nf.terms.items():
@@ -187,16 +198,14 @@ class ChainComplex:
                 continue
             m1 = self.matrix(n, degree)
             m2 = self.matrix(n + 1, m1.target.truncation)
-            for j in range(m1.source.dim):
-                col = [m1.entries[i][j] for i in range(m1.target.dim)]
-                composed = [
-                    sum(
-                        (m2.entries[i][k] * col[k] for k in range(len(col))),
-                        Fraction(0),
-                    )
-                    for i in range(m2.target.dim)
-                ]
-                if any(composed):
+            # Row i of d^{n+1} d^n is the combination of the rows of d^n
+            # that row i of d^{n+1} selects.
+            for row in m2.entries:
+                composed: SparseRow = {}
+                for k, a in row.items():
+                    for j, b in m1.entries[k].items():
+                        composed[j] = composed.get(j, 0) + a * b
+                if any(composed.values()):
                     return False
         return True
 
@@ -221,33 +230,25 @@ class HomologyReport:
 
 
 def _cycle_to_witness(
-    cx: ChainComplex, n: int, coords: Sequence[Fraction], basis: LevelBasis
+    cx: ChainComplex, n: int, coords: SparseRow, basis: LevelBasis
 ) -> CycleWitness:
     summands = cx.levels[n]
     parts: dict[int, TateElement] = {}
-    for c, (si, e) in zip(coords, basis.entries):
-        if c:
-            alg = summands[si].algebra
-            term = TateElement.monomial(alg.ambient, e, c)
-            parts[si] = parts.get(si, TateElement.zero(alg.ambient)) + term
-    norm = vector_norm(cx.field, list(coords), basis.weights)
+    for k, c in coords.items():
+        si, e = basis.entries[k]
+        alg = summands[si].algebra
+        term = TateElement.monomial(alg.ambient, e, c)
+        parts[si] = parts.get(si, TateElement.zero(alg.ambient)) + term
+    norm = vector_norm(
+        cx.field, list(coords.values()), [basis.weights[k] for k in coords]
+    )
     return CycleWitness(n, parts, norm)
 
 
-def _cycles(cx: ChainComplex, n: int, degree: int) -> tuple[LevelBasis, list[list[Fraction]]]:
+def _cycles(cx: ChainComplex, n: int, degree: int) -> tuple[LevelBasis, list[SparseRow]]:
     basis = cx.level_basis(n, degree)
-    if n in cx.components:
-        mout = cx.matrix(n, degree)
-        cycles = kernel_basis(mout.entries) if mout.entries else [
-            [Fraction(1) if i == j else Fraction(0) for i in range(basis.dim)]
-            for j in range(basis.dim)
-        ]
-    else:
-        cycles = [
-            [Fraction(1) if i == j else Fraction(0) for i in range(basis.dim)]
-            for j in range(basis.dim)
-        ]
-    return basis, cycles
+    rows = cx.matrix(n, degree).entries if n in cx.components else []
+    return basis, kernel_basis(rows, basis.dim)
 
 
 def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
@@ -258,20 +259,19 @@ def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
         witnesses = [_cycle_to_witness(cx, n, z, basis) for z in cycles]
         return HomologyReport(n, degree, len(cycles), len(cycles), False, witnesses)
     min_ = cx.matrix(n - 1, degree)
-    # The boundary space, as sparse row vectors over the level-n basis.
-    boundary_cols = [
-        {i: min_.entries[i][j] for i in range(min_.target.dim) if min_.entries[i][j]}
-        for j in range(min_.source.dim)
-    ]
+    # The boundary space, as sparse row vectors over the level-n basis: the
+    # columns of d^{n-1}, read off its rows.
+    boundary_cols: list[SparseRow] = [{} for _ in range(min_.source.dim)]
+    for i, row in enumerate(min_.entries):
+        for j, v in row.items():
+            boundary_cols[j][i] = v
     span_rows, span_pivots = sparse_rref(boundary_cols)
     obst_rows: list[dict] = []
     obst_pivots: list[int] = []
     witnesses: list[CycleWitness] = []
     for z in cycles:
         zed = cx.embed(n, z, basis, min_.target)
-        rem = reduce_against(
-            {i: v for i, v in enumerate(zed) if v}, span_rows, span_pivots
-        )
+        rem = reduce_against(zed, span_rows, span_pivots)
         rem = reduce_against(rem, obst_rows, obst_pivots)
         if rem:
             c = min(rem)

@@ -24,7 +24,7 @@ from afnd.complexes import (
     quotient_resolution,
     resolution_of,
 )
-from afnd.linalg import kernel_basis, rref
+from afnd.linalg import SparseRow, kernel_basis, reduce_against, sparse_rref
 from afnd.tate import TateElement
 
 HOLDS = "holds"
@@ -91,7 +91,7 @@ def is_epimorphism(
         return MorphismVerdict(kind, HOLDS, degree, "target is the zero algebra")
     square, rename = tensor_over(base, target, target)
     matrix, src_dim, tgt_hit = _collapse_matrix(square, target, rename, degree)
-    ker = kernel_basis(matrix) if matrix else []
+    ker = kernel_basis(matrix, src_dim) if matrix else []
     injective = not ker
     surjective = tgt_hit
     if injective and surjective:
@@ -114,11 +114,12 @@ def _collapse_matrix(
     target: AffinoidPresentation,
     rename: dict[str, str],
     degree: int,
-) -> tuple[list[list[Fraction]], int, bool]:
+) -> tuple[list[SparseRow], int, bool]:
     """Matrix of the fold map big -> target (renamed copies sent back).
 
-    Returns (matrix rows over the target basis, source dimension, and whether
-    every degree-bounded target basis monomial lies in the column span).
+    Returns (sparse matrix rows over the target basis, source dimension, and
+    whether every degree-bounded target basis monomial lies in the column
+    span).
     """
     inverse = {v: k for k, v in rename.items()}
     positions = [
@@ -138,26 +139,21 @@ def _collapse_matrix(
         images.append(elem)
     tgt_basis = target.monomial_basis(growth)
     col_of = {e: i for i, e in enumerate(tgt_basis)}
-    matrix = [[Fraction(0)] * len(source) for _ in tgt_basis]
+    matrix: list[SparseRow] = [{} for _ in tgt_basis]
+    span: list[SparseRow] = []  # the columns, as sparse rows
     for j, elem in enumerate(images):
         nf = target.normal_form(elem, growth)
-        for e, c in nf.terms.items():
-            matrix[col_of[e]][j] = c
+        col = {col_of[e]: c for e, c in nf.terms.items()}
+        for i, c in col.items():
+            matrix[i][j] = c
+        span.append(col)
     # Surjectivity onto the degree-bounded target basis: reduce each unit
-    # vector against the row echelon form of the column span.
-    span = [[matrix[i][j] for i in range(len(tgt_basis))] for j in range(len(source))]
-    rows, pivots = rref(span)
-    hit = True
-    for e in target.monomial_basis(degree):
-        vec = [Fraction(0)] * len(tgt_basis)
-        vec[col_of[e]] = Fraction(1)
-        for r, pc in zip(rows, pivots):
-            if vec[pc]:
-                f = vec[pc] / r[pc]
-                vec = [a - f * b for a, b in zip(vec, r)]
-        if any(vec):
-            hit = False
-            break
+    # vector against the reduced echelon form of the column span.
+    rows, pivots = sparse_rref(span)
+    hit = all(
+        not reduce_against({col_of[e]: Fraction(1)}, rows, pivots)
+        for e in target.monomial_basis(degree)
+    )
     return matrix, len(source), hit
 
 
@@ -258,7 +254,7 @@ def _degree_zero_matches(
     if h0.is_zero_algebra:
         return False, "degree-zero part collapses to the zero algebra"
     matrix, src_dim, hit = _collapse_matrix(h0, target, rename, degree)
-    ker = kernel_basis(matrix) if matrix else []
+    ker = kernel_basis(matrix, src_dim) if matrix else []
     if ker:
         return False, f"fold map has kernel of rank {len(ker)}"
     if not hit:

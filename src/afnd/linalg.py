@@ -1,10 +1,12 @@
-"""Exact linear algebra over the rationals, with ultrametric pivoting.
+"""Exact sparse linear algebra over the rationals, with ultrametric pivoting.
 
-Two elimination routines are used throughout the package:
+Matrices are lists of sparse rows: one dict {column: Fraction} per row, zero
+entries absent, and the column count passed alongside where it matters.  Two
+elimination routines are used throughout the package:
 
-* plain reduced row echelon form over Fraction entries, with the first-nonzero
-  pivot rule, for ranks and kernels (any pivot rule gives the same answers;
-  this one is deterministic);
+* `sparse_rref`, the fully reduced row echelon form with unit pivots, for
+  ranks, kernels and span membership.  It is unique for the row space, so
+  the pivot order chosen to limit fill-in cannot change any answer;
 * norm-aware Gauss-Jordan elimination for everything that certifies a norm:
   pivots are chosen to maximize |entry| * row_weight / col_weight, ties broken
   by smallest row index then smallest column index.  For weighted orthogonal
@@ -14,6 +16,7 @@ Two elimination routines are used throughout the package:
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -21,6 +24,7 @@ from typing import Sequence
 from afnd.scalar import FieldSpec, NormValue, padic_valuation, scalar_norm
 
 Row = list[Fraction]
+SparseRow = dict[int, Fraction]
 
 
 def vector_norm(
@@ -36,47 +40,54 @@ def vector_norm(
     return best
 
 
-SparseRow = dict[int, Fraction]
-
-
-def to_sparse(matrix: Sequence[Sequence[Fraction]]) -> list[SparseRow]:
-    return [
-        {j: Fraction(x) for j, x in enumerate(row) if x} for row in matrix
-    ]
-
-
 def sparse_rref(rows: Sequence[SparseRow]) -> tuple[list[SparseRow], list[int]]:
     """Fully reduced echelon form of sparse rows, pivots normalized to 1.
 
-    Pivot rows are chosen by fewest nonzeros first (then input order) to
-    limit fill-in; the output is sorted by pivot column, so the result is
-    canonical for a given input order.
+    Rows are taken fewest nonzeros first (then by input position) from a heap
+    to limit fill-in; a row whose length changed is pushed again, and stale
+    heap entries are skipped.  The rows that hold a pivot column are found
+    through a column -> rows index instead of a scan.  Each pivot is the first
+    nonzero of its row, so the result is the reduced echelon form of the row
+    space, which is unique; the output is sorted by pivot column.  The input
+    rows are not modified.
     """
     work = [dict(r) for r in rows if r]
+    holders: dict[int, set[int]] = {}  # column -> rows with a nonzero there
+    for i, r in enumerate(work):
+        for j in r:
+            holders.setdefault(j, set()).add(i)
+    heap = [(len(r), i) for i, r in enumerate(work)]
+    heapq.heapify(heap)
+    pending = [True] * len(work)
     done: list[tuple[int, SparseRow]] = []  # (pivot column, row)
-    while work:
-        best = min(range(len(work)), key=lambda i: len(work[i]))
-        row = work.pop(best)
+    while heap:
+        n, i = heapq.heappop(heap)
+        row = work[i]
+        if not pending[i] or n != len(row):
+            continue
+        pending[i] = False
+        if not row:
+            continue
         c = min(row)
         pv = row[c]
-        row = {j: v / pv for j, v in row.items()}
-        for other_list in (work, None):
-            if other_list is None:
-                targets = [r for _, r in done]
-            else:
-                targets = other_list
-            for i, other in enumerate(targets):
-                f = other.get(c)
-                if f is None:
-                    continue
-                for j, v in row.items():
-                    nv = other.get(j, Fraction(0)) - f * v
-                    if nv:
-                        other[j] = nv
-                    else:
-                        other.pop(j, None)
+        if pv != 1:
+            row = work[i] = {j: v / pv for j, v in row.items()}
+        for o in holders[c] - {i}:
+            other = work[o]
+            before = len(other)
+            f = other[c]
+            for j, v in row.items():
+                nv = other.get(j, 0) - f * v
+                if nv:
+                    if j not in other:
+                        holders.setdefault(j, set()).add(o)
+                    other[j] = nv
+                elif j in other:
+                    del other[j]
+                    holders[j].discard(o)
+            if pending[o] and len(other) != before:
+                heapq.heappush(heap, (len(other), o))
         done.append((c, row))
-        work = [r for r in work if r]
     done.sort(key=lambda t: t[0])
     return [r for _, r in done], [c for c, _ in done]
 
@@ -96,43 +107,20 @@ def reduce_against(vec: SparseRow, rows: Sequence[SparseRow], pivots: Sequence[i
     return out
 
 
-def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form; returns (dense rows, pivot column indices)."""
-    if not matrix:
-        return [], []
-    ncols = len(matrix[0])
-    srows, pivots = sparse_rref(to_sparse(matrix))
-    dense = []
-    for row in srows:
-        out = [Fraction(0)] * ncols
-        for j, v in row.items():
-            out[j] = v
-        dense.append(out)
-    return dense, pivots
+def kernel_basis(rows: Sequence[SparseRow], ncols: int) -> list[SparseRow]:
+    """Sparse basis of {x : A x = 0} for A with `ncols` columns.
 
-
-def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    return len(sparse_rref(to_sparse(matrix))[1])
-
-
-def kernel_basis(matrix: Sequence[Sequence[Fraction]]) -> list[Row]:
-    """Basis of {x : A x = 0}, one vector per free column, deterministic."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    rows, pivots = sparse_rref(to_sparse(matrix))
+    One vector per free column, in column order, deterministic.
+    """
+    reduced, pivots = sparse_rref(rows)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v = rows[r].get(fc)
-            if v:
-                vec[pc] = -v
-        basis.append(vec)
-    return basis
+    basis = {fc: {fc: Fraction(1)} for fc in range(ncols) if fc not in pivot_set}
+    # In a fully reduced row, every entry off the pivot is in a free column.
+    for row, pc in zip(reduced, pivots):
+        for j, v in row.items():
+            if j != pc:
+                basis[j][pc] = -v
+    return list(basis.values())
 
 
 def _integral_power(w: NormValue, L: int) -> Fraction:
@@ -146,14 +134,15 @@ def _integral_power(w: NormValue, L: int) -> Fraction:
 class NormAwareElimination:
     """Greedy ultrametric Gauss-Jordan factorization of one exact matrix.
 
-    The matrix represents a map between weighted orthogonal spaces:
-    col_weights on the domain, row_weights on the codomain.  Pivots maximize
+    The matrix, given as sparse rows, represents a map between weighted
+    orthogonal spaces: col_weights on the domain (one per column),
+    row_weights on the codomain.  Pivots maximize
     |entry| * row_weight / col_weight, ties broken by smallest row index then
     smallest column index.  After construction, `pivot_scores` holds the
     singular values in the greedy (non-increasing) order and `solve` produces
     norm-minimal preimages.
 
-    Rows are kept sparse.  Pivots are chosen on an exact rational key: with L
+    Pivots are chosen on an exact rational key: with L
     the lcm of the denominators of every weight exponent, the key of (i, j)
     is score(i, j)^L = row_w(i)^L * col_w(j)^-L * |a_ij|^L.  x -> x^L is
     strictly increasing and distinct factored values have distinct L-th
@@ -164,20 +153,18 @@ class NormAwareElimination:
     def __init__(
         self,
         field: FieldSpec,
-        matrix: Sequence[Sequence[Fraction]],
+        rows: Sequence[SparseRow],
         row_weights: Sequence[NormValue],
         col_weights: Sequence[NormValue],
     ):
         self.field = field
-        self.srows: list[SparseRow] = [
-            {j: Fraction(x) for j, x in enumerate(row) if x} for row in matrix
-        ]
+        self.srows: list[SparseRow] = [dict(r) for r in rows]
         self.nrows = len(self.srows)
-        self.ncols = len(matrix[0]) if self.nrows else 0
+        self.ncols = len(col_weights)
         self.row_weights = list(row_weights)
         self.col_weights = list(col_weights)
-        if len(self.row_weights) != self.nrows or (
-            self.nrows and len(self.col_weights) != self.ncols
+        if len(self.row_weights) != self.nrows or any(
+            r and max(r) >= self.ncols for r in self.srows
         ):
             raise ValueError("weight lists must match the matrix shape")
         self._setup_scoring()

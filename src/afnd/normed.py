@@ -151,8 +151,9 @@ class Classification:
 
 
 def classify(t: NormedMatrix) -> Classification:
+    rows = [{j: x for j, x in enumerate(row) if x} for row in t.entries]
     elim = NormAwareElimination(
-        t.field, t.entries, t.codomain.weights, t.domain.weights
+        t.field, rows, t.codomain.weights, t.domain.weights
     )
     r = elim.rank
     mono = r == t.domain.dim

@@ -194,7 +194,7 @@ def _oracle_split(cx, degree):
     src, tgt = m1.source, m1.target
     hit = {}
     for j in range(src.dim):
-        col = [m1.entries[i][j] for i in range(tgt.dim)]
+        col = [m1.entries[i].get(j, Fraction(0)) for i in range(tgt.dim)]
         nz = [(i, c) for i, c in enumerate(col) if c]
         # Each restriction sends a basis monomial to +-1 times one monomial.
         assert len(nz) == 1 and abs(nz[0][1]) == 1
@@ -228,10 +228,13 @@ def test_tate_acyclicity_with_oracle():
     m0 = cx.matrix(0, degree)
     base_cols = {}
     for j in range(m0.source.dim):
-        col = tuple(m0.entries[i][j] for i in range(m0.target.dim))
+        col = tuple(
+            m0.entries[i].get(j, Fraction(0)) for i in range(m0.target.dim)
+        )
         base_cols[col] = m0.source.weights[j]
     m1 = cx.matrix(1, degree)
-    for vec in kernel_basis(m1.entries):
+    for sparse_vec in kernel_basis(m1.entries, m1.source.dim):
+        vec = [sparse_vec.get(k, Fraction(0)) for k in range(m1.source.dim)]
         support = [(i, c) for i, c in enumerate(vec) if c]
         # Oracle preimage: kernel vectors of the monomial gluing map pair one
         # V1 monomial with one V2 monomial, the image of one base monomial.

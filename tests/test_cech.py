@@ -99,3 +99,17 @@ def test_three_piece_cover_exact():
     report = acyclicity_check(CoverData(A, (v1, v2, v3)), 3, 8)
     assert report.exact
     assert str(report.constant) == "1"
+
+
+def test_acyclicity_takes_proved_piece_verdicts(disk_cover):
+    verdicts = disk_cover.verify_pieces(8)
+    reused = acyclicity_check(disk_cover, 2, 8, precondition=verdicts)
+    fresh = acyclicity_check(disk_cover, 2, 8)
+    assert reused.precondition == verdicts
+    assert (reused.status, reused.detail, reused.constant) == (
+        fresh.status, fresh.detail, fresh.constant
+    )
+    with pytest.raises(ValueError):
+        acyclicity_check(disk_cover, 2, 8, precondition=verdicts[:1])
+    with pytest.raises(ValueError):
+        acyclicity_check(disk_cover, 2, 6, precondition=verdicts)

@@ -7,9 +7,12 @@ import sys
 
 import pytest
 
+import afnd.cech
+import afnd.cli
 from afnd.cli import ScenarioError, main, parse_scenario, render_report, run_scenario
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 MINIMAL = """
 scenario t
@@ -78,6 +81,93 @@ def test_reports_are_byte_identical():
         a = render_report(run_scenario(str(SCENARIOS / name)))
         b = render_report(run_scenario(str(SCENARIOS / name)))
         assert a == b
+
+
+@pytest.mark.parametrize(
+    "name, degree",
+    [("unit_disk", None), ("unit_disk", 20), ("gap_cover", None),
+     ("norm_table", None)],
+)
+def test_reports_match_golden(name, degree):
+    # Reports of the bundled scenarios, byte for byte.  A change to the
+    # elimination or assembly code must leave every one of them intact.
+    suffix = f".d{degree}" if degree is not None else ""
+    expected = (GOLDEN / f"{name}{suffix}.json").read_text(encoding="utf-8")
+    report = run_scenario(str(SCENARIOS / f"{name}.afnd"), degree)
+    assert render_report(report) == expected
+
+
+def _count_hoepi_calls(monkeypatch) -> list:
+    """Count the homotopy-epi proofs started by the CLI or by a cech check."""
+    calls = []
+    real = afnd.cli.is_homotopy_epi
+
+    def counting(base, target, degree):
+        calls.append((base, target, degree))
+        return real(base, target, degree)
+
+    monkeypatch.setattr(afnd.cli, "is_homotopy_epi", counting)
+    monkeypatch.setattr(afnd.cech, "is_homotopy_epi", counting)
+    return calls
+
+
+def _cech_first(text: str) -> str:
+    lines = text.splitlines()
+    cech = next(ln for ln in lines if " cech " in ln)
+    lines.remove(cech)
+    lines.insert(next(i for i, ln in enumerate(lines)
+                      if ln.startswith("check ")), cech)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("order", ["declared", "cech-first"])
+def test_each_piece_is_proved_once_per_run(tmp_path, monkeypatch, order):
+    text = (SCENARIOS / "unit_disk.afnd").read_text(encoding="utf-8")
+    if order == "cech-first":
+        text = _cech_first(text)
+        assert text.index(" cech ") < text.index(" hoepi ")
+    path = tmp_path / "unit_disk.afnd"
+    path.write_text(text)
+    expected = json.loads(
+        (GOLDEN / "unit_disk.json").read_text(encoding="utf-8")
+    )
+    calls = _count_hoepi_calls(monkeypatch)
+    report = run_scenario(str(path))
+    # Two hoepi checks and a two-piece cech check share the two verdicts.
+    assert len(calls) == 2
+    assert len(set(calls)) == 2
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name == {c["name"]: c for c in expected["checks"]}
+
+
+REFUSED = """
+scenario refused
+degree 6
+field p-adic 5
+algebra A
+  var x 1
+end
+localize V1 of A
+  bound x 5^-1
+end
+module M of A
+  relation x
+end
+check pieces-acyclic cech A 2 V1 M
+"""
+
+
+def test_cech_with_a_failing_piece_is_refused(tmp_path, capsys):
+    path = tmp_path / "refused.afnd"
+    path.write_text(REFUSED)
+    assert main([str(path)]) == 1
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    assert check["verdict"] == "refused"
+    assert check["detail"] == (
+        "pieces not verified as homotopy epimorphisms: piece 1: fails "
+        "(self-tensor has nonvanishing homology in negative degrees)"
+    )
+    assert check["positions"] == []
 
 
 def test_main_exit_codes(tmp_path, capsys):

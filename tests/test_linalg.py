@@ -3,16 +3,19 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from afnd.affinoid import free_affinoid, laurent_localization, weierstrass_localization
+from afnd.cech import ALTERNATING, CoverData, build_complex
 from afnd.linalg import (
     NormAwareElimination,
     kernel_basis,
-    rank,
     reduce_against,
-    rref,
     sparse_rref,
     vector_norm,
 )
 from afnd.scalar import FieldSpec, NormValue, scalar_norm
+from afnd.tate import Polyradius, parse_element
 
 Q5 = FieldSpec.padic(5)
 F = Fraction
@@ -22,19 +25,30 @@ def M(rows):
     return [[F(x) for x in row] for row in rows]
 
 
+def S(rows):
+    """Dense literal rows as the sparse rows that linalg takes."""
+    return [{j: F(x) for j, x in enumerate(row) if x} for row in rows]
+
+
+def rank(rows):
+    return len(sparse_rref(rows)[1])
+
+
 def test_rref_and_rank():
-    rows, pivots = rref(M([[1, 2], [2, 4], [0, 1]]))
+    rows, pivots = sparse_rref(S([[1, 2], [2, 4], [0, 1]]))
     assert pivots == [0, 1]
-    assert rows == M([[1, 0], [0, 1]])
-    assert rank(M([[1, 2], [2, 4]])) == 1
+    assert rows == S([[1, 0], [0, 1]])
+    assert rank(S([[1, 2], [2, 4]])) == 1
     assert rank([]) == 0
 
 
 def test_kernel_basis():
-    ker = kernel_basis(M([[1, 2, 3]]))
+    ker = kernel_basis(S([[1, 2, 3]]), 3)
     assert len(ker) == 2
     for vec in ker:
-        assert sum(F(c) * v for c, v in zip([1, 2, 3], vec)) == 0
+        assert sum(F(c) * vec.get(j, 0) for j, c in enumerate([1, 2, 3])) == 0
+    # No rows: the kernel is the whole space, one unit vector per column.
+    assert kernel_basis([], 2) == [{0: F(1)}, {1: F(1)}]
 
 
 def test_kernel_matches_rank_nullity_random():
@@ -42,11 +56,11 @@ def test_kernel_matches_rank_nullity_random():
     for _ in range(25):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         mat = [[F(rng.randint(-3, 3)) for _ in range(nc)] for _ in range(nr)]
-        ker = kernel_basis(mat)
-        assert len(ker) == nc - rank(mat)
+        ker = kernel_basis(S(mat), nc)
+        assert len(ker) == nc - rank(S(mat))
         for vec in ker:
             for row in mat:
-                assert sum(a * b for a, b in zip(row, vec)) == 0
+                assert sum(a * vec.get(j, 0) for j, a in enumerate(row)) == 0
 
 
 def test_sparse_rref_reduce_against():
@@ -71,7 +85,7 @@ def unit_weights(n):
 def test_norm_aware_pivot_scores():
     # Diagonal matrix diag(1, 5, 25) over Q_5: singular values 1, 1/5, 1/25.
     mat = M([[1, 0, 0], [0, 5, 0], [0, 0, 25]])
-    elim = NormAwareElimination(Q5, mat, unit_weights(3), unit_weights(3))
+    elim = NormAwareElimination(Q5, S(mat), unit_weights(3), unit_weights(3))
     assert elim.rank == 3
     assert [str(s) for s in elim.pivot_scores] == ["1", "5^-1", "5^-2"]
     assert elim.smallest_score() == NormValue.prime_power(5, -2)
@@ -82,13 +96,13 @@ def test_norm_aware_respects_weights():
     # which promotes the 5-entry to score 1.
     mat = M([[1, 0], [0, 5]])
     col_w = [NormValue.one(), NormValue.prime_power(5, -1)]
-    elim = NormAwareElimination(Q5, mat, unit_weights(2), col_w)
+    elim = NormAwareElimination(Q5, S(mat), unit_weights(2), col_w)
     assert [str(s) for s in elim.pivot_scores] == ["1", "1"]
 
 
 def test_norm_aware_solve():
     mat = M([[1, 1], [0, 5]])
-    elim = NormAwareElimination(Q5, mat, unit_weights(2), unit_weights(2))
+    elim = NormAwareElimination(Q5, S(mat), unit_weights(2), unit_weights(2))
     x = elim.solve([F(2), F(5)])
     assert x is not None
     assert [mat[i][0] * x[0] + mat[i][1] * x[1] for i in range(2)] == [F(2), F(5)]
@@ -97,7 +111,7 @@ def test_norm_aware_solve():
 
 def test_norm_aware_solve_inconsistent():
     mat = M([[1, 0], [1, 0]])
-    elim = NormAwareElimination(Q5, mat, unit_weights(2), unit_weights(2))
+    elim = NormAwareElimination(Q5, S(mat), unit_weights(2), unit_weights(2))
     assert elim.solve([F(1), F(2)]) is None
 
 
@@ -110,8 +124,8 @@ def test_norm_aware_multi_prime_agrees_with_single():
         mat = [[F(rng.randint(-5, 5)) for _ in range(nc)] for _ in range(nr)]
         row_w = [NormValue.prime_power(3, rng.randint(-1, 1)) for _ in range(nr)]
         col_w = [NormValue.prime_power(5, rng.randint(-1, 1)) for _ in range(nc)]
-        elim = NormAwareElimination(Q5, mat, row_w, col_w)
-        assert elim.rank == rank(mat)
+        elim = NormAwareElimination(Q5, S(mat), row_w, col_w)
+        assert elim.rank == rank(S(mat))
 
 
 def reference_elimination(field, mat, row_w, col_w):
@@ -164,7 +178,136 @@ def test_norm_aware_matches_reference_on_two_prime_weights():
             col_w = [weight() for _ in range(nc)]
             if rng.random() < 0.3:
                 col_w = [col_w[0]] * nc  # many exact ties
-            elim = NormAwareElimination(field, mat, row_w, col_w)
+            elim = NormAwareElimination(field, S(mat), row_w, col_w)
             pivots, scores = reference_elimination(field, mat, row_w, col_w)
             assert elim.pivots == pivots
             assert elim.pivot_scores == scores
+
+
+def test_norm_aware_rejects_columns_beyond_the_weights():
+    with pytest.raises(ValueError):
+        NormAwareElimination(Q5, [{2: F(1)}], unit_weights(1), unit_weights(2))
+
+
+def reference_sparse_rref(rows):
+    """The fewest-nonzeros-first elimination that rescans every pending row
+    for each pivot; kept as the reference for `sparse_rref`."""
+    work = [dict(r) for r in rows if r]
+    done = []  # (pivot column, row)
+    while work:
+        best = min(range(len(work)), key=lambda i: len(work[i]))
+        row = work.pop(best)
+        c = min(row)
+        pv = row[c]
+        row = {j: v / pv for j, v in row.items()}
+        for other in work + [r for _, r in done]:
+            f = other.get(c)
+            if f is None:
+                continue
+            for j, v in row.items():
+                nv = other.get(j, F(0)) - f * v
+                if nv:
+                    other[j] = nv
+                else:
+                    other.pop(j, None)
+        done.append((c, row))
+        work = [r for r in work if r]
+    done.sort(key=lambda t: t[0])
+    return [r for _, r in done], [c for c, _ in done]
+
+
+def random_sparse_rows(rng):
+    """Sparse rows with empty, duplicate and dependent rows mixed in."""
+    nr, nc = rng.randint(0, 14), rng.randint(1, 12)
+    density = rng.choice([0.15, 0.35, 0.7])
+    values = [1, -1, 2, 3, -5, F(1, 2), F(-3, 5), 25]
+    rows = [
+        {j: F(rng.choice(values)) for j in range(nc) if rng.random() < density}
+        for _ in range(nr)
+    ]
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(["empty", "duplicate", "combination"])
+        if kind == "empty" or not rows:
+            rows.insert(rng.randint(0, len(rows)), {})
+            continue
+        a, b = rng.choice(rows), rng.choice(rows)
+        if kind == "duplicate":
+            new = dict(a)
+        else:
+            fa, fb = F(rng.randint(-3, 3)), F(rng.randint(1, 3))
+            new = {}
+            for j in set(a) | set(b):
+                v = fa * a.get(j, 0) + fb * b.get(j, 0)
+                if v:
+                    new[j] = v
+        rows.insert(rng.randint(0, len(rows)), new)
+    return rows, nc
+
+
+def test_sparse_rref_matches_reference():
+    rng = random.Random(29)
+    for _ in range(600):
+        rows, _ = random_sparse_rows(rng)
+        before = [dict(r) for r in rows]
+        got = sparse_rref(rows)
+        assert got == reference_sparse_rref(rows)
+        assert rows == before  # the input rows are left untouched
+        reduced, pivots = got
+        # Unit pivots, each the first nonzero of its row and cleared elsewhere.
+        for row, c in zip(reduced, pivots):
+            assert min(row) == c and row[c] == 1
+            assert all(c not in other for other in reduced if other is not row)
+
+
+def _sympy_rank(sympy, rows, ncols):
+    dense = [[sympy.Rational(x.numerator, x.denominator) for x in
+              [row.get(j, F(0)) for j in range(ncols)]] for row in rows]
+    return sympy.Matrix(len(rows), ncols, [x for r in dense for x in r]).rank()
+
+
+def test_ranks_match_sympy_on_random_matrices():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31)
+    for _ in range(60):
+        rows, nc = random_sparse_rows(rng)
+        expected = _sympy_rank(sympy, rows, nc)
+        assert rank(rows) == expected
+        assert len(kernel_basis(rows, nc)) == nc - expected
+        elim = NormAwareElimination(
+            Q5, rows, unit_weights(len(rows)), unit_weights(nc)
+        )
+        assert elim.rank == expected
+
+
+def _cover_complexes():
+    disc = Polyradius(Q5, ("x",), (NormValue.one(),))
+    A = free_affinoid(disc)
+    x = parse_element("x", A.ambient)
+    v1 = weierstrass_localization(A, [x], [NormValue.prime_power(5, -1)])
+    v2 = laurent_localization(A, g=[x], g_radii=[NormValue.of_rational(5)])
+    w1 = weierstrass_localization(A, [x], [NormValue.prime_power(5, -2)])
+    w2 = laurent_localization(
+        A, f=[x], f_radii=[NormValue.prime_power(5, -1)],
+        g=[x], g_radii=[NormValue.of_rational(25)],
+    )
+    yield build_complex(CoverData(A, (v1, v2)), 2, style=ALTERNATING)
+    yield build_complex(CoverData(A, (w1, w2, v2)), 3, style=ALTERNATING)
+
+
+def test_ranks_match_sympy_on_cover_differentials():
+    sympy = pytest.importorskip("sympy")
+    checked = 0
+    for cx in _cover_complexes():
+        for n in sorted(cx.components):
+            m = cx.matrix(n, 8)
+            expected = _sympy_rank(sympy, m.entries, m.source.dim)
+            assert rank(m.entries) == expected
+            assert len(kernel_basis(m.entries, m.source.dim)) == (
+                m.source.dim - expected
+            )
+            elim = NormAwareElimination(
+                Q5, m.entries, m.target.weights, m.source.weights
+            )
+            assert elim.rank == expected
+            checked += 1
+    assert checked == 5
