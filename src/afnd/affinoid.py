@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from afnd.linalg import NormAwareElimination
+from afnd.linalg import NormAwareElimination, SparseRow, reduce_against
 from afnd.scalar import FieldSpec, NormValue, scalar_norm
 from afnd.tate import (
     Exponent,
@@ -114,7 +114,9 @@ class AffinoidPresentation:
             if rel.ambient != ambient:
                 raise PresentationError("relation outside the ambient algebra")
         self.localization = localization
-        self._generic_cache: dict[int, "NormAwareElimination | None"] = {}
+        self._generic_cache: dict[
+            int, tuple[list[SparseRow], list[int]] | None
+        ] = {}
         self._basis_cache: dict[int, list[Exponent]] = {}
         self._shape_cache: dict[
             int, tuple[list[Exponent], dict[Exponent, int]]
@@ -440,7 +442,12 @@ class AffinoidPresentation:
         )
         return cached
 
-    def _generic_elimination(self, degree: int) -> "NormAwareElimination | None":
+    def _generic_elimination(
+        self, degree: int
+    ) -> tuple[list[SparseRow], list[int]] | None:
+        """The relation rows at degree <= D, Jordan-reduced with unit pivots,
+        and their pivot columns; pivots are chosen norm-aware, so the
+        non-pivot shape monomials form the normal-form basis."""
         if degree in self._generic_cache:
             return self._generic_cache[degree]
         if not self.generic_relations:
@@ -465,8 +472,11 @@ class AffinoidPresentation:
             return None
         row_weights = [NormValue.one()] * len(rows)
         elim = NormAwareElimination(self.field, rows, row_weights, weights)
-        self._generic_cache[degree] = elim
-        return elim
+        out = self._generic_cache[degree] = (
+            [elim.srows[i] for i, _ in elim.pivots],
+            [j for _, j in elim.pivots],
+        )
+        return out
 
     def monomial_basis(self, degree: int) -> list[Exponent]:
         """Canonical normal-form monomials of total degree <= degree."""
@@ -475,9 +485,9 @@ class AffinoidPresentation:
         if degree in self._basis_cache:
             return self._basis_cache[degree]
         shape_basis = self._shape_monomials(degree)
-        elim = self._generic_elimination(degree)
-        if elim is not None:
-            pivot_cols = {j for _, j in elim.pivots}
+        generic = self._generic_elimination(degree)
+        if generic is not None:
+            pivot_cols = set(generic[1])
             basis = [e for j, e in enumerate(shape_basis) if j not in pivot_cols]
         else:
             basis = shape_basis
@@ -490,27 +500,22 @@ class AffinoidPresentation:
         if self.is_zero_algebra:
             return TateElement.zero(self.ambient)
         out = self._shape_normal(w)
-        elim = self._generic_elimination(degree)
-        if elim is None or out.is_zero:
+        generic = self._generic_elimination(degree)
+        if generic is None or out.is_zero:
             return out
         if out.total_degree() > degree:
             raise PresentationError(
                 f"degree {out.total_degree()} exceeds truncation {degree}"
             )
         shape_basis, col_of = self._shape_basis(degree)
-        vec = [Fraction(0)] * len(shape_basis)
-        for e, c in out.terms.items():
-            vec[col_of[e]] = c
-        # Eliminate pivot coordinates against the (already Jordan-reduced)
-        # relation rows; each subtraction stays inside degree <= D.
-        for i, j in elim.pivots:
-            if vec[j] != 0:
-                row = elim.row(i)
-                f = vec[j] / row[j]
-                for jj, v in row.items():
-                    vec[jj] -= f * v
-        terms = {e: c for e, c in zip(shape_basis, vec) if c != 0}
-        return TateElement(self.ambient, terms)
+        # The relation rows are Jordan-reduced, so each subtraction clears
+        # one pivot coordinate and stays inside degree <= D.
+        coords = reduce_against(
+            {col_of[e]: c for e, c in out.terms.items()}, *generic
+        )
+        return TateElement(
+            self.ambient, {shape_basis[j]: coords[j] for j in sorted(coords)}
+        )
 
     def reduce(self, w: TateElement, degree: int) -> ReducedForm:
         if degree < w.total_degree():

@@ -235,4 +235,4 @@ def acyclicity_check(
 
 def _kernel_head(cx: ChainComplex, degree: int):
     m = cx.matrix(0, degree)
-    return kernel_basis(m.entries, m.source.dim) if m.entries else []
+    return kernel_basis(m.entries, m.source.dim)

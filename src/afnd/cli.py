@@ -340,24 +340,16 @@ def _run_check(spec: CheckSpec, sc: Scenario, degree: int, proved: dict) -> dict
                 f"check {spec.name!r}: missing argument {pos + 1}", spec.line
             )
 
-    if spec.kind in ("epi", "hoepi"):
-        base, target = arg_algebra(0), arg_algebra(1)
+    if spec.kind in ("epi", "hoepi", "transversal"):
+        base = arg_algebra(0)
         if spec.kind == "epi":
-            verdict = is_epimorphism(base, target, degree)
+            verdict = is_epimorphism(base, arg_algebra(1), degree)
+        elif spec.kind == "hoepi":
+            verdict = _homotopy_epi(proved, base, arg_algebra(1), degree)
         else:
-            verdict = _homotopy_epi(proved, base, target, degree)
-        record.update(
-            verdict=verdict.status,
-            degree=verdict.truncation,
-            detail=verdict.detail,
-            homology_ranks={
-                str(k): v for k, v in sorted(verdict.homology_ranks.items())
-            },
-            witness=_witness_json(verdict.witness),
-        )
-    elif spec.kind == "transversal":
-        base, module, target = arg_algebra(0), arg_algebra(1), arg_algebra(2)
-        verdict = check_transversal(module, base, target, degree)
+            verdict = check_transversal(
+                arg_algebra(1), base, arg_algebra(2), degree
+            )
         record.update(
             verdict=verdict.status,
             degree=verdict.truncation,

@@ -54,6 +54,7 @@ class LevelBasis:
     entries: list[tuple[int, Exponent]]  # (summand index, exponent)
     weights: list[NormValue]
     truncation: int
+    index: dict[tuple[int, Exponent], int]  # entry -> position
 
     @property
     def dim(self) -> int:
@@ -91,6 +92,7 @@ class ChainComplex:
                     [comp] if isinstance(comp, MapComponent) else list(comp)
                 )
             self.components[n] = level_cs
+        self._bases: dict[tuple[int, int], LevelBasis] = {}
         self._matrices: dict[tuple[int, int], DifferentialMatrix] = {}
         for n, cs in self.components.items():
             for (t, s) in cs:
@@ -103,13 +105,19 @@ class ChainComplex:
         return sorted(self.levels)
 
     def level_basis(self, n: int, degree: int) -> LevelBasis:
-        entries: list[tuple[int, Exponent]] = []
-        weights: list[NormValue] = []
-        for si, summand in enumerate(self.levels.get(n, [])):
-            for e in summand.algebra.monomial_basis(degree):
-                entries.append((si, e))
-                weights.append(summand.algebra.ambient.monomial_weight(e))
-        return LevelBasis(entries, weights, degree)
+        """The degree-<=degree basis of level n, built once per (n, degree)
+        and shared like the matrices."""
+        key = (n, degree)
+        if key not in self._bases:
+            entries: list[tuple[int, Exponent]] = []
+            weights: list[NormValue] = []
+            for si, summand in enumerate(self.levels.get(n, [])):
+                for e in summand.algebra.monomial_basis(degree):
+                    entries.append((si, e))
+                    weights.append(summand.algebra.ambient.monomial_weight(e))
+            index = {k: j for j, k in enumerate(entries)}
+            self._bases[key] = LevelBasis(entries, weights, degree, index)
+        return self._bases[key]
 
     def _image_elements(
         self, n: int, source: LevelBasis
@@ -158,7 +166,6 @@ class ChainComplex:
             for v in img.values():
                 growth = max(growth, v.total_degree())
         target = self.level_basis(n + 1, growth)
-        col_of = {key: j for j, key in enumerate(target.entries)}
         entries: list[SparseRow] = [{} for _ in range(target.dim)]
         targets = self.levels[n + 1]
         for j, img in enumerate(images):
@@ -166,7 +173,7 @@ class ChainComplex:
                 alg = targets[t].algebra
                 nf = alg.normal_form(v, growth)
                 for e, c in nf.terms.items():
-                    entries[col_of[(t, e)]][j] = c
+                    entries[target.index[(t, e)]][j] = c
         return DifferentialMatrix(source, target, entries)
 
     def embed(
@@ -182,12 +189,11 @@ class ChainComplex:
             si, e = frm.entries[k]
             alg = summands[si].algebra
             elems[si] = elems[si] + TateElement.monomial(alg.ambient, e, c)
-        col_of = {key: j for j, key in enumerate(into.entries)}
         out: SparseRow = {}
         for si, v in elems.items():
             nf = summands[si].algebra.normal_form(v, into.truncation)
             for e, c in nf.terms.items():
-                out[col_of[(si, e)]] = c
+                out[into.index[(si, e)]] = c
         return out
 
     def verify_d_squared(self, degree: int) -> bool:

@@ -91,7 +91,7 @@ def is_epimorphism(
         return MorphismVerdict(kind, HOLDS, degree, "target is the zero algebra")
     square, rename = tensor_over(base, target, target)
     matrix, src_dim, tgt_hit = _collapse_matrix(square, target, rename, degree)
-    ker = kernel_basis(matrix, src_dim) if matrix else []
+    ker = kernel_basis(matrix, src_dim)
     injective = not ker
     surjective = tgt_hit
     if injective and surjective:
@@ -254,7 +254,7 @@ def _degree_zero_matches(
     if h0.is_zero_algebra:
         return False, "degree-zero part collapses to the zero algebra"
     matrix, src_dim, hit = _collapse_matrix(h0, target, rename, degree)
-    ker = kernel_basis(matrix, src_dim) if matrix else []
+    ker = kernel_basis(matrix, src_dim)
     if ker:
         return False, f"fold map has kernel of rank {len(ker)}"
     if not hit:

@@ -1,17 +1,20 @@
 """Exact sparse linear algebra over the rationals, with ultrametric pivoting.
 
 Matrices are lists of sparse rows: one dict {column: Fraction} per row, zero
-entries absent, and the column count passed alongside where it matters.  Two
-elimination routines are used throughout the package:
+entries absent, and the column count passed alongside where it matters.
+Every elimination runs the same Gauss-Jordan step, `_clear_column`: scale
+the pivot row to 1 and clear its column from the other rows, found through a
+column -> rows index.  Two pivot rules drive it:
 
-* `sparse_rref`, the fully reduced row echelon form with unit pivots, for
-  ranks, kernels and span membership.  It is unique for the row space, so
-  the pivot order chosen to limit fill-in cannot change any answer;
-* norm-aware Gauss-Jordan elimination for everything that certifies a norm:
-  pivots are chosen to maximize |entry| * row_weight / col_weight, ties broken
-  by smallest row index then smallest column index.  For weighted orthogonal
-  spaces over a non-Archimedean field the pivot scores are the exact singular
-  values of the map, and back-substituted preimages are norm-minimal.
+* `sparse_rref`, the fully reduced row echelon form, for ranks, kernels and
+  span membership.  Rows are taken fewest nonzeros first to limit fill-in;
+  the result is unique for the row space, so that order cannot change any
+  answer;
+* `NormAwareElimination`, for everything that certifies a norm: pivots are
+  chosen to maximize |entry| * row_weight / col_weight, ties broken by
+  smallest row index then smallest column index.  For weighted orthogonal
+  spaces over a non-Archimedean field the pivot scores are the exact
+  singular values of the map.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from typing import Sequence
 
 from afnd.scalar import FieldSpec, NormValue, padic_valuation, scalar_norm
 
-Row = list[Fraction]
 SparseRow = dict[int, Fraction]
 
 
@@ -40,56 +42,70 @@ def vector_norm(
     return best
 
 
+def _column_index(rows: Sequence[SparseRow]) -> dict[int, set[int]]:
+    """column -> the rows with a nonzero there."""
+    holders: dict[int, set[int]] = {}
+    for i, r in enumerate(rows):
+        for j in r:
+            holders.setdefault(j, set()).add(i)
+    return holders
+
+
+def _clear_column(
+    rows: list[SparseRow], holders: dict[int, set[int]], i: int, c: int
+) -> set[int]:
+    """One Gauss-Jordan step: scale row i to a unit pivot at column c and
+    clear c from every other row, keeping `holders` current.  Returns the
+    rows that were cleared."""
+    pivot = rows[i]
+    pv = pivot[c]
+    if pv != 1:
+        pivot = rows[i] = {j: v / pv for j, v in pivot.items()}
+    cleared = holders[c] - {i}
+    for o in cleared:
+        other = rows[o]
+        f = other[c]
+        for j, v in pivot.items():
+            nv = other.get(j, 0) - f * v
+            if nv:
+                if j not in other:
+                    holders.setdefault(j, set()).add(o)
+                other[j] = nv
+            elif j in other:
+                del other[j]
+                holders[j].discard(o)
+    return cleared
+
+
 def sparse_rref(rows: Sequence[SparseRow]) -> tuple[list[SparseRow], list[int]]:
     """Fully reduced echelon form of sparse rows, pivots normalized to 1.
 
     Rows are taken fewest nonzeros first (then by input position) from a heap
-    to limit fill-in; a row whose length changed is pushed again, and stale
-    heap entries are skipped.  The rows that hold a pivot column are found
-    through a column -> rows index instead of a scan.  Each pivot is the first
-    nonzero of its row, so the result is the reduced echelon form of the row
-    space, which is unique; the output is sorted by pivot column.  The input
-    rows are not modified.
+    to limit fill-in; a cleared row is pushed again, and stale heap entries
+    are skipped.  Each pivot is the first nonzero of its row, so the result
+    is the reduced echelon form of the row space, which is unique; the output
+    is sorted by pivot column.  The input rows are not modified.
     """
     work = [dict(r) for r in rows if r]
-    holders: dict[int, set[int]] = {}  # column -> rows with a nonzero there
-    for i, r in enumerate(work):
-        for j in r:
-            holders.setdefault(j, set()).add(i)
+    holders = _column_index(work)
     heap = [(len(r), i) for i, r in enumerate(work)]
     heapq.heapify(heap)
     pending = [True] * len(work)
-    done: list[tuple[int, SparseRow]] = []  # (pivot column, row)
+    done: list[tuple[int, int]] = []  # (pivot column, row index)
     while heap:
         n, i = heapq.heappop(heap)
-        row = work[i]
-        if not pending[i] or n != len(row):
+        if not pending[i] or n != len(work[i]):
             continue
         pending[i] = False
-        if not row:
+        if not work[i]:
             continue
-        c = min(row)
-        pv = row[c]
-        if pv != 1:
-            row = work[i] = {j: v / pv for j, v in row.items()}
-        for o in holders[c] - {i}:
-            other = work[o]
-            before = len(other)
-            f = other[c]
-            for j, v in row.items():
-                nv = other.get(j, 0) - f * v
-                if nv:
-                    if j not in other:
-                        holders.setdefault(j, set()).add(o)
-                    other[j] = nv
-                elif j in other:
-                    del other[j]
-                    holders[j].discard(o)
-            if pending[o] and len(other) != before:
-                heapq.heappush(heap, (len(other), o))
-        done.append((c, row))
-    done.sort(key=lambda t: t[0])
-    return [r for _, r in done], [c for c, _ in done]
+        c = min(work[i])
+        for o in _clear_column(work, holders, i, c):
+            if pending[o]:
+                heapq.heappush(heap, (len(work[o]), o))
+        done.append((c, i))
+    done.sort()
+    return [work[i] for _, i in done], [c for c, _ in done]
 
 
 def reduce_against(vec: SparseRow, rows: Sequence[SparseRow], pivots: Sequence[int]) -> SparseRow:
@@ -138,9 +154,11 @@ class NormAwareElimination:
     orthogonal spaces: col_weights on the domain (one per column),
     row_weights on the codomain.  Pivots maximize
     |entry| * row_weight / col_weight, ties broken by smallest row index then
-    smallest column index.  After construction, `pivot_scores` holds the
-    singular values in the greedy (non-increasing) order and `solve` produces
-    norm-minimal preimages.
+    smallest column index.  After construction, `pivots` lists the (row,
+    column) pairs in the order chosen, `pivot_scores` holds the singular
+    values in that greedy (non-increasing) order, and `srows` holds the
+    Jordan-reduced rows: row i of pivot (i, j) has 1 at column j and nothing
+    at any other pivot column, and every other row is empty.
 
     Pivots are chosen on an exact rational key: with L
     the lcm of the denominators of every weight exponent, the key of (i, j)
@@ -159,19 +177,14 @@ class NormAwareElimination:
     ):
         self.field = field
         self.srows: list[SparseRow] = [dict(r) for r in rows]
-        self.nrows = len(self.srows)
         self.ncols = len(col_weights)
         self.row_weights = list(row_weights)
         self.col_weights = list(col_weights)
-        if len(self.row_weights) != self.nrows or any(
+        if len(self.row_weights) != len(self.srows) or any(
             r and max(r) >= self.ncols for r in self.srows
         ):
             raise ValueError("weight lists must match the matrix shape")
         self._setup_scoring()
-        # transform accumulates the row operations: transform @ A = reduced rows
-        self.transform: list[SparseRow] = [
-            {i: Fraction(1)} for i in range(self.nrows)
-        ]
         self.pivots: list[tuple[int, int]] = []
         self.pivot_scores: list[NormValue] = []
         self._eliminate()
@@ -193,102 +206,42 @@ class NormAwareElimination:
                 key *= Fraction(self.field.p) ** (-self._L * v)
         return key
 
-    def _best_of_row(self, i: int, used_cols: set[int]):
-        best = None
-        best_col = None
-        for j, entry in self.srows[i].items():
-            if j in used_cols:
-                continue
-            s = self._key(i, j, entry)
-            if best is None or s > best or (s == best and j < best_col):
-                best, best_col = s, j
-        return best, best_col
+    def _best_of_row(self, i: int) -> tuple[Fraction, int]:
+        """(key, column) of the largest key in row i, smallest column first.
+
+        Pivot columns are cleared from every unpivoted row, so each entry of
+        such a row is a candidate.
+        """
+        key, neg_col = max(
+            (self._key(i, j, a), -j) for j, a in self.srows[i].items()
+        )
+        return key, -neg_col
 
     def _eliminate(self) -> None:
-        used_cols: set[int] = set()
-        active = [i for i in range(self.nrows) if self.srows[i]]
-        cache = {i: self._best_of_row(i, used_cols) for i in active}
-        while True:
-            pick = None
-            pick_score = None
-            for i in active:
-                s, _ = cache[i]
-                if s is None:
-                    continue
-                if pick is None or s > pick_score:
-                    pick, pick_score = i, s
-            if pick is None:
-                break
-            i = pick
-            j = cache[i][1]
-            used_cols.add(j)
-            active.remove(i)
-            pv = self.srows[i][j]
+        holders = _column_index(self.srows)
+        # Unpivoted nonempty rows in row order, so that max() breaks ties
+        # towards the smallest row.
+        best = {i: self._best_of_row(i) for i, r in enumerate(self.srows) if r}
+        while best:
+            i = max(best, key=lambda k: best[k][0])
+            j = best.pop(i)[1]
             self.pivots.append((i, j))
             self.pivot_scores.append(
-                scalar_norm(self.field, pv)
+                scalar_norm(self.field, self.srows[i][j])
                 * self.row_weights[i]
                 / self.col_weights[j]
             )
-            row = self.srows[i]
-            trow = self.transform[i]
-            touched = [
-                i2 for i2 in range(self.nrows)
-                if i2 != i and j in self.srows[i2]
-            ]
-            for i2 in touched:
-                f = self.srows[i2][j] / pv
-                tgt = self.srows[i2]
-                for jj, v in row.items():
-                    nv = tgt.get(jj, Fraction(0)) - f * v
-                    if nv:
-                        tgt[jj] = nv
-                    else:
-                        tgt.pop(jj, None)
-                ttgt = self.transform[i2]
-                for jj, v in trow.items():
-                    nv = ttgt.get(jj, Fraction(0)) - f * v
-                    if nv:
-                        ttgt[jj] = nv
-                    else:
-                        ttgt.pop(jj, None)
-            refresh = set(touched) & set(active)
-            refresh.update(
-                i2 for i2 in active if cache[i2][1] == j
-            )
-            for i2 in refresh:
-                cache[i2] = self._best_of_row(i2, used_cols)
+            for o in _clear_column(self.srows, holders, i, j):
+                if o not in best:
+                    continue
+                if self.srows[o]:
+                    best[o] = self._best_of_row(o)
+                else:
+                    del best[o]
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def row(self, i: int) -> SparseRow:
-        return self.srows[i]
-
     def smallest_score(self) -> NormValue:
         return self.pivot_scores[-1] if self.pivot_scores else NormValue.zero()
-
-    def apply_transform(self, b: Sequence[Fraction]) -> Row:
-        out = []
-        for row in self.transform:
-            total = Fraction(0)
-            for k, t in row.items():
-                if b[k]:
-                    total += t * b[k]
-            out.append(total)
-        return out
-
-    def solve(self, b: Sequence[Fraction]) -> Row | None:
-        """One solution of A x = b (free coordinates zero), or None."""
-        if len(b) != self.nrows:
-            raise ValueError("right-hand side has the wrong length")
-        tb = self.apply_transform(b)
-        pivot_rows = {i for i, _ in self.pivots}
-        for i in range(self.nrows):
-            if i not in pivot_rows and tb[i] != 0:
-                return None
-        x = [Fraction(0)] * self.ncols
-        for i, j in self.pivots:
-            x[j] = tb[i] / self.srows[i][j]
-        return x

@@ -86,7 +86,7 @@ def test_reports_are_byte_identical():
 @pytest.mark.parametrize(
     "name, degree",
     [("unit_disk", None), ("unit_disk", 20), ("gap_cover", None),
-     ("norm_table", None)],
+     ("norm_table", None), ("generic_table", None)],
 )
 def test_reports_match_golden(name, degree):
     # Reports of the bundled scenarios, byte for byte.  A change to the
@@ -168,6 +168,33 @@ def test_cech_with_a_failing_piece_is_refused(tmp_path, capsys):
         "(self-tensor has nonvanishing homology in negative degrees)"
     )
     assert check["positions"] == []
+
+
+EMPTY_COVER = """
+scenario empty-cover
+degree 6
+field p-adic 5
+algebra A
+  var x 1
+end
+localize E of A
+  bound x 5^-1
+  invert x 1
+end
+check c cech A 1 E
+"""
+
+
+def test_cech_of_an_empty_cover_fails(tmp_path, capsys):
+    # E is empty, so d^0 : A -> E has no rows and all of A is its kernel.
+    path = tmp_path / "empty.afnd"
+    path.write_text(EMPTY_COVER)
+    assert main([str(path)]) == 1
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    assert check["verdict"] == "fails"
+    assert check["detail"] == (
+        "augmented cover complex not exact at this truncation"
+    )
 
 
 def test_main_exit_codes(tmp_path, capsys):

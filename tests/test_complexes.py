@@ -49,6 +49,15 @@ def test_matrix_and_d_squared():
     assert all(any(col) for col in columns)
 
 
+def test_level_bases_are_built_once():
+    A = free_affinoid(disc())
+    cx = two_term(A, parse_element("x", A.ambient))
+    m = cx.matrix(-1, 4)
+    assert cx.level_basis(-1, 4) is m.source
+    assert cx.level_basis(0, m.target.truncation) is m.target
+    assert all(m.source.index[k] == j for j, k in enumerate(m.source.entries))
+
+
 def test_homology_multiplication_by_variable():
     A = free_affinoid(disc())
     cx = two_term(A, parse_element("x", A.ambient))

@@ -100,21 +100,6 @@ def test_norm_aware_respects_weights():
     assert [str(s) for s in elim.pivot_scores] == ["1", "1"]
 
 
-def test_norm_aware_solve():
-    mat = M([[1, 1], [0, 5]])
-    elim = NormAwareElimination(Q5, S(mat), unit_weights(2), unit_weights(2))
-    x = elim.solve([F(2), F(5)])
-    assert x is not None
-    assert [mat[i][0] * x[0] + mat[i][1] * x[1] for i in range(2)] == [F(2), F(5)]
-    assert elim.solve([F(0), F(0)]) == [F(0), F(0)]
-
-
-def test_norm_aware_solve_inconsistent():
-    mat = M([[1, 0], [1, 0]])
-    elim = NormAwareElimination(Q5, S(mat), unit_weights(2), unit_weights(2))
-    assert elim.solve([F(1), F(2)]) is None
-
-
 def test_norm_aware_multi_prime_agrees_with_single():
     # Mixed-prime weights exercise the factored-norm scoring path; ranks
     # and pivot score multisets must match a plain rational rank check.
@@ -182,6 +167,16 @@ def test_norm_aware_matches_reference_on_two_prime_weights():
             pivots, scores = reference_elimination(field, mat, row_w, col_w)
             assert elim.pivots == pivots
             assert elim.pivot_scores == scores
+            # Jordan-reduced with unit pivots; every other row is empty.
+            pivot_cols = {j for _, j in pivots}
+            pivot_rows = {i for i, _ in pivots}
+            for i, j in pivots:
+                row = elim.srows[i]
+                assert row[j] == 1
+                assert all(c == j or c not in pivot_cols for c in row)
+            assert all(
+                not r for i, r in enumerate(elim.srows) if i not in pivot_rows
+            )
 
 
 def test_norm_aware_rejects_columns_beyond_the_weights():
