@@ -173,8 +173,8 @@ class AffinoidPresentation:
             remaining = []
             paired: set[str] = set(self.substitutions)
             for rel in rels:
-                hit = self._laurent_candidate(rel, paired)
-                if hit is None:
+                hit = self._pair_relation(rel)
+                if hit is None or not paired.isdisjoint(hit[:2]):
                     remaining.append(rel)
                     continue
                 u, v, q = hit
@@ -229,12 +229,10 @@ class AffinoidPresentation:
             return name, h
         return None
 
-    def _laurent_candidate(
-        self, rel: TateElement, paired: set[str]
-    ) -> tuple[str, str, Fraction] | None:
+    def _pair_relation(self, rel: TateElement) -> tuple[str, str, Fraction] | None:
+        """Read rel as a*u*v + c with c != 0 (u, v distinct): (u, v, -c/a)."""
         if len(rel.terms) != 2:
             return None
-        ambient = self.ambient
         const = rel.constant_term()
         if const == 0:
             return None
@@ -244,10 +242,8 @@ class AffinoidPresentation:
         support = [i for i, k in enumerate(exponent) if k]
         if len(support) != 2 or any(exponent[i] != 1 for i in support):
             return None
-        u, v = ambient.names[support[0]], ambient.names[support[1]]
-        if u in paired or v in paired:
-            return None
-        return u, v, -const / a
+        names = self.ambient.names
+        return names[support[0]], names[support[1]], -const / a
 
     def _register_substitution(self, var: str, h: TateElement) -> None:
         self.substitutions = {
@@ -264,18 +260,10 @@ class AffinoidPresentation:
     def _pair_identification(self, remaining: list[TateElement]) -> str | None:
         """Resolve two-term pair relations overlapping an existing pair."""
         for ri, rel in enumerate(remaining):
-            if len(rel.terms) != 2:
+            hit = self._pair_relation(rel)
+            if hit is None:
                 continue
-            const = rel.constant_term()
-            if const == 0:
-                continue
-            [(exponent, a)] = [(e, c) for e, c in rel.terms.items() if sum(e) > 0]
-            support = [i for i, k in enumerate(exponent) if k]
-            if len(support) != 2 or any(exponent[i] != 1 for i in support):
-                continue
-            u = self.ambient.names[support[0]]
-            v = self.ambient.names[support[1]]
-            val = -const / a
+            u, v, val = hit
             pu, pv = self._pair_of(u), self._pair_of(v)
             if pu is not None and pv is not None:
                 if pu[0] == pv[0]:
@@ -540,10 +528,6 @@ class AffinoidPresentation:
             rel.in_ambient(self.ambient) for rel in base.relations
         )
         return self.relations[: len(mapped)] == mapped
-
-    def include(self, w: TateElement) -> TateElement:
-        """Structure-map image of an element of a smaller ambient."""
-        return w.in_ambient(self.ambient)
 
     def __repr__(self) -> str:
         rels = ", ".join(str(r) for r in self.relations)

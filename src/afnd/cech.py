@@ -1,26 +1,21 @@
 """Cover complexes of affinoid subdomains and acyclicity verdicts.
 
 A cover is a base presentation together with localization pieces over it.
-Two complex shapes are built from a cover:
-
-* the alternating complex, indexed by strictly increasing index subsets, with
-  the usual deletion signs;
-* the full (Amitsur-style) complex, indexed by all index tuples, where the
-  differential sums the insertion maps with alternating signs.
-
-Both are augmented: level 0 carries the base (or a cyclic module over it),
-level q the q-fold intersections (tensor products over the base).  The
-acyclicity check refuses to run until every piece has been verified to be a
-homotopy epimorphism over the base at the requested truncation degree, and
-reports strict exactness with certified preimage-norm constants.  A caller
-that has already proved those verdicts at that degree passes them in as the
-`precondition`, so a run proves each piece once.
+Its complex is the alternating one, indexed by strictly increasing index
+subsets, with the usual deletion signs.  It is augmented: level 0 carries the
+base (or a cyclic module over it), level q the q-fold intersections (tensor
+products over the base).  The acyclicity check refuses to run until every
+piece has been verified to be a homotopy epimorphism over the base at the
+requested truncation degree, and reports strict exactness with certified
+preimage-norm constants.  A caller that has already proved those verdicts at
+that degree passes them in as the `precondition`, so a run proves each piece
+once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional, Sequence
 
 from afnd.affinoid import AffinoidPresentation, tensor_over
@@ -35,10 +30,6 @@ from afnd.homotopy import HOLDS, MorphismVerdict, is_homotopy_epi
 from afnd.linalg import kernel_basis
 from afnd.scalar import NormValue
 from afnd.tate import TateElement
-
-ALTERNATING = "alternating"
-FULL = "full"
-
 
 @dataclass
 class CoverData:
@@ -115,18 +106,12 @@ def build_complex(
     cover: CoverData,
     depth: int,
     module: AffinoidPresentation | None = None,
-    style: str = ALTERNATING,
 ) -> ChainComplex:
-    """The augmented cover complex up to level `depth`."""
-    if style not in (ALTERNATING, FULL):
-        raise ValueError(f"unknown complex style {style!r}")
+    """The augmented alternating cover complex up to level `depth`."""
     npieces = len(cover.pieces)
     tuples: dict[int, list[tuple[int, ...]]] = {0: [()]}
     for q in range(1, depth + 1):
-        if style == ALTERNATING:
-            tuples[q] = list(combinations(range(npieces), q))
-        else:
-            tuples[q] = list(product(range(npieces), repeat=q))
+        tuples[q] = list(combinations(range(npieces), q))
     data: dict[int, list[_Intersection]] = {}
     levels: dict[int, list[Summand]] = {}
     index_of: dict[int, dict[tuple[int, ...], int]] = {}
@@ -144,9 +129,7 @@ def build_complex(
             target = data[q + 1][t_idx]
             for t in range(q + 1):
                 src = jdx[:t] + jdx[t + 1:]
-                s_idx = index_of[q].get(src)
-                if s_idx is None:
-                    continue  # deletion leaves the alternating index range
+                s_idx = index_of[q][src]
                 source = data[q][s_idx]
                 position_map = list(range(t)) + list(range(t + 1, q + 1))
                 rename = _restriction_rename(
@@ -181,7 +164,6 @@ def acyclicity_check(
     depth: int,
     degree: int,
     module: AffinoidPresentation | None = None,
-    style: str = ALTERNATING,
     precondition: Sequence[MorphismVerdict] | None = None,
 ) -> AcyclicityReport:
     """Strict exactness of the augmented cover complex at the truncation.
@@ -211,14 +193,11 @@ def acyclicity_check(
             "pieces not verified as homotopy epimorphisms: " + details,
             verdicts,
         )
-    cx = build_complex(cover, depth, module, style)
+    cx = build_complex(cover, depth, module)
     head_kernel = _kernel_head(cx, degree)
     # The alternating complex stops on its own at depth = number of pieces,
-    # so its top position tests surjectivity.  The full complex continues
-    # upward forever; its top level is only a buffer for the differential,
-    # so exactness is asserted strictly below it.
-    top = depth if style == ALTERNATING else depth - 1
-    positions = [n for n in range(1, top + 1) if n - 1 in cx.components]
+    # so its top position tests surjectivity.
+    positions = [n for n in range(1, depth + 1) if n - 1 in cx.components]
     witness = strict_exactness(cx, degree, positions)
     constant = witness.constant
     if not head_kernel and witness.exact:

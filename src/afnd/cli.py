@@ -57,7 +57,7 @@ from afnd.affinoid import (
     quotient,
     weierstrass_localization,
 )
-from afnd.cech import ALTERNATING, CoverData, acyclicity_check
+from afnd.cech import CoverData, acyclicity_check
 from afnd.complexes import CycleWitness
 from afnd.homotopy import (
     MorphismVerdict,
@@ -368,7 +368,7 @@ def _run_check(spec: CheckSpec, sc: Scenario, degree: int, proved: dict) -> dict
         depth = int(spec.args[1])
         cover = CoverData(base, tuple(algebras[a] for a in spec.args[2:]))
         report = acyclicity_check(
-            cover, depth, degree, style=ALTERNATING,
+            cover, depth, degree,
             precondition=[
                 _homotopy_epi(proved, base, piece, degree)
                 for piece in cover.pieces

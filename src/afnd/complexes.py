@@ -24,13 +24,13 @@ from typing import Mapping, Optional, Sequence
 
 from afnd.affinoid import AffinoidPresentation, localization_chain
 from afnd.linalg import (
-    NormAwareElimination,
     SparseRow,
     kernel_basis,
     reduce_against,
     sparse_rref,
     vector_norm,
 )
+from afnd.normed import classify
 from afnd.scalar import FieldSpec, NormValue
 from afnd.tate import Exponent, TateElement
 
@@ -315,9 +315,10 @@ def strict_exactness(
 
     At each position the reported constant C satisfies: every cycle that is a
     boundary has a preimage of norm <= C times the cycle norm.  C is the
-    inverse of the smallest pivot score of the incoming differential, which
-    bounds all norm-minimal preimages at once; positions with no cycles
-    report C = 1.
+    strict-epi constant that `normed.classify` gives the incoming
+    differential (the inverse of its smallest pivot score), which bounds all
+    norm-minimal preimages at once; positions with no cycles, or a zero
+    incoming differential, report C = 1.
     """
     degs = cx.degrees()
     if positions is None:
@@ -333,11 +334,9 @@ def strict_exactness(
             )
             continue
         min_ = cx.matrix(n - 1, degree)
-        elim = NormAwareElimination(
+        constant = classify(
             cx.field, min_.entries, min_.target.weights, min_.source.weights
-        )
-        s = elim.smallest_score()
-        constant = s.inverse() if not s.is_zero else NormValue.one()
+        ).strict_epi_constant or NormValue.one()
         if rep.is_zero:
             verdicts.append(DegreeVerdict(n, True, 0, constant, None))
             if constant > overall:

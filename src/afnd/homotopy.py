@@ -24,7 +24,7 @@ from afnd.complexes import (
     quotient_resolution,
     resolution_of,
 )
-from afnd.linalg import SparseRow, kernel_basis, reduce_against, sparse_rref
+from afnd.linalg import SparseRow, reduce_against, sparse_rref
 from afnd.tate import TateElement
 
 HOLDS = "holds"
@@ -90,18 +90,15 @@ def is_epimorphism(
     if target.is_zero_algebra:
         return MorphismVerdict(kind, HOLDS, degree, "target is the zero algebra")
     square, rename = tensor_over(base, target, target)
-    matrix, src_dim, tgt_hit = _collapse_matrix(square, target, rename, degree)
-    ker = kernel_basis(matrix, src_dim)
-    injective = not ker
-    surjective = tgt_hit
-    if injective and surjective:
+    kernel_rank, surjective = _reduce_fold_map(square, target, rename, degree)
+    if not kernel_rank and surjective:
         return MorphismVerdict(
             kind, HOLDS, degree,
             "multiplication map bijective on degree-bounded bases",
         )
     reasons = []
-    if not injective:
-        reasons.append(f"kernel of rank {len(ker)}")
+    if kernel_rank:
+        reasons.append(f"kernel of rank {kernel_rank}")
     if not surjective:
         reasons.append("image misses part of the target basis")
     return MorphismVerdict(
@@ -109,17 +106,18 @@ def is_epimorphism(
     )
 
 
-def _collapse_matrix(
+def _reduce_fold_map(
     big: AffinoidPresentation,
     target: AffinoidPresentation,
     rename: dict[str, str],
     degree: int,
-) -> tuple[list[SparseRow], int, bool]:
-    """Matrix of the fold map big -> target (renamed copies sent back).
+) -> tuple[int, bool]:
+    """Reduce the fold map big -> target (renamed copies sent back) once.
 
-    Returns (sparse matrix rows over the target basis, source dimension, and
-    whether every degree-bounded target basis monomial lies in the column
-    span).
+    The columns, normal forms over the target basis, go through one
+    `sparse_rref`.  Returns the kernel rank (source dimension minus rank)
+    and whether every degree-bounded target basis monomial lies in the
+    column span.
     """
     inverse = {v: k for k, v in rename.items()}
     positions = [
@@ -139,14 +137,10 @@ def _collapse_matrix(
         images.append(elem)
     tgt_basis = target.monomial_basis(growth)
     col_of = {e: i for i, e in enumerate(tgt_basis)}
-    matrix: list[SparseRow] = [{} for _ in tgt_basis]
     span: list[SparseRow] = []  # the columns, as sparse rows
-    for j, elem in enumerate(images):
+    for elem in images:
         nf = target.normal_form(elem, growth)
-        col = {col_of[e]: c for e, c in nf.terms.items()}
-        for i, c in col.items():
-            matrix[i][j] = c
-        span.append(col)
+        span.append({col_of[e]: c for e, c in nf.terms.items()})
     # Surjectivity onto the degree-bounded target basis: reduce each unit
     # vector against the reduced echelon form of the column span.
     rows, pivots = sparse_rref(span)
@@ -154,7 +148,7 @@ def _collapse_matrix(
         not reduce_against({col_of[e]: Fraction(1)}, rows, pivots)
         for e in target.monomial_basis(degree)
     )
-    return matrix, len(source), hit
+    return len(source) - len(pivots), hit
 
 
 def is_homotopy_epi(
@@ -253,10 +247,9 @@ def _degree_zero_matches(
     h0 = quotient(pushout, relators)
     if h0.is_zero_algebra:
         return False, "degree-zero part collapses to the zero algebra"
-    matrix, src_dim, hit = _collapse_matrix(h0, target, rename, degree)
-    ker = kernel_basis(matrix, src_dim)
-    if ker:
-        return False, f"fold map has kernel of rank {len(ker)}"
+    kernel_rank, hit = _reduce_fold_map(h0, target, rename, degree)
+    if kernel_rank:
+        return False, f"fold map has kernel of rank {kernel_rank}"
     if not hit:
         return False, "fold map misses part of the target basis"
     return True, ""

@@ -153,17 +153,6 @@ class NormValue:
             raise ValueError("zero has no factorization")
         return dict(self._exps)
 
-    def as_fraction(self) -> Fraction:
-        """Exact rational value; raises if some exponent is non-integral."""
-        if self._exps is None:
-            return Fraction(0)
-        out = Fraction(1)
-        for p, e in self._exps:
-            if e.denominator != 1:
-                raise ValueError(f"{self} is irrational")
-            out *= Fraction(p) ** e.numerator
-        return out
-
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other: "NormValue") -> "NormValue":

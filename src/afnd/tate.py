@@ -75,14 +75,6 @@ class Polyradius:
     def extend(self, names: Sequence[str], radii: Sequence[NormValue]) -> "Polyradius":
         return Polyradius(self.field, self.names + tuple(names), self.radii + tuple(radii))
 
-    def restrict(self, keep: Sequence[str]) -> "Polyradius":
-        idx = [self.index(n) for n in keep]
-        return Polyradius(
-            self.field,
-            tuple(self.names[i] for i in idx),
-            tuple(self.radii[i] for i in idx),
-        )
-
     def __str__(self) -> str:
         inner = ", ".join(f"{n}:{r}" for n, r in zip(self.names, self.radii))
         return f"{self.field}{{{inner}}}"
@@ -130,9 +122,6 @@ class TateElement:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.ambient.nvars, Fraction(0))

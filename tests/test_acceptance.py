@@ -21,7 +21,7 @@ from afnd.affinoid import (
     rational_localization,
     weierstrass_localization,
 )
-from afnd.cech import ALTERNATING, CoverData, acyclicity_check, build_complex
+from afnd.cech import CoverData, acyclicity_check, build_complex
 from afnd.complexes import (
     ChainComplex,
     MapComponent,
@@ -36,7 +36,7 @@ from afnd.homotopy import (
     is_homotopy_epi,
 )
 from afnd.linalg import kernel_basis
-from afnd.normed import NormedMatrix, WeightedSpace, classify, tensor_spaces
+from afnd.normed import WeightedSpace, classify, tensor_spaces
 from afnd.scalar import FieldSpec, NormValue, scalar_norm
 from afnd.spectrum import (
     GaussPoint,
@@ -216,7 +216,7 @@ def test_tate_acyclicity_with_oracle():
         assert verdict.constant == NormValue.one()
     # Independent oracle: every overlap monomial is a +-1 image of a piece
     # monomial of the same weight (surjectivity with norm constant one) ...
-    cx = build_complex(cover, 2, style=ALTERNATING)
+    cx = build_complex(cover, 2)
     hit, src, tgt = _oracle_split(cx, degree)
     for i in range(tgt.dim):
         assert i in hit
@@ -292,7 +292,7 @@ def test_amitsur_differential_squares_to_zero():
     )
     v3 = laurent_localization(A, g=[x], g_radii=[NormValue.of_rational(5)])
     cover = CoverData(A, (v1, v2, v3))
-    assert build_complex(cover, 3, style=ALTERNATING).verify_d_squared(8)
+    assert build_complex(cover, 3).verify_d_squared(8)
 
 
 def test_transversality_verdicts():
@@ -314,17 +314,17 @@ def test_transversality_verdicts():
 
 def test_strictness_classification():
     """Hand matrices classify with the exact strictness constants."""
-    one = WeightedSpace.line(Q5, NormValue.one())
-    mult = classify(NormedMatrix([[5]], one, one))
+    one = [NormValue.one()]
+    mult = classify(Q5, [{0: Fraction(5)}], one, one)
     assert mult.mono and mult.epi and mult.strict
     assert mult.strict_mono_constant == NormValue.of_rational(5)
     assert mult.strict_epi_constant == NormValue.of_rational(5)
-    zero = classify(NormedMatrix([[0]], one, one))
+    zero = classify(Q5, [{}], one, one)
     assert not zero.mono and not zero.epi
     assert zero.strict_mono_constant is None
     assert zero.strict_epi_constant is None
-    two = WeightedSpace(Q5, (NormValue.one(), NormValue.of_rational(2)))
-    proj = classify(NormedMatrix([[1, 0]], two, one))
+    two = [NormValue.one(), NormValue.of_rational(2)]
+    proj = classify(Q5, [{0: Fraction(1)}], one, two)
     assert proj.epi and not proj.mono and proj.strict
     assert proj.strict_epi_constant == NormValue.one()
 

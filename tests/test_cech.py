@@ -8,13 +8,7 @@ from afnd.affinoid import (
     quotient,
     weierstrass_localization,
 )
-from afnd.cech import (
-    ALTERNATING,
-    FULL,
-    CoverData,
-    acyclicity_check,
-    build_complex,
-)
+from afnd.cech import CoverData, acyclicity_check, build_complex
 from afnd.scalar import FieldSpec, NormValue
 from afnd.tate import Polyradius, parse_element
 
@@ -46,13 +40,8 @@ def test_cover_data_validates_pieces():
 
 
 def test_alternating_complex_d_squared(disk_cover):
-    cx = build_complex(disk_cover, 2, style=ALTERNATING)
+    cx = build_complex(disk_cover, 2)
     assert cx.verify_d_squared(8)
-
-
-def test_full_complex_d_squared(disk_cover):
-    cx = build_complex(disk_cover, 3, style=FULL)
-    assert cx.verify_d_squared(6)
 
 
 def test_acyclicity_exact_with_unit_constant(disk_cover):
@@ -60,11 +49,6 @@ def test_acyclicity_exact_with_unit_constant(disk_cover):
     assert report.exact
     assert str(report.constant) == "1"
     assert all(v.exact for v in report.witness.verdicts)
-
-
-def test_acyclicity_full_style(disk_cover):
-    report = acyclicity_check(disk_cover, 3, 8, style=FULL)
-    assert report.exact
 
 
 def test_acyclicity_refuses_unverified_pieces():

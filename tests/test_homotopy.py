@@ -42,6 +42,9 @@ def test_free_extension_is_not_epi():
     B = free_affinoid(unit_disc("x", "y"))
     v = is_epimorphism(A, B, D)
     assert v.status == FAILS
+    # Rank-nullity on the fold map: the kernel rank is the source dimension
+    # minus the rank of one reduction.
+    assert v.detail == "multiplication map not bijective: kernel of rank 220"
 
 
 def test_closed_immersion_epi_but_not_homotopy_epi():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from afnd.affinoid import free_affinoid, laurent_localization, weierstrass_localization
-from afnd.cech import ALTERNATING, CoverData, build_complex
+from afnd.cech import CoverData, build_complex
 from afnd.linalg import (
     NormAwareElimination,
     kernel_basis,
@@ -285,8 +285,8 @@ def _cover_complexes():
         A, f=[x], f_radii=[NormValue.prime_power(5, -1)],
         g=[x], g_radii=[NormValue.of_rational(25)],
     )
-    yield build_complex(CoverData(A, (v1, v2)), 2, style=ALTERNATING)
-    yield build_complex(CoverData(A, (w1, w2, v2)), 3, style=ALTERNATING)
+    yield build_complex(CoverData(A, (v1, v2)), 2)
+    yield build_complex(CoverData(A, (w1, w2, v2)), 3)
 
 
 def test_ranks_match_sympy_on_cover_differentials():

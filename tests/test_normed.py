@@ -1,20 +1,14 @@
-"""Weighted orthogonal spaces: norms, tensors, operator norms, strictness."""
+"""Weighted orthogonal spaces: norms, tensors, strictness of sparse maps."""
 
 from fractions import Fraction
 
 import pytest
 
-from afnd.normed import (
-    NormedMatrix,
-    WeightedSpace,
-    classify,
-    operator_norm,
-    sum_spaces,
-    tensor_spaces,
-)
+from afnd.normed import WeightedSpace, classify, tensor_spaces
 from afnd.scalar import FieldSpec, NormValue
 
 Q5 = FieldSpec.padic(5)
+ONE = NormValue.one()
 
 
 def line(r):
@@ -36,51 +30,21 @@ def test_one_dimensional_tensor():
         assert tensor_spaces(line(r), line(1)) == line(r)
 
 
-def test_sum_spaces():
-    s = sum_spaces([line(2), line(3)])
-    assert s.weights == (NormValue.of_rational(2), NormValue.of_rational(3))
-    assert sum_spaces([], Q5).dim == 0
-
-
-def test_operator_norm_closed_form():
-    k1, k2 = line(1), line(2)
-    t = NormedMatrix([[3]], k2, k1)  # |3| * 1 / 2 = 1/2 over Q_5
-    assert operator_norm(t) == NormValue.of_rational(Fraction(1, 2))
-    u = NormedMatrix([[5]], k1, k1)
-    assert operator_norm(u) == NormValue.prime_power(5, -1)
-    z = NormedMatrix([[0]], k1, k1)
-    assert operator_norm(z).is_zero
-
-
-def test_compose_and_apply():
-    k1 = line(1)
-    two = sum_spaces([k1, k1])
-    t = NormedMatrix([[1, 1]], two, k1)
-    u = NormedMatrix([[1], [2]], k1, two)
-    assert t.apply([1, 3]) == [Fraction(4)]
-    assert t.compose(u).entries == [[Fraction(3)]]
-
-
 def test_classify_mult_by_p():
-    k1 = line(1)
-    t = NormedMatrix([[5]], k1, k1)
-    c = classify(t)
+    c = classify(Q5, [{0: Fraction(5)}], [ONE], [ONE])
     assert c.mono and c.epi and c.strict
     assert c.strict_mono_constant == NormValue.of_rational(5)
     assert c.strict_epi_constant == NormValue.of_rational(5)
 
 
 def test_classify_zero_map():
-    k1 = line(1)
-    c = classify(NormedMatrix([[0]], k1, k1))
+    c = classify(Q5, [{}], [ONE], [ONE])
     assert not c.mono and not c.epi
     assert c.strict_mono_constant is None
     assert c.strict_epi_constant is None
 
 
 def test_classify_projection():
-    k1 = line(1)
-    two = sum_spaces([line(1), line(2)])
-    c = classify(NormedMatrix([[1, 0]], two, k1))
+    c = classify(Q5, [{0: Fraction(1)}], [ONE], [ONE, NormValue.of_rational(2)])
     assert c.epi and not c.mono
     assert c.strict_epi_constant == NormValue.one()
