@@ -741,15 +741,30 @@ def tensor_over(
     return AffinoidPresentation(ambient, relations, localization=localization), rename
 
 
+def localization_path(
+    target: AffinoidPresentation, base: AffinoidPresentation | None = None
+) -> list[AffinoidPresentation] | None:
+    """`target`, then the base of each localization step in turn.
+
+    The walk ends at `base`, or, without one, at the root: the first algebra
+    that is not a localization.  None when `base` is not on the chain.
+    """
+    path = [target]
+    while path[-1] is not base:
+        loc = path[-1].localization
+        if loc is None:
+            return path if base is None else None
+        path.append(loc.base)
+    return path
+
+
 def localization_chain(
     target: AffinoidPresentation, base: AffinoidPresentation
 ) -> tuple[Relator, ...] | None:
     """Relators presenting `target` as an iterated localization of `base`."""
-    chain: list[Relator] = []
-    node = target
-    while node is not base:
-        if node.localization is None:
-            return None
-        chain = list(node.localization.relators) + chain
-        node = node.localization.base
-    return tuple(chain)
+    path = localization_path(target, base)
+    if path is None:
+        return None
+    return tuple(
+        rl for node in reversed(path[:-1]) for rl in node.localization.relators
+    )

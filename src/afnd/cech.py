@@ -24,12 +24,13 @@ from afnd.complexes import (
     ExactnessWitness,
     MapComponent,
     Summand,
+    cycles,
     strict_exactness,
 )
 from afnd.homotopy import HOLDS, MorphismVerdict, is_homotopy_epi
-from afnd.linalg import kernel_basis
 from afnd.scalar import NormValue
 from afnd.tate import TateElement
+
 
 @dataclass
 class CoverData:
@@ -42,11 +43,6 @@ class CoverData:
         for piece in self.pieces:
             if not piece.is_over(self.base):
                 raise ValueError("every piece must be presented over the base")
-
-    def verify_pieces(self, degree: int) -> list[MorphismVerdict]:
-        return [
-            is_homotopy_epi(self.base, piece, degree) for piece in self.pieces
-        ]
 
 
 @dataclass
@@ -122,9 +118,9 @@ def build_complex(
             for inter, idx in zip(data[q], idx_list)
         ]
         index_of[q] = {idx: k for k, idx in enumerate(idx_list)}
-    components: dict[int, dict[tuple[int, int], list[MapComponent]]] = {}
+    components: dict[int, dict[tuple[int, int], MapComponent]] = {}
     for q in range(depth):
-        comps: dict[tuple[int, int], list[MapComponent]] = {}
+        comps: dict[tuple[int, int], MapComponent] = {}
         for t_idx, jdx in enumerate(tuples[q + 1]):
             target = data[q + 1][t_idx]
             for t in range(q + 1):
@@ -137,9 +133,7 @@ def build_complex(
                 )
                 sign = 1 if t % 2 == 0 else -1
                 coeff = TateElement.constant(target.algebra.ambient, sign)
-                comps.setdefault((t_idx, s_idx), []).append(
-                    MapComponent(coeff, rename)
-                )
+                comps[(t_idx, s_idx)] = MapComponent(coeff, rename)
         components[q] = comps
     return ChainComplex(cover.base.field, levels, components)
 
@@ -174,7 +168,9 @@ def acyclicity_check(
     them at this degree; without it the pieces are verified here.
     """
     if precondition is None:
-        verdicts = cover.verify_pieces(degree)
+        verdicts = [
+            is_homotopy_epi(cover.base, piece, degree) for piece in cover.pieces
+        ]
     else:
         verdicts = list(precondition)
         if len(verdicts) != len(cover.pieces) or any(
@@ -194,7 +190,7 @@ def acyclicity_check(
             verdicts,
         )
     cx = build_complex(cover, depth, module)
-    head_kernel = _kernel_head(cx, degree)
+    _, head_kernel = cycles(cx, 0, degree)
     # The alternating complex stops on its own at depth = number of pieces,
     # so its top position tests surjectivity.
     positions = [n for n in range(1, depth + 1) if n - 1 in cx.components]
@@ -210,8 +206,3 @@ def acyclicity_check(
         "augmented cover complex not exact at this truncation",
         verdicts, len(head_kernel), witness, constant,
     )
-
-
-def _kernel_head(cx: ChainComplex, degree: int):
-    m = cx.matrix(0, degree)
-    return kernel_basis(m.entries, m.source.dim)

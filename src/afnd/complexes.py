@@ -3,22 +3,26 @@
 A level of a complex is a finite sum of summands, each carrying an affinoid
 presentation; its degree-D model is the weighted orthogonal space spanned by
 the normal-form monomials of total degree <= D of each summand.  A
-differential component from a source summand to a target summand acts by
-pushing the element along a variable rename and multiplying by a fixed
-coefficient, which covers both Koszul differentials (multiplication by a
-relator) and restriction maps between localizations (coefficient 1, rename of
-tensor variables).
+differential has at most one component per (target, source) summand pair; it
+pushes the element along a variable rename and multiplies by a fixed
+coefficient.  That covers Koszul differentials (multiplication by a
+relator), restriction maps between localizations (coefficient 1, rename of
+tensor variables) and the fold map of a self-tensor onto its factor
+(coefficient 1, renamed copies sent back).
 
-All matrices are exact and sparse, one row per target basis vector, and each
-differential is built once per complex and degree.  Images that overflow the
-requested degree enlarge the target truncation instead of dropping terms.  "Homology vanishes at degree D"
-therefore means: every cycle supported in degree <= D is the boundary of a
-chain supported in degree <= D.
+This module is the one place where a linear map between presentations
+becomes a matrix.  All matrices are exact and sparse, one row per target
+basis vector, and each differential is built once per complex and degree.
+Images that overflow the requested degree enlarge the target truncation
+instead of dropping terms.  "Homology vanishes at degree D" therefore means:
+every cycle supported in degree <= D is the boundary of a chain supported in
+degree <= D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
@@ -78,20 +82,12 @@ class ChainComplex:
         self,
         field: FieldSpec,
         levels: Mapping[int, Sequence[Summand]],
-        components: Mapping[int, Mapping[tuple[int, int], "MapComponent | Sequence[MapComponent]"]],
+        components: Mapping[int, Mapping[tuple[int, int], MapComponent]],
     ):
         self.field = field
         self.levels = {n: list(ss) for n, ss in levels.items()}
-        # components[n][(target_summand, source_summand)] is a list: distinct
-        # insertion maps between the same summands stay separate.
-        self.components: dict[int, dict[tuple[int, int], list[MapComponent]]] = {}
-        for n, cs in components.items():
-            level_cs: dict[tuple[int, int], list[MapComponent]] = {}
-            for key, comp in cs.items():
-                level_cs[key] = (
-                    [comp] if isinstance(comp, MapComponent) else list(comp)
-                )
-            self.components[n] = level_cs
+        # components[n][(target_summand, source_summand)]: one map per pair.
+        self.components = {n: dict(cs) for n, cs in components.items()}
         self._bases: dict[tuple[int, int], LevelBasis] = {}
         self._matrices: dict[tuple[int, int], DifferentialMatrix] = {}
         for n, cs in self.components.items():
@@ -119,34 +115,6 @@ class ChainComplex:
             self._bases[key] = LevelBasis(entries, weights, degree, index)
         return self._bases[key]
 
-    def _image_elements(
-        self, n: int, source: LevelBasis
-    ) -> list[dict[int, TateElement]]:
-        """Per source basis vector, its image split by target summand.
-
-        Only the substitution/Laurent layers are applied here; the generic
-        layer needs a degree bound and is applied by the caller.
-        """
-        comps = self.components.get(n, {})
-        sources = self.levels[n]
-        targets = self.levels[n + 1]
-        out: list[dict[int, TateElement]] = []
-        for si, e in source.entries:
-            mono = TateElement.monomial(sources[si].algebra.ambient, e, 1)
-            img: dict[int, TateElement] = {}
-            for (t, s), comp_list in comps.items():
-                if s != si:
-                    continue
-                alg = targets[t].algebra
-                for comp in comp_list:
-                    pushed = mono.in_ambient(alg.ambient, comp.rename)
-                    raw = comp.coeff * pushed
-                    val = alg._shape_normal(raw)
-                    if not val.is_zero:
-                        img[t] = img.get(t, TateElement.zero(alg.ambient)) + val
-            out.append({t: v for t, v in img.items() if not v.is_zero})
-        return out
-
     def matrix(self, n: int, degree: int) -> DifferentialMatrix:
         """d^n from the degree-<=degree source basis, exact.
 
@@ -159,38 +127,58 @@ class ChainComplex:
         return self._matrices[key]
 
     def _build_matrix(self, n: int, degree: int) -> DifferentialMatrix:
+        """One pass over the source basis applies the substitution/Laurent
+        layers to every image and so fixes the growth degree; the generic
+        layer needs that degree bound and reduces the images afterwards."""
         source = self.level_basis(n, degree)
-        images = self._image_elements(n, source)
+        comps = self.components.get(n, {})
+        sources = self.levels[n]
+        targets = self.levels[n + 1]
+        images: list[list[tuple[int, TateElement]]] = []
         growth = degree
-        for img in images:
-            for v in img.values():
-                growth = max(growth, v.total_degree())
+        for si, e in source.entries:
+            mono = TateElement.monomial(sources[si].algebra.ambient, e, 1)
+            img = []
+            for (t, s), comp in comps.items():
+                if s != si:
+                    continue
+                alg = targets[t].algebra
+                pushed = mono.in_ambient(alg.ambient, comp.rename)
+                val = alg._shape_normal(comp.coeff * pushed)
+                if not val.is_zero:
+                    growth = max(growth, val.total_degree())
+                    img.append((t, val))
+            images.append(img)
         target = self.level_basis(n + 1, growth)
         entries: list[SparseRow] = [{} for _ in range(target.dim)]
-        targets = self.levels[n + 1]
         for j, img in enumerate(images):
-            for t, v in img.items():
-                alg = targets[t].algebra
-                nf = alg.normal_form(v, growth)
+            for t, v in img:
+                nf = targets[t].algebra.normal_form(v, growth)
                 for e, c in nf.terms.items():
                     entries[target.index[(t, e)]][j] = c
         return DifferentialMatrix(source, target, entries)
+
+    def _parts(
+        self, n: int, coords: SparseRow, basis: LevelBasis
+    ) -> dict[int, TateElement]:
+        """A sparse level-n vector as one element per summand it touches."""
+        terms: dict[int, dict[Exponent, Fraction]] = {}
+        for k, c in coords.items():
+            si, e = basis.entries[k]
+            terms.setdefault(si, {})[e] = c
+        summands = self.levels[n]
+        return {
+            si: TateElement(summands[si].algebra.ambient, t)
+            for si, t in terms.items()
+        }
 
     def embed(
         self, n: int, coords: SparseRow, frm: LevelBasis, into: LevelBasis
     ) -> SparseRow:
         """Re-express a sparse level-n vector on a larger-degree basis."""
         summands = self.levels[n]
-        elems = {
-            si: TateElement.zero(s.algebra.ambient)
-            for si, s in enumerate(summands)
-        }
-        for k, c in coords.items():
-            si, e = frm.entries[k]
-            alg = summands[si].algebra
-            elems[si] = elems[si] + TateElement.monomial(alg.ambient, e, c)
         out: SparseRow = {}
-        for si, v in elems.items():
+        for si, v in self._parts(n, coords, frm).items():
             nf = summands[si].algebra.normal_form(v, into.truncation)
             for e, c in nf.terms.items():
                 out[into.index[(si, e)]] = c
@@ -238,32 +226,29 @@ class HomologyReport:
 def _cycle_to_witness(
     cx: ChainComplex, n: int, coords: SparseRow, basis: LevelBasis
 ) -> CycleWitness:
-    summands = cx.levels[n]
-    parts: dict[int, TateElement] = {}
-    for k, c in coords.items():
-        si, e = basis.entries[k]
-        alg = summands[si].algebra
-        term = TateElement.monomial(alg.ambient, e, c)
-        parts[si] = parts.get(si, TateElement.zero(alg.ambient)) + term
     norm = vector_norm(
         cx.field, list(coords.values()), [basis.weights[k] for k in coords]
     )
-    return CycleWitness(n, parts, norm)
+    return CycleWitness(n, cx._parts(n, coords, basis), norm)
 
 
-def _cycles(cx: ChainComplex, n: int, degree: int) -> tuple[LevelBasis, list[SparseRow]]:
+def cycles(
+    cx: ChainComplex, n: int, degree: int
+) -> tuple[LevelBasis, list[SparseRow]]:
+    """The degree-<=degree level-n basis and a sparse basis of the kernel
+    of d^n on it (all of the level where d^n is absent)."""
     basis = cx.level_basis(n, degree)
     rows = cx.matrix(n, degree).entries if n in cx.components else []
     return basis, kernel_basis(rows, basis.dim)
 
 
 def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
-    basis, cycles = _cycles(cx, n, degree)
-    if not cycles:
+    basis, zs = cycles(cx, n, degree)
+    if not zs:
         return HomologyReport(n, degree, 0, 0, True, [])
     if n - 1 not in cx.components:
-        witnesses = [_cycle_to_witness(cx, n, z, basis) for z in cycles]
-        return HomologyReport(n, degree, len(cycles), len(cycles), False, witnesses)
+        witnesses = [_cycle_to_witness(cx, n, z, basis) for z in zs]
+        return HomologyReport(n, degree, len(zs), len(zs), False, witnesses)
     min_ = cx.matrix(n - 1, degree)
     # The boundary space, as sparse row vectors over the level-n basis: the
     # columns of d^{n-1}, read off its rows.
@@ -275,7 +260,7 @@ def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
     obst_rows: list[dict] = []
     obst_pivots: list[int] = []
     witnesses: list[CycleWitness] = []
-    for z in cycles:
+    for z in zs:
         zed = cx.embed(n, z, basis, min_.target)
         rem = reduce_against(zed, span_rows, span_pivots)
         rem = reduce_against(rem, obst_rows, obst_pivots)
@@ -287,7 +272,7 @@ def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
             witnesses.append(_cycle_to_witness(cx, n, z, basis))
     quotient_rank = len(obst_rows)
     return HomologyReport(
-        n, degree, len(cycles), quotient_rank, quotient_rank == 0, witnesses
+        n, degree, len(zs), quotient_rank, quotient_rank == 0, witnesses
     )
 
 

@@ -6,25 +6,36 @@ and a "fails" comes with an explicit witness cycle.  When no certified
 resolution is available and the fallback Koszul complex does not resolve the
 target at the truncation degree, the verdict is "unresolved" rather than a
 guess.
+
+Every matrix behind a verdict comes from `afnd.complexes`: the derived
+self-tensor is a Koszul complex, and the fold map of a self-tensor onto the
+target is the one differential of a two-level complex, whose level-0 cycles
+are its kernel and whose level-1 homology is its cokernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
-from afnd.affinoid import AffinoidPresentation, quotient, tensor_over
+from afnd.affinoid import (
+    AffinoidPresentation,
+    localization_path,
+    quotient,
+    tensor_over,
+)
 from afnd.complexes import (
     ChainComplex,
     CycleWitness,
     KoszulResolution,
+    MapComponent,
+    Summand,
+    cycles,
     derived_tensor,
     homology,
     quotient_resolution,
     resolution_of,
 )
-from afnd.linalg import SparseRow, reduce_against, sparse_rref
 from afnd.tate import TateElement
 
 HOLDS = "holds"
@@ -44,20 +55,6 @@ class MorphismVerdict:
     @property
     def holds(self) -> bool:
         return self.status == HOLDS
-
-
-def _chain_nodes(
-    target: AffinoidPresentation, base: AffinoidPresentation
-) -> list[AffinoidPresentation] | None:
-    """The algebras along the localization chain, base first."""
-    nodes = [target]
-    node = target
-    while node is not base:
-        if node.localization is None:
-            return None
-        node = node.localization.base
-        nodes.append(node)
-    return list(reversed(nodes))
 
 
 def _make_resolution(
@@ -112,50 +109,26 @@ def _reduce_fold_map(
     rename: dict[str, str],
     degree: int,
 ) -> tuple[int, bool]:
-    """Reduce the fold map big -> target (renamed copies sent back) once.
+    """The fold map big -> target (renamed copies sent back) as the one
+    differential of a two-level complex.
 
-    The columns, normal forms over the target basis, go through one
-    `sparse_rref`.  Returns the kernel rank (source dimension minus rank)
-    and whether every degree-bounded target basis monomial lies in the
-    column span.
+    Returns the kernel rank (the cycles at level 0) and whether every
+    degree-bounded target basis monomial is hit (no homology at level 1).
     """
     inverse = {v: k for k, v in rename.items()}
-    positions = [
-        target.ambient.index(inverse.get(name, name))
-        for name in big.ambient.names
-    ]
-    source = big.monomial_basis(degree)
-    images: list[TateElement] = []
-    growth = degree
-    for e in source:
-        merged = [0] * target.ambient.nvars
-        for pos, k in zip(positions, e):
-            merged[pos] += k
-        elem = TateElement.monomial(target.ambient, tuple(merged), 1)
-        nf = target._shape_normal(elem)
-        growth = max(growth, nf.total_degree())
-        images.append(elem)
-    tgt_basis = target.monomial_basis(growth)
-    col_of = {e: i for i, e in enumerate(tgt_basis)}
-    span: list[SparseRow] = []  # the columns, as sparse rows
-    for elem in images:
-        nf = target.normal_form(elem, growth)
-        span.append({col_of[e]: c for e, c in nf.terms.items()})
-    # Surjectivity onto the degree-bounded target basis: reduce each unit
-    # vector against the reduced echelon form of the column span.
-    rows, pivots = sparse_rref(span)
-    hit = all(
-        not reduce_against({col_of[e]: Fraction(1)}, rows, pivots)
-        for e in target.monomial_basis(degree)
+    one = TateElement.constant(target.ambient, 1)
+    fold = ChainComplex(
+        target.field,
+        {0: [Summand(big, "source")], 1: [Summand(target, "target")]},
+        {0: {(0, 0): MapComponent(one, inverse)}},
     )
-    return len(source) - len(pivots), hit
+    return len(cycles(fold, 0, degree)[1]), homology(fold, 1, degree).is_zero
 
 
 def is_homotopy_epi(
     base: AffinoidPresentation,
     target: AffinoidPresentation,
     degree: int,
-    resolution: KoszulResolution | None = None,
 ) -> MorphismVerdict:
     """Is base -> target a homotopy epimorphism at the truncation degree?
 
@@ -169,24 +142,24 @@ def is_homotopy_epi(
         )
     if target.is_zero_algebra:
         return MorphismVerdict(kind, HOLDS, degree, "target is the zero algebra")
-    if resolution is None:
-        nodes = _chain_nodes(target, base)
-        if nodes is not None and len(nodes) > 2:
-            # Homotopy epimorphisms compose, so an iterated localization is
-            # verified one step at a time; each step stays small.
-            for i in range(len(nodes) - 1):
-                step = is_homotopy_epi(nodes[i], nodes[i + 1], degree)
-                if step.status != HOLDS:
-                    step.detail = (
-                        f"localization step {i + 1} of {len(nodes) - 1}: "
-                        + step.detail
-                    )
-                    return step
-            return MorphismVerdict(
-                kind, HOLDS, degree,
-                "holds at every step of the localization chain",
-            )
-    res = resolution if resolution is not None else _make_resolution(base, target)
+    path = localization_path(target, base)
+    if path is not None and len(path) > 2:
+        # Homotopy epimorphisms compose, so an iterated localization is
+        # verified one step at a time; each step stays small.
+        nodes = path[::-1]
+        for i in range(len(nodes) - 1):
+            step = is_homotopy_epi(nodes[i], nodes[i + 1], degree)
+            if step.status != HOLDS:
+                step.detail = (
+                    f"localization step {i + 1} of {len(nodes) - 1}: "
+                    + step.detail
+                )
+                return step
+        return MorphismVerdict(
+            kind, HOLDS, degree,
+            "holds at every step of the localization chain",
+        )
+    res = _make_resolution(base, target)
     if res is None:
         return MorphismVerdict(
             kind, UNRESOLVED, degree, "no resolution available for the target"

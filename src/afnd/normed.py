@@ -1,55 +1,20 @@
-"""Finite-dimensional non-Archimedean normed spaces in weighted orthogonal form.
+"""Strictness of maps between finite-dimensional non-Archimedean normed spaces.
 
 A space is a finite orthogonal sum of one-dimensional spaces k_r, recorded by
-its weight list; the norm of a coordinate vector is max_i |c_i| w_i.  In this
-class the tensor product norm and the strictness constants of a morphism have
-exact closed forms.  `classify` takes a morphism as sparse rows with the two
-weight lists; it is the one strictness computation, shared with
-`complexes.strict_exactness`.
+its weight list; the norm of a coordinate vector is max_i |c_i| w_i
+(`linalg.vector_norm`).  In this class the strictness constants of a
+morphism have exact closed forms.  `classify` takes a morphism as sparse
+rows with the two weight lists; it is the one strictness computation, shared
+with `complexes.strict_exactness`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from afnd.linalg import NormAwareElimination, SparseRow, vector_norm
-from afnd.scalar import FieldSpec, NormValue, Rational
-
-
-@dataclass(frozen=True)
-class WeightedSpace:
-    """An orthogonal sum of k_{w_1} ... k_{w_n}."""
-
-    field: FieldSpec
-    weights: tuple[NormValue, ...]
-
-    def __post_init__(self) -> None:
-        for w in self.weights:
-            if w.is_zero:
-                raise ValueError("weights must be nonzero")
-
-    @property
-    def dim(self) -> int:
-        return len(self.weights)
-
-    def norm(self, coords: Sequence[Rational]) -> NormValue:
-        if len(coords) != self.dim:
-            raise ValueError("coordinate count mismatch")
-        return vector_norm(self.field, [Fraction(c) for c in coords], self.weights)
-
-    @staticmethod
-    def line(field: FieldSpec, weight: NormValue) -> "WeightedSpace":
-        return WeightedSpace(field, (weight,))
-
-
-def tensor_spaces(e: WeightedSpace, f: WeightedSpace) -> WeightedSpace:
-    """Projective tensor product; weights are the outer product, row-major."""
-    if e.field != f.field:
-        raise ValueError("mixed base fields")
-    weights = tuple(we * wf for we in e.weights for wf in f.weights)
-    return WeightedSpace(e.field, weights)
+from afnd.linalg import NormAwareElimination, SparseRow
+from afnd.scalar import FieldSpec, NormValue
 
 
 @dataclass(frozen=True)

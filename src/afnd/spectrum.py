@@ -17,9 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
-from afnd.affinoid import AffinoidPresentation, DomainInequality, tensor_over
+from afnd.affinoid import (
+    AffinoidPresentation,
+    DomainInequality,
+    localization_path,
+    tensor_over,
+)
 from afnd.scalar import NormValue, scalar_norm
 from afnd.tate import Polyradius, TateElement
 
@@ -55,63 +60,40 @@ def seminorm(point: BerkovichPointSample, f: TateElement) -> NormValue:
 
 
 @dataclass(frozen=True)
-class RationalDomainData:
-    """The subdomain |f_i| <= r_i |g| of the ambient polydisc."""
+class ConjunctionDomain:
+    """The subdomain cut out by finitely many |num| <= bound * |den|."""
 
-    f: tuple[TateElement, ...]
-    g: TateElement
-    r: tuple[NormValue, ...]
+    inequalities: tuple[DomainInequality, ...]
     name: str = ""
-
-    def __post_init__(self) -> None:
-        if len(self.f) != len(self.r):
-            raise ValueError("one bound per function required")
 
 
 def root_ambient(piece: AffinoidPresentation) -> Polyradius:
     """The ambient of the algebra at the start of `piece`'s localization
     chain: the polydisc that `domain_of` reads every inequality on."""
-    while piece.localization is not None:
-        piece = piece.localization.base
-    return piece.ambient
+    return localization_path(piece)[-1].ambient
 
 
-def domain_of(
-    piece: AffinoidPresentation, name: str = ""
-) -> "RationalDomainData | ConjunctionDomain":
+def domain_of(piece: AffinoidPresentation, name: str = "") -> ConjunctionDomain:
     """The domain cut out by a localization's recorded inequalities.
 
     The localization chain is walked back to its root, and the inequalities
     of every step are re-expressed on the root's ambient, where the sample
-    points live.  Conjunctions with different denominators are folded into
-    one data object by storing each inequality as its own (f, g, r) triple.
+    points live.
     """
     if piece.localization is None:
         raise ValueError("piece carries no localization data")
-    steps = []
-    node = piece
-    while node.localization is not None:
-        steps.append(node.localization.inequalities)
-        node = node.localization.base
-    root = node.ambient
-    ineqs = [
+    path = localization_path(piece)
+    root = path[-1].ambient
+    ineqs = tuple(
         DomainInequality(
             _on_root(ineq.num, root), _on_root(ineq.den, root), ineq.bound
         )
-        for step in reversed(steps)
-        for ineq in step
-    ]
+        for node in reversed(path[:-1])
+        for ineq in node.localization.inequalities
+    )
     if not ineqs:
         raise ValueError("piece carries no domain inequalities")
-    gs = {ineq.den for ineq in ineqs}
-    if len(gs) == 1:
-        g = ineqs[0].den
-        return RationalDomainData(
-            tuple(i.num for i in ineqs), g, tuple(i.bound for i in ineqs), name
-        )
-    # Mixed denominators: clear them pairwise into a common shape is not
-    # always possible; keep the raw inequalities instead.
-    return ConjunctionDomain(tuple(ineqs), name)
+    return ConjunctionDomain(ineqs, name)
 
 
 def _on_root(f: TateElement, root: Polyradius) -> TateElement:
@@ -130,28 +112,11 @@ def _on_root(f: TateElement, root: Polyradius) -> TateElement:
     )
 
 
-@dataclass(frozen=True)
-class ConjunctionDomain:
-    """A finite conjunction of |num| <= bound * |den| conditions."""
-
-    inequalities: tuple[DomainInequality, ...]
-    name: str = ""
-
-
-def member(
-    point: BerkovichPointSample,
-    domain: "RationalDomainData | ConjunctionDomain",
-) -> bool:
-    if isinstance(domain, RationalDomainData):
-        sg = seminorm(point, domain.g)
-        for fi, ri in zip(domain.f, domain.r):
-            if seminorm(point, fi) > ri * sg:
-                return False
-        return True
-    for ineq in domain.inequalities:
-        if seminorm(point, ineq.num) > ineq.bound * seminorm(point, ineq.den):
-            return False
-    return True
+def member(point: BerkovichPointSample, domain: ConjunctionDomain) -> bool:
+    return all(
+        seminorm(point, ineq.num) <= ineq.bound * seminorm(point, ineq.den)
+        for ineq in domain.inequalities
+    )
 
 
 def default_sample(
@@ -185,7 +150,6 @@ def default_sample(
 @dataclass
 class CoverCheckReport:
     covered: bool
-    truncation: Optional[int]
     points_checked: int
     witnesses: list[BerkovichPointSample]
 
@@ -194,19 +158,14 @@ class CoverCheckReport:
 
 
 def cover_check(
-    domains: Sequence["RationalDomainData | ConjunctionDomain"],
-    points: Sequence[BerkovichPointSample] | None = None,
-    ambient: Polyradius | None = None,
+    domains: Sequence[ConjunctionDomain],
+    points: Sequence[BerkovichPointSample],
 ) -> CoverCheckReport:
     """Does every sample point land in some domain of the family?"""
-    if points is None:
-        if ambient is None:
-            raise ValueError("need explicit points or an ambient to sample")
-        points = default_sample(ambient)
     witnesses = [
         pt for pt in points if not any(member(pt, d) for d in domains)
     ]
-    return CoverCheckReport(not witnesses, None, len(points), witnesses)
+    return CoverCheckReport(not witnesses, len(points), witnesses)
 
 
 @dataclass

@@ -416,21 +416,3 @@ def fresh_name(base: str, taken: Iterable[str]) -> str:
         name += "'"
     return name
 
-
-def tensor_free(t1: Polyradius, t2: Polyradius) -> tuple[Polyradius, dict[str, str]]:
-    """Completed tensor product of free algebras: the union of variables.
-
-    Returns the joint polyradius and the rename map applied to t2's names.
-    """
-    if t1.field != t2.field:
-        raise ValueError("tensor over different base fields")
-    names = list(t1.names)
-    radii = list(t1.radii)
-    rename: dict[str, str] = {}
-    for name, r in zip(t2.names, t2.radii):
-        new = fresh_name(name, names)
-        if new != name:
-            rename[name] = new
-        names.append(new)
-        radii.append(r)
-    return Polyradius(t1.field, tuple(names), tuple(radii)), rename

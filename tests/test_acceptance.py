@@ -19,6 +19,7 @@ from afnd.affinoid import (
     laurent_localization,
     quotient,
     rational_localization,
+    tensor_over,
     weierstrass_localization,
 )
 from afnd.cech import CoverData, acyclicity_check, build_complex
@@ -36,7 +37,7 @@ from afnd.homotopy import (
     is_homotopy_epi,
 )
 from afnd.linalg import kernel_basis
-from afnd.normed import WeightedSpace, classify, tensor_spaces
+from afnd.normed import classify
 from afnd.scalar import FieldSpec, NormValue, scalar_norm
 from afnd.spectrum import (
     GaussPoint,
@@ -113,22 +114,30 @@ def test_gauss_norm_multiplicativity():
 
 def test_one_dimensional_tensor_table():
     """One-dimensional tensor products multiply the weights exactly."""
+    point = free_affinoid(Polyradius(Q5, (), ()))
 
-    def line(v):
-        return WeightedSpace.line(Q5, v)
+    def tensor_weight(v1, v2):
+        # k_v1 (x) k_v2 as the tensor of one-variable free algebras over a
+        # point: its weight is the norm of x (x) x'.
+        square, _ = tensor_over(
+            point,
+            free_affinoid(Polyradius(Q5, ("x",), (v1,))),
+            free_affinoid(Polyradius(Q5, ("x",), (v2,))),
+        )
+        return square.ambient.monomial_weight((1, 1))
 
-    assert tensor_spaces(line(NormValue.of_rational(2)), line(NormValue.of_rational(3))) \
-        == line(NormValue.of_rational(6))
+    assert tensor_weight(NormValue.of_rational(2), NormValue.of_rational(3)) \
+        == NormValue.of_rational(6)
     for r in (2, 3, 7, 10):
         v = NormValue.of_rational(r)
-        assert tensor_spaces(line(v), line(NormValue.one())) == line(v)
+        assert tensor_weight(v, NormValue.one()) == v
     rng = random.Random(5)
     for _ in range(20):
         e1 = {p: Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for p in (2, 5)}
         e2 = {p: Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for p in (3, 5)}
         v1 = NormValue({p: e for p, e in e1.items() if e})
         v2 = NormValue({p: e for p, e in e2.items() if e})
-        assert tensor_spaces(line(v1), line(v2)) == line(v1 * v2)
+        assert tensor_weight(v1, v2) == v1 * v2
 
 
 def test_koszul_injectivity_random():
@@ -142,7 +151,7 @@ def test_koszul_injectivity_random():
         f = random_element(rng, unit_disc("x"), 4, rng.randint(1, 4))
         rel = t - f.in_ambient(ambient)
         levels = {0: [Summand(A, "tgt")], -1: [Summand(A, "src")]}
-        comps = {-1: {(0, 0): [MapComponent(rel, {})]}}
+        comps = {-1: {(0, 0): MapComponent(rel, {})}}
         cx = ChainComplex(Q5, levels, comps)
         assert homology(cx, -1, 12).is_zero
     assert time.monotonic() - start < 30.0

@@ -9,6 +9,7 @@ from afnd.affinoid import (
     weierstrass_localization,
 )
 from afnd.cech import CoverData, acyclicity_check, build_complex
+from afnd.homotopy import is_homotopy_epi
 from afnd.scalar import FieldSpec, NormValue
 from afnd.tate import Polyradius, parse_element
 
@@ -86,7 +87,9 @@ def test_three_piece_cover_exact():
 
 
 def test_acyclicity_takes_proved_piece_verdicts(disk_cover):
-    verdicts = disk_cover.verify_pieces(8)
+    verdicts = [
+        is_homotopy_epi(disk_cover.base, piece, 8) for piece in disk_cover.pieces
+    ]
     reused = acyclicity_check(disk_cover, 2, 8, precondition=verdicts)
     fresh = acyclicity_check(disk_cover, 2, 8)
     assert reused.precondition == verdicts
@@ -97,3 +100,11 @@ def test_acyclicity_takes_proved_piece_verdicts(disk_cover):
         acyclicity_check(disk_cover, 2, 8, precondition=verdicts[:1])
     with pytest.raises(ValueError):
         acyclicity_check(disk_cover, 2, 6, precondition=verdicts)
+
+
+def test_acyclicity_at_depth_zero_fails(disk_cover):
+    # Without intersections the augmented complex is the base alone, so
+    # its head has the whole degree-bounded base as kernel.
+    report = acyclicity_check(disk_cover, 0, 8)
+    assert report.status == "fails"
+    assert report.injectivity_rank == len(disk_cover.base.monomial_basis(8))

@@ -31,7 +31,7 @@ def two_term(algebra, f):
         0: [Summand(algebra, "tgt")],
         -1: [Summand(algebra, "src")],
     }
-    comps = {-1: {(0, 0): [MapComponent(f, {})]}}
+    comps = {-1: {(0, 0): MapComponent(f, {})}}
     return ChainComplex(Q5, levels, comps)
 
 

@@ -2,32 +2,41 @@
 
 from fractions import Fraction
 
-import pytest
-
-from afnd.normed import WeightedSpace, classify, tensor_spaces
+from afnd.affinoid import free_affinoid, tensor_over
+from afnd.linalg import vector_norm
+from afnd.normed import classify
 from afnd.scalar import FieldSpec, NormValue
+from afnd.tate import Polyradius
 
 Q5 = FieldSpec.padic(5)
 ONE = NormValue.one()
 
 
-def line(r):
-    return WeightedSpace.line(Q5, NormValue.of_rational(r))
+def tensor_weight(r1, r2):
+    """The weight of k_r1 (x) k_r2: the norm of x (x) x' in the tensor of
+    the one-variable free algebras of radii r1 and r2 over a point."""
+    point = free_affinoid(Polyradius(Q5, (), ()))
+
+    def line(r):
+        return free_affinoid(Polyradius(Q5, ("x",), (NormValue.of_rational(r),)))
+
+    square, _ = tensor_over(point, line(r1), line(r2))
+    return square.ambient.monomial_weight((1, 1))
 
 
 def test_space_norm():
-    s = WeightedSpace(Q5, (NormValue.one(), NormValue.of_rational(5)))
-    assert s.norm([Fraction(5), Fraction(0)]) == NormValue.prime_power(5, -1)
-    assert s.norm([1, 1]) == NormValue.of_rational(5)
-    with pytest.raises(ValueError):
-        s.norm([1])
+    weights = (NormValue.one(), NormValue.of_rational(5))
+    coords = [Fraction(5), Fraction(0)]
+    assert vector_norm(Q5, coords, weights) == NormValue.prime_power(5, -1)
+    ones = [Fraction(1), Fraction(1)]
+    assert vector_norm(Q5, ones, weights) == NormValue.of_rational(5)
 
 
 def test_one_dimensional_tensor():
     # k_2 (x) k_3 = k_6, and k_r (x) k_1 = k_r.
-    assert tensor_spaces(line(2), line(3)) == line(6)
+    assert tensor_weight(2, 3) == NormValue.of_rational(6)
     for r in (2, 3, 7):
-        assert tensor_spaces(line(r), line(1)) == line(r)
+        assert tensor_weight(r, 1) == NormValue.of_rational(r)
 
 
 def test_classify_mult_by_p():

@@ -66,7 +66,9 @@ def make_cover(inner_exp, outer_radius):
 
 def test_full_cover_passes():
     A, v1, v2 = make_cover(-1, 5)
-    report = cover_check([domain_of(v1), domain_of(v2)], ambient=A.ambient)
+    report = cover_check(
+        [domain_of(v1), domain_of(v2)], points=default_sample(A.ambient)
+    )
     assert report.covered
     assert report.points_checked == 9
 
@@ -74,7 +76,9 @@ def test_full_cover_passes():
 def test_gap_cover_reports_gauss_witness():
     # |x| <= 1/5 and |x| >= 1 miss the radius 5^(-1/2) Gauss point.
     A, v1, v2 = make_cover(-1, 1)
-    report = cover_check([domain_of(v1), domain_of(v2)], ambient=A.ambient)
+    report = cover_check(
+        [domain_of(v1), domain_of(v2)], points=default_sample(A.ambient)
+    )
     assert not report.covered
     assert report.witness_strings() == ["gauss(0±5^-1/2)"]
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from afnd.affinoid import free_affinoid, tensor_over
 from afnd.scalar import FieldSpec, NormValue
 from afnd.tate import (
     ElementSyntaxError,
@@ -11,7 +12,6 @@ from afnd.tate import (
     TateElement,
     fresh_name,
     parse_element,
-    tensor_free,
 )
 
 Q5 = FieldSpec.padic(5)
@@ -88,8 +88,10 @@ def test_in_ambient_and_tensor_free():
     f = parse_element("x + 1", UNIT)
     g = f.in_ambient(other)
     assert g.ambient is other
-    joint, rename = tensor_free(UNIT, UNIT)
-    assert joint.nvars == 2
+    # The tensor of two free algebras over a point joins their variables.
+    point = free_affinoid(disc())
+    joint, rename = tensor_over(point, free_affinoid(UNIT), free_affinoid(UNIT))
+    assert joint.ambient.nvars == 2
     assert rename == {"x": "x'"}
 
 
