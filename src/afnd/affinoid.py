@@ -9,8 +9,12 @@ reduction machinery normalizes relations into three layers:
   scalar b/a (Laurent normal form), again exactly;
 * anything else is handled by degree-bounded row reduction of the element
   against all relation multiples of total degree <= D, with norm-aware
-  pivoting; the result is a canonical representative and a certified upper
-  bound on the residue seminorm.
+  pivoting; the result is a canonical representative, whose Gauss norm
+  bounds the residue seminorm from above.
+
+`normal_form` runs the first two layers (`shape_normal`) and then the third
+(`generic_normal_form`); a caller that already holds shape normal forms
+runs only the third.
 
 A presentation is recognized as the zero algebra when some reduced relation
 has a dominant constant term: a*1 = (a - rel) + rel with ||a - rel|| < |a|
@@ -87,13 +91,6 @@ class LocalizationData:
     inequalities: tuple[DomainInequality, ...]
 
 
-@dataclass(frozen=True)
-class ReducedForm:
-    representative: TateElement
-    residue_norm_upper: NormValue
-    truncation: int
-
-
 class PresentationError(ValueError):
     pass
 
@@ -105,7 +102,6 @@ class AffinoidPresentation:
         self,
         ambient: Polyradius,
         relations: Sequence[TateElement] = (),
-        strategy: str | None = None,
         localization: LocalizationData | None = None,
     ):
         self.ambient = ambient
@@ -122,11 +118,6 @@ class AffinoidPresentation:
             int, tuple[list[Exponent], dict[Exponent, int]]
         ] = {}
         self._normalize()
-        if strategy is not None and strategy != self.strategy:
-            raise PresentationError(
-                f"requested strategy {strategy!r} but relations support "
-                f"only {self.strategy!r}"
-            )
 
     @property
     def field(self) -> FieldSpec:
@@ -199,7 +190,7 @@ class AffinoidPresentation:
 
         # Layer 3: everything else.
         self.generic_relations = [
-            self._shape_normal(r) for r in remaining if not self._shape_normal(r).is_zero
+            r for r in map(self.shape_normal, remaining) if not r.is_zero
         ]
 
         if not remaining:
@@ -357,8 +348,9 @@ class AffinoidPresentation:
                 return None
         return lam
 
-    def _shape_normal(self, w: TateElement) -> TateElement:
-        """Apply the substitution and Laurent layers exactly."""
+    def shape_normal(self, w: TateElement) -> TateElement:
+        """Apply the substitution and Laurent layers exactly: the first pass
+        of `normal_form`, which never truncates."""
         out = w
         for var, h in self.substitutions.items():
             if out.uses(var):
@@ -389,14 +381,11 @@ class AffinoidPresentation:
             if n not in self.substitutions
         ]
 
-    def _shape_monomials(self, degree: int) -> list[Exponent]:
-        """Monomials surviving substitution and Laurent normalization."""
-        return self._shape_basis(degree)[0]
-
     def _shape_basis(
         self, degree: int
     ) -> tuple[list[Exponent], dict[Exponent, int]]:
-        """The shape monomials of degree <= D and their column index map.
+        """The shape monomials of degree <= D (those surviving substitution
+        and Laurent normalization) and their column index map.
 
         Both depend only on the substitution and Laurent layers, which are
         fixed once `_normalize` has run, so they are computed once per D.
@@ -446,8 +435,8 @@ class AffinoidPresentation:
         rows = []
         for rel in self.generic_relations:
             rdeg = rel.total_degree()
-            for mono in self._shape_monomials(max(degree - rdeg, 0)):
-                prod = self._shape_normal(
+            for mono in self._shape_basis(max(degree - rdeg, 0))[0]:
+                prod = self.shape_normal(
                     rel * TateElement.monomial(self.ambient, mono, 1)
                 )
                 if prod.total_degree() > degree:
@@ -472,7 +461,7 @@ class AffinoidPresentation:
             return []
         if degree in self._basis_cache:
             return self._basis_cache[degree]
-        shape_basis = self._shape_monomials(degree)
+        shape_basis = self._shape_basis(degree)[0]
         generic = self._generic_elimination(degree)
         if generic is not None:
             pivot_cols = set(generic[1])
@@ -483,35 +472,34 @@ class AffinoidPresentation:
         return basis
 
     def normal_form(self, w: TateElement, degree: int) -> TateElement:
+        """The canonical representative of w on the degree-<=degree basis."""
         if w.ambient != self.ambient:
             raise PresentationError("element outside the ambient algebra")
+        return self.generic_normal_form(self.shape_normal(w), degree)
+
+    def generic_normal_form(
+        self, shaped: TateElement, degree: int
+    ) -> TateElement:
+        """The second pass of `normal_form`: reduce a `shape_normal` result
+        against the relation rows of degree <= degree."""
         if self.is_zero_algebra:
             return TateElement.zero(self.ambient)
-        out = self._shape_normal(w)
         generic = self._generic_elimination(degree)
-        if generic is None or out.is_zero:
-            return out
-        if out.total_degree() > degree:
+        if generic is None or shaped.is_zero:
+            return shaped
+        if shaped.total_degree() > degree:
             raise PresentationError(
-                f"degree {out.total_degree()} exceeds truncation {degree}"
+                f"degree {shaped.total_degree()} exceeds truncation {degree}"
             )
         shape_basis, col_of = self._shape_basis(degree)
         # The relation rows are Jordan-reduced, so each subtraction clears
         # one pivot coordinate and stays inside degree <= D.
         coords = reduce_against(
-            {col_of[e]: c for e, c in out.terms.items()}, *generic
+            {col_of[e]: c for e, c in shaped.terms.items()}, *generic
         )
         return TateElement(
             self.ambient, {shape_basis[j]: coords[j] for j in sorted(coords)}
         )
-
-    def reduce(self, w: TateElement, degree: int) -> ReducedForm:
-        if degree < w.total_degree():
-            raise PresentationError(
-                f"truncation degree {degree} below the degree of the element"
-            )
-        rep = self.normal_form(w, degree)
-        return ReducedForm(rep, rep.gauss_norm(), degree)
 
     # -- structure maps ------------------------------------------------------
 
@@ -701,7 +689,6 @@ def tensor_over(
     a: AffinoidPresentation,
     b: AffinoidPresentation,
     c: AffinoidPresentation,
-    rename_suffix: str | None = None,
 ) -> tuple[AffinoidPresentation, dict[str, str]]:
     """Pushout presentation of B (x)_A C; returns it and C's rename map."""
     if not b.is_over(a) or not c.is_over(a):
@@ -711,8 +698,7 @@ def tensor_over(
     radii = list(b.ambient.radii)
     rename: dict[str, str] = {}
     for name, radius in zip(c.ambient.names[n:], c.ambient.radii[n:]):
-        new = (name + rename_suffix) if rename_suffix else name
-        new = fresh_name(new, names)
+        new = fresh_name(name, names)
         if new != name:
             rename[name] = new
         names.append(new)

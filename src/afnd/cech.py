@@ -3,13 +3,12 @@
 A cover is a base presentation together with localization pieces over it.
 Its complex is the alternating one, indexed by strictly increasing index
 subsets, with the usual deletion signs.  It is augmented: level 0 carries the
-base (or a cyclic module over it), level q the q-fold intersections (tensor
-products over the base).  The acyclicity check refuses to run until every
-piece has been verified to be a homotopy epimorphism over the base at the
-requested truncation degree, and reports strict exactness with certified
-preimage-norm constants.  A caller that has already proved those verdicts at
-that degree passes them in as the `precondition`, so a run proves each piece
-once.
+base, level q the q-fold intersections (tensor products over the base).  The
+acyclicity check refuses to run until every piece has been verified to be a
+homotopy epimorphism over the base at the requested truncation degree, and
+reports strict exactness with certified preimage-norm constants.  A caller
+that has already proved those verdicts at that degree passes them in as the
+`precondition`, so a run proves each piece once.
 """
 
 from __future__ import annotations
@@ -54,23 +53,15 @@ class _Intersection:
 
 
 def _build_intersection(
-    cover: CoverData, idx: tuple[int, ...], module: AffinoidPresentation | None
+    cover: CoverData, idx: tuple[int, ...]
 ) -> _Intersection:
-    base = cover.base
     if not idx:
-        algebra = module if module is not None else base
-        return _Intersection(algebra, [])
+        return _Intersection(cover.base, [])
     current = cover.pieces[idx[0]]
     renames: list[dict[str, str]] = [{}]
     for i in idx[1:]:
-        current, rn = tensor_over(base, current, cover.pieces[i])
+        current, rn = tensor_over(cover.base, current, cover.pieces[i])
         renames.append(rn)
-    if module is not None:
-        current, rn = tensor_over(base, module, current)
-        if rn:
-            # The module is cyclic over the base, so its ambient adds no
-            # variables and the tensor introduces no renames.
-            raise ValueError("module must be a cyclic presentation over the base")
     return _Intersection(current, renames)
 
 
@@ -98,11 +89,7 @@ def _restriction_rename(
     return rename
 
 
-def build_complex(
-    cover: CoverData,
-    depth: int,
-    module: AffinoidPresentation | None = None,
-) -> ChainComplex:
+def build_complex(cover: CoverData, depth: int) -> ChainComplex:
     """The augmented alternating cover complex up to level `depth`."""
     npieces = len(cover.pieces)
     tuples: dict[int, list[tuple[int, ...]]] = {0: [()]}
@@ -112,7 +99,7 @@ def build_complex(
     levels: dict[int, list[Summand]] = {}
     index_of: dict[int, dict[tuple[int, ...], int]] = {}
     for q, idx_list in tuples.items():
-        data[q] = [_build_intersection(cover, idx, module) for idx in idx_list]
+        data[q] = [_build_intersection(cover, idx) for idx in idx_list]
         levels[q] = [
             Summand(inter.algebra, idx)
             for inter, idx in zip(data[q], idx_list)
@@ -157,7 +144,6 @@ def acyclicity_check(
     cover: CoverData,
     depth: int,
     degree: int,
-    module: AffinoidPresentation | None = None,
     precondition: Sequence[MorphismVerdict] | None = None,
 ) -> AcyclicityReport:
     """Strict exactness of the augmented cover complex at the truncation.
@@ -189,7 +175,7 @@ def acyclicity_check(
             "pieces not verified as homotopy epimorphisms: " + details,
             verdicts,
         )
-    cx = build_complex(cover, depth, module)
+    cx = build_complex(cover, depth)
     _, head_kernel = cycles(cx, 0, degree)
     # The alternating complex stops on its own at depth = number of pieces,
     # so its top position tests surjectivity.

@@ -366,7 +366,8 @@ def _run_check(spec: CheckSpec, sc: Scenario, degree: int, proved: dict) -> dict
                 "usage: check NAME cech BASE DEPTH PIECE...", spec.line
             )
         depth = int(spec.args[1])
-        cover = CoverData(base, tuple(algebras[a] for a in spec.args[2:]))
+        with _at_line(spec.line):
+            cover = CoverData(base, tuple(algebras[a] for a in spec.args[2:]))
         report = acyclicity_check(
             cover, depth, degree,
             precondition=[
@@ -430,13 +431,18 @@ def _run_check(spec: CheckSpec, sc: Scenario, degree: int, proved: dict) -> dict
         table = []
         for expr in spec.elements:
             el = _parse_expr(expr, alg.ambient, spec.line)
+            if degree < el.total_degree():
+                raise ScenarioError(
+                    f"truncation degree {degree} below the degree of the "
+                    "element", spec.line,
+                )
             with _at_line(spec.line):
-                reduced = alg.reduce(el, degree)
+                reduced = alg.normal_form(el, degree)
             table.append(
                 {
                     "element": expr,
-                    "reduced": str(reduced.representative),
-                    "gauss_norm": str(reduced.representative.gauss_norm()),
+                    "reduced": str(reduced),
+                    "gauss_norm": str(reduced.gauss_norm()),
                 }
             )
         record.update(verdict="ok", degree=degree, table=table)

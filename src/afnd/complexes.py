@@ -144,7 +144,7 @@ class ChainComplex:
                     continue
                 alg = targets[t].algebra
                 pushed = mono.in_ambient(alg.ambient, comp.rename)
-                val = alg._shape_normal(comp.coeff * pushed)
+                val = alg.shape_normal(comp.coeff * pushed)
                 if not val.is_zero:
                     growth = max(growth, val.total_degree())
                     img.append((t, val))
@@ -153,7 +153,7 @@ class ChainComplex:
         entries: list[SparseRow] = [{} for _ in range(target.dim)]
         for j, img in enumerate(images):
             for t, v in img:
-                nf = targets[t].algebra.normal_form(v, growth)
+                nf = targets[t].algebra.generic_normal_form(v, growth)
                 for e, c in nf.terms.items():
                     entries[target.index[(t, e)]][j] = c
         return DifferentialMatrix(source, target, entries)
@@ -221,6 +221,9 @@ class HomologyReport:
     rank: int
     is_zero: bool
     witnesses: list[CycleWitness]
+    # Rank of d^{n-1} from the degree-bounded basis: the boundary space the
+    # cycles are tested against (0 where d^{n-1} is absent).
+    boundary_rank: int = 0
 
 
 def _cycle_to_witness(
@@ -244,14 +247,13 @@ def cycles(
 
 def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
     basis, zs = cycles(cx, n, degree)
-    if not zs:
-        return HomologyReport(n, degree, 0, 0, True, [])
     if n - 1 not in cx.components:
         witnesses = [_cycle_to_witness(cx, n, z, basis) for z in zs]
-        return HomologyReport(n, degree, len(zs), len(zs), False, witnesses)
+        return HomologyReport(n, degree, len(zs), len(zs), not zs, witnesses)
     min_ = cx.matrix(n - 1, degree)
     # The boundary space, as sparse row vectors over the level-n basis: the
-    # columns of d^{n-1}, read off its rows.
+    # columns of d^{n-1}, read off its rows.  It is eliminated even when
+    # there are no cycles, because the report carries its rank.
     boundary_cols: list[SparseRow] = [{} for _ in range(min_.source.dim)]
     for i, row in enumerate(min_.entries):
         for j, v in row.items():
@@ -272,7 +274,8 @@ def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
             witnesses.append(_cycle_to_witness(cx, n, z, basis))
     quotient_rank = len(obst_rows)
     return HomologyReport(
-        n, degree, len(zs), quotient_rank, quotient_rank == 0, witnesses
+        n, degree, len(zs), quotient_rank, quotient_rank == 0, witnesses,
+        len(span_pivots),
     )
 
 
@@ -294,7 +297,7 @@ class ExactnessWitness:
 
 
 def strict_exactness(
-    cx: ChainComplex, degree: int, positions: Sequence[int] | None = None
+    cx: ChainComplex, degree: int, positions: Sequence[int]
 ) -> ExactnessWitness:
     """Exactness at interior degrees, with certified preimage-norm constants.
 
@@ -305,9 +308,6 @@ def strict_exactness(
     norm-minimal preimages at once; positions with no cycles, or a zero
     incoming differential, report C = 1.
     """
-    degs = cx.degrees()
-    if positions is None:
-        positions = [n for n in degs if n - 1 in cx.components]
     verdicts: list[DegreeVerdict] = []
     overall = NormValue.one()
     exact = True
@@ -371,7 +371,8 @@ def koszul_complex(
 
 @dataclass
 class KoszulResolution:
-    """A resolution of `target` by free modules over its ambient extension.
+    """The Koszul complex of `relator_elements` over `free_extension`: a
+    resolution over `base` of the target free_extension/(relator_elements).
 
     `shape_certified` is True when every relator is of a shape for which the
     one-step resolutions are known to compose (T - f, or g S - 1); otherwise
@@ -380,7 +381,6 @@ class KoszulResolution:
 
     complex: ChainComplex
     base: AffinoidPresentation
-    target: AffinoidPresentation
     free_extension: AffinoidPresentation
     relator_elements: tuple[TateElement, ...]
     shape_certified: bool
@@ -411,7 +411,7 @@ def resolution_of(
     relators = tuple(rl.element.in_ambient(target.ambient) for rl in chain)
     certified = all(rl.shape in ("weierstrass", "laurent") for rl in chain)
     cx = koszul_complex(free_ext, relators)
-    return KoszulResolution(cx, base, target, free_ext, relators, certified)
+    return KoszulResolution(cx, base, free_ext, relators, certified)
 
 
 def quotient_resolution(
@@ -422,12 +422,8 @@ def quotient_resolution(
     Resolves base/(elements) only when the elements form a regular sequence;
     callers must gate on `validity` before trusting the homology.
     """
-    from afnd.affinoid import quotient
-
     cx = koszul_complex(base, elements)
-    return KoszulResolution(
-        cx, base, quotient(base, elements), base, tuple(elements), False
-    )
+    return KoszulResolution(cx, base, base, tuple(elements), False)
 
 
 def derived_tensor(

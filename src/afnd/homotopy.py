@@ -7,10 +7,16 @@ resolution is available and the fallback Koszul complex does not resolve the
 target at the truncation degree, the verdict is "unresolved" rather than a
 guess.
 
+A homotopy epimorphism A -> B is an epimorphism with vanishing self-Tor, and
+each fact is proved once.  Degree zero of B (x)^L_A B -> B is the
+multiplication map B (x)_A B -> B, the fold map that `is_epimorphism`
+reduces; the negative degrees are Tor_i^A(B, B), read by the same homology
+scan that `check_transversal` runs with module = target = B.
+
 Every matrix behind a verdict comes from `afnd.complexes`: the derived
-self-tensor is a Koszul complex, and the fold map of a self-tensor onto the
-target is the one differential of a two-level complex, whose level-0 cycles
-are its kernel and whose level-1 homology is its cokernel.
+tensor is a Koszul complex, and the fold map is the one differential of a
+two-level complex whose level-1 homology is its cokernel; its kernel rank
+follows by rank-nullity from the same elimination.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from typing import Optional
 from afnd.affinoid import (
     AffinoidPresentation,
     localization_path,
-    quotient,
     tensor_over,
 )
 from afnd.complexes import (
@@ -30,7 +35,6 @@ from afnd.complexes import (
     KoszulResolution,
     MapComponent,
     Summand,
-    cycles,
     derived_tensor,
     homology,
     quotient_resolution,
@@ -112,8 +116,10 @@ def _reduce_fold_map(
     """The fold map big -> target (renamed copies sent back) as the one
     differential of a two-level complex.
 
-    Returns the kernel rank (the cycles at level 0) and whether every
-    degree-bounded target basis monomial is hit (no homology at level 1).
+    Returns the kernel rank and whether every degree-bounded target basis
+    monomial is hit (no homology at level 1).  The level-1 homology
+    eliminates the columns of the differential once; the kernel rank is the
+    source dimension minus their rank.
     """
     inverse = {v: k for k, v in rename.items()}
     one = TateElement.constant(target.ambient, 1)
@@ -122,7 +128,8 @@ def _reduce_fold_map(
         {0: [Summand(big, "source")], 1: [Summand(target, "target")]},
         {0: {(0, 0): MapComponent(one, inverse)}},
     )
-    return len(cycles(fold, 0, degree)[1]), homology(fold, 1, degree).is_zero
+    rep = homology(fold, 1, degree)
+    return fold.level_basis(0, degree).dim - rep.boundary_rank, rep.is_zero
 
 
 def is_homotopy_epi(
@@ -132,8 +139,10 @@ def is_homotopy_epi(
 ) -> MorphismVerdict:
     """Is base -> target a homotopy epimorphism at the truncation degree?
 
-    Tested as: target (x)^L_base target has vanishing negative homology and
-    degree-zero part matching the target, both on degree-bounded bases.
+    Tested as: target (x)^L_base target has vanishing negative homology
+    (Tor_i(target, target) = 0 for i > 0) and its degree-zero part, the
+    self-tensor target (x)_base target, maps bijectively onto the target
+    (the epimorphism fold map), both on degree-bounded bases.
     """
     kind = "homotopy-epimorphism"
     if not target.is_over(base):
@@ -159,35 +168,27 @@ def is_homotopy_epi(
             kind, HOLDS, degree,
             "holds at every step of the localization chain",
         )
-    res = _make_resolution(base, target)
-    if res is None:
-        return MorphismVerdict(
-            kind, UNRESOLVED, degree, "no resolution available for the target"
-        )
-    if not res.shape_certified and not res.validity(degree):
-        return MorphismVerdict(
-            kind, UNRESOLVED, degree,
-            "fallback Koszul complex does not resolve the target "
-            "at this truncation degree",
-        )
-    cx, rename = derived_tensor(target, res)
-    ranks: dict[int, int] = {}
-    witness = None
-    for n in sorted(cx.degrees()):
-        if n >= 0:
-            continue
-        rep = homology(cx, n, degree)
-        ranks[n] = rep.rank
-        if rep.rank and witness is None:
-            witness = rep.witnesses[0]
+    scan = _tor_scan(kind, target, base, target, degree, -1)
+    if isinstance(scan, MorphismVerdict):
+        return scan
+    ranks, witness = scan
     if witness is not None:
         return MorphismVerdict(
             kind, FAILS, degree,
             "self-tensor has nonvanishing homology in negative degrees",
             ranks, witness,
         )
-    ok, why = _degree_zero_matches(cx, res, target, rename, degree)
-    if not ok:
+    square, rename = tensor_over(base, target, target)
+    why = None
+    if square.is_zero_algebra:
+        why = "degree-zero part collapses to the zero algebra"
+    else:
+        kernel_rank, hit = _reduce_fold_map(square, target, rename, degree)
+        if kernel_rank:
+            why = f"fold map has kernel of rank {kernel_rank}"
+        elif not hit:
+            why = "fold map misses part of the target basis"
+    if why is not None:
         return MorphismVerdict(
             kind, FAILS, degree,
             f"degree-zero part differs from the target: {why}", ranks,
@@ -200,40 +201,11 @@ def is_homotopy_epi(
     )
 
 
-def _degree_zero_matches(
-    cx: ChainComplex,
-    res: KoszulResolution,
-    target: AffinoidPresentation,
-    rename: dict[str, str],
-    degree: int,
-) -> tuple[bool, str]:
-    """Compare H^0 of the derived self-tensor with the target algebra.
-
-    H^0 is presented by the pushout modulo the renamed relators; the fold map
-    sends each renamed fresh variable back to its original.  Both injectivity
-    and degree-bounded surjectivity of the fold are required.
-    """
-    pushout = cx.levels[0][0].algebra
-    relators = [
-        f.in_ambient(pushout.ambient, rename) for f in res.relator_elements
-    ]
-    h0 = quotient(pushout, relators)
-    if h0.is_zero_algebra:
-        return False, "degree-zero part collapses to the zero algebra"
-    kernel_rank, hit = _reduce_fold_map(h0, target, rename, degree)
-    if kernel_rank:
-        return False, f"fold map has kernel of rank {kernel_rank}"
-    if not hit:
-        return False, "fold map misses part of the target basis"
-    return True, ""
-
-
 def check_transversal(
     module: AffinoidPresentation,
     base: AffinoidPresentation,
     target: AffinoidPresentation,
     degree: int,
-    resolution: KoszulResolution | None = None,
 ) -> MorphismVerdict:
     """Does module (x)^L_base target live in degree zero at the truncation?
 
@@ -245,7 +217,35 @@ def check_transversal(
         return MorphismVerdict(
             kind, UNRESOLVED, degree, "module is not presented over the base"
         )
-    res = resolution if resolution is not None else _make_resolution(base, target)
+    scan = _tor_scan(kind, module, base, target, degree, 0)
+    if isinstance(scan, MorphismVerdict):
+        return scan
+    ranks, witness = scan
+    if witness is not None:
+        return MorphismVerdict(
+            kind, FAILS, degree,
+            "derived tensor has homology in negative degrees", ranks, witness,
+        )
+    return MorphismVerdict(
+        kind, HOLDS, degree, "derived tensor concentrated in degree zero", ranks
+    )
+
+
+def _tor_scan(
+    kind: str,
+    module: AffinoidPresentation,
+    base: AffinoidPresentation,
+    target: AffinoidPresentation,
+    degree: int,
+    top: int,
+) -> MorphismVerdict | tuple[dict[int, int], Optional[CycleWitness]]:
+    """Homology of module (x)^L_base target in degrees <= top.
+
+    Returns the ranks and the first witness of nonzero negative-degree
+    homology, or an unresolved verdict when no resolution of the target is
+    available or the fallback Koszul complex does not resolve it.
+    """
+    res = _make_resolution(base, target)
     if res is None:
         return MorphismVerdict(
             kind, UNRESOLVED, degree, "no resolution available for the target"
@@ -259,16 +259,11 @@ def check_transversal(
     cx, _ = derived_tensor(module, res)
     ranks: dict[int, int] = {}
     witness = None
-    for n in sorted(cx.degrees()):
+    for n in cx.degrees():
+        if n > top:
+            continue
         rep = homology(cx, n, degree)
         ranks[n] = rep.rank
         if n < 0 and rep.rank and witness is None:
             witness = rep.witnesses[0]
-    if witness is not None:
-        return MorphismVerdict(
-            kind, FAILS, degree,
-            "derived tensor has homology in negative degrees", ranks, witness,
-        )
-    return MorphismVerdict(
-        kind, HOLDS, degree, "derived tensor concentrated in degree zero", ranks
-    )
+    return ranks, witness

@@ -119,12 +119,10 @@ def member(point: BerkovichPointSample, domain: ConjunctionDomain) -> bool:
     )
 
 
-def default_sample(
-    ambient: Polyradius, unit: Fraction = Fraction(1)
-) -> list[BerkovichPointSample]:
+def default_sample(ambient: Polyradius) -> list[BerkovichPointSample]:
     """The standard falsification sample on a polydisc over a p-adic field.
 
-    Rigid points: the origin and u*p^k on the diagonal for k = 0, 1, 2;
+    Rigid points: the origin and p^k on the diagonal for k = 0, 1, 2;
     Gauss points centered at the origin with radii p^(-q) for
     q = 0, 1/2, 1, 3/2, 2.  Points outside the polydisc are skipped.
     """
@@ -135,7 +133,7 @@ def default_sample(
     n = ambient.nvars
     points: list[BerkovichPointSample] = [RigidPoint((Fraction(0),) * n)]
     for k in range(3):
-        c = Fraction(unit) * Fraction(p) ** k
+        c = Fraction(p) ** k
         if all(scalar_norm(field, c) <= r for r in ambient.radii):
             points.append(RigidPoint((c,) * n))
     for q in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):

@@ -28,7 +28,6 @@ from afnd.complexes import (
     MapComponent,
     Summand,
     homology,
-    quotient_resolution,
 )
 from afnd.homotopy import (
     FAILS,
@@ -313,8 +312,7 @@ def test_transversality_verdicts():
     good = check_transversal(M, A, lau, 10)
     assert good.holds
     assert all(r == 0 for r in good.homology_ranks.values())
-    fiber = quotient_resolution(A, [x])
-    bad = check_transversal(M, A, M, 10, resolution=fiber)
+    bad = check_transversal(M, A, M, 10)
     assert bad.status == FAILS
     assert bad.homology_ranks[-1] == 1
     assert bad.witness is not None

@@ -127,9 +127,9 @@ def test_tensor_over_renames(A):
 
 def test_reduce_reports_norm(A):
     B = quotient(A, [parse_element("x^2 - 5", A.ambient)])
-    r = B.reduce(parse_element("x^3", A.ambient), 8)
-    assert str(r.representative) == "5*x"
-    assert r.residue_norm_upper == NormValue.prime_power(5, -1)
+    r = B.normal_form(parse_element("x^3", A.ambient), 8)
+    assert str(r) == "5*x"
+    assert r.gauss_norm() == NormValue.prime_power(5, -1)
 
 
 def test_is_over_rejects_unrelated():

@@ -322,9 +322,16 @@ HEADER = "scenario h\ndegree 3\nfield p-adic 5\n"
             13,
             "does not localize the polydisc",
         ),
+        (
+            HEADER + "algebra A\n  var x 1\nend\nalgebra C\n  var y 1\nend\n"
+            "check c cech A 1 C\n",
+            10,
+            "every piece must be presented over the base",
+        ),
     ],
     ids=["zero-radius", "norm-table-above-truncation", "cover-trivial-field",
-         "cover-of-non-localization", "cover-piece-on-another-polydisc"],
+         "cover-of-non-localization", "cover-piece-on-another-polydisc",
+         "cech-piece-not-over-base"],
 )
 def test_library_errors_exit_2_with_line(tmp_path, capsys, text, line, message):
     path = tmp_path / "bad.afnd"

@@ -119,11 +119,9 @@ def test_transversal_module_vs_disjoint_localization():
 def test_non_transversal_fiber_probe():
     A = make_base()
     M = quotient(A, [parse_element("x", A.ambient)])
-    # The fiber at x = 0 meets M non-flatly: Tor_1 = k survives.
-    from afnd.complexes import quotient_resolution
-
-    res = quotient_resolution(A, [parse_element("x", A.ambient)])
-    v = check_transversal(M, A, M, D, resolution=res)
+    # The fiber at x = 0 meets M non-flatly: Tor_1 = k survives.  M is a
+    # quotient of A, so it is resolved by the Koszul complex on x.
+    v = check_transversal(M, A, M, D)
     assert v.status == FAILS
     assert v.homology_ranks[-1] == 1
     assert v.witness is not None
@@ -154,7 +152,7 @@ def reference_fold_map(big, target, rename, degree):
         for pos, k in zip(positions, e):
             merged[pos] += k
         elem = TateElement.monomial(target.ambient, tuple(merged), 1)
-        growth = max(growth, target._shape_normal(elem).total_degree())
+        growth = max(growth, target.shape_normal(elem).total_degree())
         images.append(elem)
     col_of = {e: i for i, e in enumerate(target.monomial_basis(growth))}
     span = []
@@ -180,22 +178,31 @@ def scenario_pairs():
                     yield f"{path.stem}:{b}->{p}", base, piece
 
 
-def fold_maps(base, piece):
-    """The fold maps behind `is_epimorphism` and the degree-zero check of
-    `is_homotopy_epi`: (source, target, rename) triples."""
-    square, rename = tensor_over(base, piece, piece)
-    yield square, piece, rename
+def reference_degree_zero(base, piece):
+    """H^0 of piece (x)^L_base piece, presented as an earlier
+    `is_homotopy_epi` presented it: the pushout of the derived self-tensor
+    modulo the renamed relators.  Returns it with the rename, or None when
+    no resolution is available."""
     res = _make_resolution(base, piece)
     if res is None:
-        return
+        return None
     cx, rename = derived_tensor(piece, res)
     pushout = cx.levels[0][0].algebra
     h0 = quotient(
         pushout,
         [f.in_ambient(pushout.ambient, rename) for f in res.relator_elements],
     )
-    if not h0.is_zero_algebra:
-        yield h0, piece, rename
+    return h0, rename
+
+
+def fold_maps(base, piece):
+    """The fold maps behind `is_epimorphism` and the degree-zero check of
+    `is_homotopy_epi`: (source, target, rename) triples."""
+    square, rename = tensor_over(base, piece, piece)
+    yield square, piece, rename
+    ref = reference_degree_zero(base, piece)
+    if ref is not None and not ref[0].is_zero_algebra:
+        yield ref[0], piece, ref[1]
 
 
 def hand_maps():
@@ -232,3 +239,114 @@ def test_fold_map_matches_reference(degree):
         assert got == reference_fold_map(big, target, rename, degree), label
         outcomes.add((bool(got[0]), got[1]))
     assert outcomes == {(False, True), (True, True), (False, False)}
+
+
+def test_degree_zero_part_is_the_self_tensor():
+    """H^0 of the derived self-tensor is the epimorphism square: the same
+    ambient, relations and rename on every resolved bundled pair."""
+    checked = 0
+    for label, base, piece in scenario_pairs():
+        ref = reference_degree_zero(base, piece)
+        if ref is None:
+            continue
+        h0, h0_rename = ref
+        square, rename = tensor_over(base, piece, piece)
+        assert square.ambient == h0.ambient, label
+        assert square.relations == h0.relations, label
+        assert rename == h0_rename, label
+        checked += 1
+    assert checked == 10
+
+
+def test_fold_map_runs_one_elimination(monkeypatch):
+    """The kernel rank comes from the elimination behind the cokernel."""
+    import afnd.complexes
+    import afnd.linalg
+
+    real = afnd.linalg.sparse_rref
+    sizes = []
+
+    def counting(rows):
+        if any(rows):
+            sizes.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(afnd.linalg, "sparse_rref", counting)
+    monkeypatch.setattr(afnd.complexes, "sparse_rref", counting)
+    A = make_base()
+    V = weierstrass_localization(
+        A, [parse_element("x", A.ambient)], [NormValue.prime_power(5, -1)]
+    )
+    assert is_epimorphism(A, V, D).holds
+    assert len(sizes) == 1
+
+
+def test_verdict_details():
+    """Every hoepi and transversal branch these inputs reach, pinned."""
+    A = make_base()
+    x = parse_element("x", A.ambient)
+    V = weierstrass_localization(A, [x], [NormValue.prime_power(5, -1)])
+    W = weierstrass_localization(
+        V, [x.in_ambient(V.ambient)], [NormValue.prime_power(5, -2)]
+    )
+    lau = laurent_localization(A, g=[x], g_radii=[NormValue.of_rational(5)])
+    k = quotient(A, [x])
+    B = free_affinoid(unit_disc("x", "y"))
+    C = free_affinoid(unit_disc("y"))
+    Z = quotient(A, [parse_element("1 + 5*x", A.ambient)])
+    assert Z.is_zero_algebra
+    # x^2, x^3 is not a regular sequence, so its Koszul complex is rejected.
+    J = quotient(A, [x * x, x * x * x])
+    fallback = (
+        "fallback Koszul complex does not resolve the target "
+        "at this truncation degree"
+    )
+    cases = [
+        (
+            is_homotopy_epi(A, V, D), HOLDS,
+            "self-tensor concentrated in degree zero and matching the target",
+            {-1: 0, 0: 0},
+        ),
+        (
+            is_homotopy_epi(A, W, D), HOLDS,
+            "holds at every step of the localization chain", {},
+        ),
+        (
+            is_homotopy_epi(A, k, D), FAILS,
+            "self-tensor has nonvanishing homology in negative degrees",
+            {-1: 1},
+        ),
+        (
+            is_homotopy_epi(C, A, D), UNRESOLVED,
+            "target is not presented over the base", {},
+        ),
+        (
+            is_homotopy_epi(A, B, D), UNRESOLVED,
+            "no resolution available for the target", {},
+        ),
+        (is_homotopy_epi(A, J, D), UNRESOLVED, fallback, {}),
+        (
+            is_homotopy_epi(A, Z, D), HOLDS, "target is the zero algebra", {},
+        ),
+        (
+            check_transversal(k, A, lau, D), HOLDS,
+            "derived tensor concentrated in degree zero", {-1: 0, 0: 0},
+        ),
+        (
+            check_transversal(k, A, k, D), FAILS,
+            "derived tensor has homology in negative degrees", {-1: 1, 0: 1},
+        ),
+        (
+            check_transversal(C, A, V, D), UNRESOLVED,
+            "module is not presented over the base", {},
+        ),
+        (
+            check_transversal(A, A, B, D), UNRESOLVED,
+            "no resolution available for the target", {},
+        ),
+        (check_transversal(A, A, J, D), UNRESOLVED, fallback, {}),
+    ]
+    for verdict, status, detail, ranks in cases:
+        assert (verdict.status, verdict.detail) == (status, detail)
+        assert verdict.homology_ranks == ranks, detail
+        assert (verdict.witness is not None) == (status == FAILS), detail
