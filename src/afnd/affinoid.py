@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from afnd.linalg import NormAwareElimination, SparseRow, reduce_against
 from afnd.scalar import FieldSpec, NormValue, scalar_norm
@@ -36,6 +36,7 @@ from afnd.tate import (
     TateElement,
     fresh_name,
     grevlex_key,
+    walk_down,
 )
 
 SUBSTITUTION = "substitution"
@@ -114,9 +115,17 @@ class AffinoidPresentation:
             int, tuple[list[SparseRow], list[int]] | None
         ] = {}
         self._basis_cache: dict[int, list[Exponent]] = {}
+        # The shape monomials in grevlex order and their positions, built
+        # one degree layer at a time: layer d is shapes[starts[d]:starts[d+1]].
+        zero = (0,) * ambient.nvars
+        self._shapes: list[Exponent] = [zero]
+        self._shape_col: dict[Exponent, int] = {zero: 0}
+        self._layer_starts = [0, 1]
         self._shape_cache: dict[
             int, tuple[list[Exponent], dict[Exponent, int]]
         ] = {}
+        # pushed_images results per (source ambient, rename).
+        self._pushed: dict[tuple, tuple[dict, list[TateElement]]] = {}
         self._normalize()
 
     @property
@@ -355,21 +364,68 @@ class AffinoidPresentation:
         for var, h in self.substitutions.items():
             if out.uses(var):
                 out = out.substitute(var, h)
-        if self.laurent_pairs:
-            ambient = self.ambient
-            terms: dict[Exponent, Fraction] = {}
-            for exponent, c in out.terms.items():
-                e = list(exponent)
-                for (u, v), q in self.laurent_pairs.items():
-                    iu, iv = ambient.index(u), ambient.index(v)
-                    m = min(e[iu], e[iv])
-                    if m:
-                        e[iu] -= m
-                        e[iv] -= m
-                        c = c * q**m
-                t = tuple(e)
-                terms[t] = terms.get(t, Fraction(0)) + c
-            out = TateElement(ambient, terms)
+        return self._laurent_normal(out)
+
+    def _laurent_normal(self, w: TateElement) -> TateElement:
+        """The Laurent layer alone: every pair u*v -> b/a."""
+        if not self.laurent_pairs:
+            return w
+        ambient = self.ambient
+        pairs = [
+            (ambient.index(u), ambient.index(v), q)
+            for (u, v), q in self.laurent_pairs.items()
+        ]
+        terms: dict[Exponent, Fraction] = {}
+        for exponent, c in w.terms.items():
+            e = list(exponent)
+            for iu, iv, q in pairs:
+                m = min(e[iu], e[iv])
+                if m:
+                    e[iu] -= m
+                    e[iv] -= m
+                    c = c * q**m
+            t = tuple(e)
+            prev = terms.get(t)
+            terms[t] = c if prev is None else prev + c
+        return TateElement._trusted(ambient, terms)
+
+    def pushed_images(
+        self,
+        ambient: Polyradius,
+        rename: Mapping[str, str] | None,
+        exponents: Sequence[Exponent],
+    ) -> list[TateElement]:
+        """`shape_normal` of each monomial x^e of `ambient`, pushed into
+        this ambient along `rename`, for each e of `exponents`.
+
+        Pushing along a rename and shape normalization are multiplicative,
+        so the image of x^e is the image of its lower neighbour x^(e - eps_i)
+        (`walk_down`) times the image of x_i, normalized once.  Images are
+        kept per (ambient, rename), so an exponent costs one product the
+        first time any caller asks for it.  A grevlex-ordered basis that is
+        closed under lowering one coordinate (a shape basis) always finds
+        its lower neighbour known.
+        """
+        rename = rename or {}
+        key = (ambient, tuple(sorted(rename.items())))
+        if key not in self._pushed:
+            gens = [
+                self.shape_normal(
+                    TateElement.variable(self.ambient, rename.get(name, name))
+                )
+                for name in ambient.names
+            ]
+            one = TateElement.constant(self.ambient, 1)
+            self._pushed[key] = ({(0,) * ambient.nvars: one}, gens)
+        images, gens = self._pushed[key]
+        out = []
+        for exponent in exponents:
+            img, steps = walk_down(exponent, images)
+            # Products of shape normal forms are free of substituted
+            # variables, so only the Laurent layer is left to apply.
+            for e, i in steps:
+                img = images[e] = self._laurent_normal(img * gens[i])
+            out.append(img)
         return out
 
     # -- bases and reduction ------------------------------------------------
@@ -388,8 +444,14 @@ class AffinoidPresentation:
         and Laurent normalization) and their column index map.
 
         Both depend only on the substitution and Laurent layers, which are
-        fixed once `_normalize` has run, so they are computed once per D.
-        Callers must not mutate the returned list or map.
+        fixed once `_normalize` has run.  Shape monomials are closed under
+        lowering one coordinate, so layer d is layer d-1 with one free
+        variable raised (at or after its last nonzero one, so that each
+        monomial comes up once), less what a Laurent pair rewrites.  Layers
+        are appended in grevlex order, so each basis is a prefix of the
+        next.  The map covers every layer built so far: a monomial of degree
+        <= D is in it exactly when it is in the degree-D basis.  Callers
+        must not mutate the returned list or map.
         """
         cached = self._shape_cache.get(degree)
         if cached is not None:
@@ -399,23 +461,24 @@ class AffinoidPresentation:
         pair_idx = [
             (ambient.index(u), ambient.index(v)) for (u, v) in self.laurent_pairs
         ]
-        out: list[Exponent] = []
-
-        def rec(pos: int, remaining: int, acc: list[int]) -> None:
-            if pos == len(free):
-                e = [0] * ambient.nvars
-                for i, k in zip(free, acc):
-                    e[i] = k
-                if all(e[iu] == 0 or e[iv] == 0 for iu, iv in pair_idx):
-                    out.append(tuple(e))
-                return
-            for k in range(remaining + 1):
-                rec(pos + 1, remaining - k, acc + [k])
-
-        rec(0, degree, [])
-        out.sort(key=grevlex_key)
+        shapes, starts = self._shapes, self._layer_starts
+        while len(starts) <= degree + 1:
+            layer = []
+            for f in shapes[starts[-2]:]:
+                last = max((i for i in free if f[i]), default=-1)
+                for i in free:
+                    if i < last:
+                        continue
+                    e = f[:i] + (f[i] + 1,) + f[i + 1:]
+                    if all(e[iu] == 0 or e[iv] == 0 for iu, iv in pair_idx):
+                        layer.append(e)
+            layer.sort(key=grevlex_key)
+            for e in layer:
+                self._shape_col[e] = len(shapes)
+                shapes.append(e)
+            starts.append(len(shapes))
         cached = self._shape_cache[degree] = (
-            out, {e: j for j, e in enumerate(out)}
+            shapes[:starts[degree + 1]], self._shape_col
         )
         return cached
 
@@ -497,7 +560,7 @@ class AffinoidPresentation:
         coords = reduce_against(
             {col_of[e]: c for e, c in shaped.terms.items()}, *generic
         )
-        return TateElement(
+        return TateElement._trusted(
             self.ambient, {shape_basis[j]: coords[j] for j in sorted(coords)}
         )
 

@@ -37,6 +37,8 @@ input produce byte-identical output.  The exit status is 0 exactly when
 every check verdict is holds / exact / covered / ok, and 2 with a
 `line N:` message when the file is malformed or the library rejects what a
 line asks for (a zero radius, a norm-table element above the truncation).
+An unexpected exception also exits 2, with one `error: internal error:`
+line, so that a crash never reads as a failed check (exit 1).
 """
 
 from __future__ import annotations
@@ -518,6 +520,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         report = run_scenario(args.scenario, args.degree, args.fail_fast)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # A crash is not a failed check (exit 1): one line, exit 2, and the
+        # traceback only at AFND_LOG=DEBUG.
+        log.debug("internal error", exc_info=True)
+        print(
+            f"error: internal error: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
         return 2
     text = render_report(report)
     sys.stdout.write(text)

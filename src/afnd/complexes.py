@@ -11,8 +11,9 @@ tensor variables) and the fold map of a self-tensor onto its factor
 (coefficient 1, renamed copies sent back).
 
 This module is the one place where a linear map between presentations
-becomes a matrix.  All matrices are exact and sparse, one row per target
-basis vector, and each differential is built once per complex and degree.
+becomes a matrix: exact, sparse, one row per target basis vector, built once
+per complex and degree, with columns from a walk of the exponent lattice
+(`AffinoidPresentation.pushed_images`).
 Images that overflow the requested degree enlarge the target truncation
 instead of dropping terms.  "Homology vanishes at degree D" therefore means:
 every cycle supported in degree <= D is the boundary of a chain supported in
@@ -127,28 +128,26 @@ class ChainComplex:
         return self._matrices[key]
 
     def _build_matrix(self, n: int, degree: int) -> DifferentialMatrix:
-        """One pass over the source basis applies the substitution/Laurent
-        layers to every image and so fixes the growth degree; the generic
-        layer needs that degree bound and reduces the images afterwards."""
+        """Per component, `pushed_images` walks the source exponents; each
+        image times the shape-normal coefficient is normalized once.  That
+        fixes the growth degree; the generic layer needs that bound and
+        reduces the images afterwards."""
         source = self.level_basis(n, degree)
-        comps = self.components.get(n, {})
-        sources = self.levels[n]
-        targets = self.levels[n + 1]
-        images: list[list[tuple[int, TateElement]]] = []
+        sources, targets = self.levels[n], self.levels[n + 1]
+        images: list[list[tuple[int, TateElement]]] = [[] for _ in source.entries]
         growth = degree
-        for si, e in source.entries:
-            mono = TateElement.monomial(sources[si].algebra.ambient, e, 1)
-            img = []
-            for (t, s), comp in comps.items():
-                if s != si:
-                    continue
-                alg = targets[t].algebra
-                pushed = mono.in_ambient(alg.ambient, comp.rename)
-                val = alg.shape_normal(comp.coeff * pushed)
+        for (t, s), comp in self.components.get(n, {}).items():
+            alg = targets[t].algebra
+            cols = [(j, e) for j, (si, e) in enumerate(source.entries) if si == s]
+            coeff = alg.shape_normal(comp.coeff)
+            pushed = alg.pushed_images(
+                sources[s].algebra.ambient, comp.rename, [e for _, e in cols]
+            )
+            for (j, _), img in zip(cols, pushed):
+                val = alg.shape_normal(coeff * img)
                 if not val.is_zero:
                     growth = max(growth, val.total_degree())
-                    img.append((t, val))
-            images.append(img)
+                    images[j].append((t, val))
         target = self.level_basis(n + 1, growth)
         entries: list[SparseRow] = [{} for _ in range(target.dim)]
         for j, img in enumerate(images):

@@ -217,6 +217,8 @@ def check_transversal(
         return MorphismVerdict(
             kind, UNRESOLVED, degree, "module is not presented over the base"
         )
+    if target.is_zero_algebra:
+        return MorphismVerdict(kind, HOLDS, degree, "target is the zero algebra")
     scan = _tor_scan(kind, module, base, target, degree, 0)
     if isinstance(scan, MorphismVerdict):
         return scan

@@ -4,6 +4,9 @@ Elements are finitely supported polynomials over the base field, tagged with
 their ambient polyradius.  Polynomials are dense in the full algebra of
 convergent series, and every downstream verdict is certified at a truncation
 degree, so series tails never enter any statement made by this package.
+Elements are validated where they enter (the public constructor, `monomial`,
+`variable`, `constant`, `parse_element`); results of arithmetic are built by
+a trusted constructor that only drops zero coefficients.
 
 Exponent vectors are ordered grevlex (total degree, then reversed-lexicographic
 tiebreak on variable index) for canonical printing and deterministic
@@ -16,16 +19,39 @@ import dataclasses
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from operator import add
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from afnd.scalar import FieldSpec, NormValue, Rational, max_norm, scalar_norm
 
 Exponent = tuple[int, ...]
+V = TypeVar("V")
 
 
 def grevlex_key(exponent: Exponent):
     """Sort key: ascending total degree, grevlex within a degree."""
     return (sum(exponent), tuple(-e for e in reversed(exponent)))
+
+
+def walk_down(
+    exponent: Exponent, known: Mapping[Exponent, V]
+) -> tuple[V, list[tuple[Exponent, int]]]:
+    """Lower the last nonzero coordinate of `exponent` until an exponent in
+    `known` is reached, which must hold the zero exponent.
+
+    Returns the value found and the steps back up: (e, i) for each exponent
+    e passed on the way, lowest first, with i the coordinate lowered at e.
+    Memos of multiplicative values walk back up with one product per step.
+    """
+    value = known.get(exponent)
+    steps = []
+    while value is None:
+        i = max(k for k, v in enumerate(exponent) if v)
+        steps.append((exponent, i))
+        exponent = exponent[:i] + (exponent[i] - 1,) + exponent[i + 1:]
+        value = known.get(exponent)
+    steps.reverse()
+    return value, steps
 
 
 @dataclass(frozen=True)
@@ -48,6 +74,7 @@ class Polyradius:
         for r in self.radii:
             if r.is_zero:
                 raise ValueError("radii must be positive")
+        self._weights[(0,) * len(self.names)] = NormValue.one()
 
     @property
     def nvars(self) -> int:
@@ -63,13 +90,11 @@ class Polyradius:
         return self.radii[self.index(name)]
 
     def monomial_weight(self, exponent: Exponent) -> NormValue:
-        w = self._weights.get(exponent)
-        if w is None:
-            w = NormValue.one()
-            for r, e in zip(self.radii, exponent):
-                if e:
-                    w = w * r**e
-            self._weights[exponent] = w
+        """r^e: the weight of a known lower neighbour (`walk_down`) times
+        radii, one product per exponent not seen before."""
+        w, steps = walk_down(exponent, self._weights)
+        for e, i in steps:
+            w = self._weights[e] = w * self.radii[i]
         return w
 
     def extend(self, names: Sequence[str], radii: Sequence[NormValue]) -> "Polyradius":
@@ -96,6 +121,18 @@ class TateElement:
             if c != 0:
                 cleaned[exponent] = cleaned.get(exponent, Fraction(0)) + c
         self.terms = {e: c for e, c in cleaned.items() if c != 0}
+
+    @classmethod
+    def _trusted(
+        cls, ambient: Polyradius, terms: Mapping[Exponent, Fraction]
+    ) -> "TateElement":
+        """A result of this package's own arithmetic: exponents are tuples
+        of the ambient's length and coefficients Fractions already, so only
+        the zero coefficients are dropped."""
+        out = cls.__new__(cls)
+        out.ambient = ambient
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -139,7 +176,7 @@ class TateElement:
     # -- arithmetic --------------------------------------------------------
 
     def _check_same_ambient(self, other: "TateElement") -> None:
-        if self.ambient != other.ambient:
+        if self.ambient is not other.ambient and self.ambient != other.ambient:
             raise ValueError(
                 f"ambient mismatch: {self.ambient} vs {other.ambient}"
             )
@@ -148,11 +185,14 @@ class TateElement:
         self._check_same_ambient(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return TateElement(self.ambient, terms)
+            prev = terms.get(e)
+            terms[e] = c if prev is None else prev + c
+        return TateElement._trusted(self.ambient, terms)
 
     def __neg__(self) -> "TateElement":
-        return TateElement(self.ambient, {e: -c for e, c in self.terms.items()})
+        return TateElement._trusted(
+            self.ambient, {e: -c for e, c in self.terms.items()}
+        )
 
     def __sub__(self, other: "TateElement") -> "TateElement":
         return self + (-other)
@@ -162,13 +202,17 @@ class TateElement:
         terms: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return TateElement(self.ambient, terms)
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                prev = terms.get(e)
+                terms[e] = c if prev is None else prev + c
+        return TateElement._trusted(self.ambient, terms)
 
     def scale(self, c: Rational) -> "TateElement":
         c = Fraction(c)
-        return TateElement(self.ambient, {e: c * v for e, v in self.terms.items()})
+        return TateElement._trusted(
+            self.ambient, {e: c * v for e, v in self.terms.items()}
+        )
 
     def __pow__(self, k: int) -> "TateElement":
         if k < 0:
@@ -251,28 +295,27 @@ class TateElement:
             for pos, k in zip(positions, e):
                 new[pos] += k
             new_t = tuple(new)
-            terms[new_t] = terms.get(new_t, Fraction(0)) + c
-        return TateElement(ambient, terms)
+            prev = terms.get(new_t)
+            terms[new_t] = c if prev is None else prev + c
+        return TateElement._trusted(ambient, terms)
 
     def substitute(self, name: str, replacement: "TateElement") -> "TateElement":
         """Exact substitution of one variable by an element of the same ambient."""
         self._check_same_ambient(replacement)
         i = self.ambient.index(name)
-        powers: dict[int, TateElement] = {0: TateElement.constant(self.ambient, 1)}
-        out = TateElement.zero(self.ambient)
+        powers = [TateElement.constant(self.ambient, 1)]
+        terms: dict[Exponent, Fraction] = {}
         for e, c in self.sorted_terms():
             k = e[i]
-            if k not in powers:
-                kk = max(powers)
-                acc = powers[kk]
-                while kk < k:
-                    acc = acc * replacement
-                    kk += 1
-                    powers[kk] = acc
-            rest = list(e)
-            rest[i] = 0
-            out = out + powers[k] * TateElement.monomial(self.ambient, tuple(rest), c)
-        return out
+            while len(powers) <= k:
+                powers.append(powers[-1] * replacement)
+            rest = e[:i] + (0,) + e[i + 1:]
+            for pe, pc in powers[k].terms.items():
+                t = tuple(map(add, pe, rest))
+                v = pc * c
+                prev = terms.get(t)
+                terms[t] = v if prev is None else prev + v
+        return TateElement._trusted(self.ambient, terms)
 
     def recenter(self, center: Sequence[Rational]) -> "TateElement":
         """Exact shift x_i -> x_i + c_i (used for Gauss points off the origin)."""

@@ -1,6 +1,7 @@
 """The scenario runner: parsing, execution, determinism, exit codes."""
 
 import json
+import logging
 import pathlib
 import subprocess
 import sys
@@ -207,6 +208,31 @@ def test_main_exit_codes(tmp_path, capsys):
     bad.write_text(MINIMAL + "\ncheck broken hoepi A Z\n")
     assert main([str(bad)]) == 2
     assert main([str(tmp_path / "missing.afnd")]) == 2
+
+
+def test_internal_error_exits_2_with_one_line(
+    tmp_path, capsys, monkeypatch, caplog
+):
+    """A crash inside a check is not a failed check: exit 2, one line on
+    stderr, and the traceback only in the DEBUG log."""
+    good = tmp_path / "good.afnd"
+    good.write_text(MINIMAL)
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("no such branch")
+
+    monkeypatch.setattr(afnd.cli, "_run_check", crash)
+    monkeypatch.delenv("AFND_LOG", raising=False)
+    assert main([str(good)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: RuntimeError: no such branch\n"
+    assert not [r for r in caplog.records if r.exc_info]
+    with caplog.at_level(logging.DEBUG, logger="afnd"):
+        assert main([str(good)]) == 2
+    [record] = [r for r in caplog.records if r.exc_info]
+    assert record.levelno == logging.DEBUG
+    assert record.exc_info[0] is RuntimeError
 
 
 def test_main_json_flag(tmp_path):

@@ -1,8 +1,12 @@
 """Chain complexes of affinoid summands: differentials, homology, Koszul."""
 
+import itertools
 from fractions import Fraction
 
+import pytest
+
 from afnd.affinoid import free_affinoid, quotient, weierstrass_localization
+from afnd.cech import CoverData, build_complex
 from afnd.complexes import (
     ChainComplex,
     MapComponent,
@@ -14,8 +18,10 @@ from afnd.complexes import (
     resolution_of,
     strict_exactness,
 )
+from afnd.homotopy import _make_resolution
 from afnd.scalar import FieldSpec, NormValue
-from afnd.tate import Polyradius, parse_element
+from afnd.tate import Polyradius, TateElement, grevlex_key, parse_element
+from test_homotopy import fold_maps, scenario_pairs
 
 Q5 = FieldSpec.padic(5)
 
@@ -149,3 +155,144 @@ def test_derived_tensor_self_intersection():
     # Tor_0 = Tor_1 = k for the fiber against itself.
     assert homology(cx, 0, 8).rank == 1
     assert homology(cx, -1, 8).rank == 1
+
+
+# -- assembly against the element-by-element oracle --------------------------
+
+
+def reference_matrix(cx, n, degree):
+    """d^n assembled one source monomial at a time, as it was before columns
+    were walked: push the monomial into the target, multiply by the
+    coefficient, shape-normalize, and reduce at the growth degree G.
+
+    Returns G, the target basis entries and {(target entry, source entry):
+    coefficient}.
+    """
+    sources, targets = cx.levels[n], cx.levels[n + 1]
+    images = []
+    growth = degree
+    for si, summand in enumerate(sources):
+        for e in summand.algebra.monomial_basis(degree):
+            mono = TateElement.monomial(summand.algebra.ambient, e)
+            for (t, s), comp in cx.components[n].items():
+                if s != si:
+                    continue
+                alg = targets[t].algebra
+                val = alg.shape_normal(
+                    comp.coeff * mono.in_ambient(alg.ambient, comp.rename)
+                )
+                growth = max(growth, val.total_degree())
+                images.append(((si, e), t, val))
+    rows = [
+        (t, e)
+        for t, summand in enumerate(targets)
+        for e in summand.algebra.monomial_basis(growth)
+    ]
+    entries = {}
+    for col, t, val in images:
+        nf = targets[t].algebra.generic_normal_form(val, growth)
+        for e, c in nf.terms.items():
+            entries[((t, e), col)] = c
+    return growth, rows, entries
+
+
+def fold_complex(big, target, rename):
+    """The two-level complex of `homotopy._reduce_fold_map`."""
+    inverse = {v: k for k, v in rename.items()}
+    one = TateElement.constant(target.ambient, 1)
+    return ChainComplex(
+        target.field,
+        {0: [Summand(big, "source")], 1: [Summand(target, "target")]},
+        {0: {(0, 0): MapComponent(one, inverse)}},
+    )
+
+
+def oracle_complexes():
+    """(label, complex) for every Koszul and derived-tensor complex, fold map
+    and Cech complex that the bundled scenarios' algebras give, plus
+    complexes into a zero algebra."""
+    pairs = list(scenario_pairs())
+    over: dict[int, list] = {}  # base -> the base and what is over it
+    for _, base, piece in pairs:
+        over.setdefault(id(base), [base]).append(piece)
+    for label, base, piece in pairs:
+        for k, (big, target, rename) in enumerate(fold_maps(base, piece)):
+            yield f"{label} fold {k}", fold_complex(big, target, rename)
+        res = _make_resolution(base, piece)
+        if res is None:
+            continue
+        yield f"{label} koszul", res.complex
+        for m, module in enumerate(over[id(base)]):
+            yield f"{label} derived {m}", derived_tensor(module, res)[0]
+    for base, *rest in over.values():
+        pieces = tuple(p for p in rest if p.localization is not None)
+        if len(pieces) > 1:
+            yield f"cech {base!r}", build_complex(CoverData(base, pieces), len(pieces))
+    A = free_affinoid(disc())
+    Z = quotient(A, [parse_element("1 + 5*x", A.ambient)])
+    assert Z.is_zero_algebra
+    one = TateElement.constant(Z.ambient, 1)
+    yield "into zero", ChainComplex(
+        Q5,
+        {0: [Summand(A, "A")], 1: [Summand(Z, "Z")]},
+        {0: {(0, 0): MapComponent(one)}},
+    )
+    res = quotient_resolution(A, [parse_element("x", A.ambient)])
+    yield "zero derived", derived_tensor(Z, res)[0]
+
+
+@pytest.mark.parametrize("degree", [6, 12])
+def test_matrices_match_element_by_element_assembly(degree):
+    labels = []
+    for label, cx in oracle_complexes():
+        labels.append(label)
+        for n in sorted(cx.components):
+            m = cx.matrix(n, degree)
+            got = {
+                (m.target.entries[i], m.source.entries[j]): c
+                for i, row in enumerate(m.entries)
+                for j, c in row.items()
+            }
+            growth, rows, entries = reference_matrix(cx, n, degree)
+            assert m.target.truncation == growth, (label, n)
+            assert m.target.entries == rows, (label, n)
+            assert got == entries, (label, n)
+    assert len(labels) >= 60
+    assert any("cech" in label for label in labels)
+
+
+def test_weights_and_shape_bases_match_brute_force():
+    """Walked weights are products of radius powers.  Layered shape bases
+    hold every free-variable monomial that no Laurent pair rewrites, in
+    grevlex order, and each is a prefix of the next."""
+    algebras = {}
+    for _, cx in oracle_complexes():
+        for summands in cx.levels.values():
+            for s in summands:
+                algebras[id(s.algebra)] = s.algebra
+    assert len(algebras) >= 20
+    for alg in algebras.values():
+        amb = alg.ambient
+        free = alg.free_variable_indices()
+        pairs = [(amb.index(u), amb.index(v)) for u, v in alg.laurent_pairs]
+        bases = {}
+        for degree in (12, 5, 6):
+            brute = []
+            for ks in itertools.product(range(degree + 1), repeat=len(free)):
+                e = [0] * amb.nvars
+                for i, k in zip(free, ks):
+                    e[i] = k
+                if sum(e) <= degree and all(e[u] == 0 or e[v] == 0 for u, v in pairs):
+                    brute.append(tuple(e))
+            brute.sort(key=grevlex_key)
+            basis, col_of = alg._shape_basis(degree)
+            assert basis == brute
+            assert all(col_of[e] == j for j, e in enumerate(basis))
+            bases[degree] = basis
+        assert bases[12][: len(bases[6])] == bases[6]
+        # Highest degree first, so that the first weights walk far down.
+        for e in reversed(bases[12]):
+            expected = NormValue.one()
+            for r, k in zip(amb.radii, e):
+                expected = expected * r**k
+            assert amb.monomial_weight(e) == expected

@@ -345,6 +345,10 @@ def test_verdict_details():
             "no resolution available for the target", {},
         ),
         (check_transversal(A, A, J, D), UNRESOLVED, fallback, {}),
+        (
+            check_transversal(A, A, Z, D), HOLDS,
+            "target is the zero algebra", {},
+        ),
     ]
     for verdict, status, detail, ranks in cases:
         assert (verdict.status, verdict.detail) == (status, detail)
