@@ -14,7 +14,8 @@ reduction machinery normalizes relations into three layers:
 
 `normal_form` runs the first two layers (`shape_normal`) and then the third
 (`generic_normal_form`); a caller that already holds shape normal forms
-runs only the third.
+runs only the third, and a product of shape normal forms, which contains no
+substituted variable, needs only the Laurent layer (`laurent_normal`).
 
 A presentation is recognized as the zero algebra when some reduced relation
 has a dominant constant term: a*1 = (a - rel) + rel with ||a - rel|| < |a|
@@ -364,30 +365,11 @@ class AffinoidPresentation:
         for var, h in self.substitutions.items():
             if out.uses(var):
                 out = out.substitute(var, h)
-        return self._laurent_normal(out)
+        return self.laurent_normal(out)
 
-    def _laurent_normal(self, w: TateElement) -> TateElement:
+    def laurent_normal(self, w: TateElement) -> TateElement:
         """The Laurent layer alone: every pair u*v -> b/a."""
-        if not self.laurent_pairs:
-            return w
-        ambient = self.ambient
-        pairs = [
-            (ambient.index(u), ambient.index(v), q)
-            for (u, v), q in self.laurent_pairs.items()
-        ]
-        terms: dict[Exponent, Fraction] = {}
-        for exponent, c in w.terms.items():
-            e = list(exponent)
-            for iu, iv, q in pairs:
-                m = min(e[iu], e[iv])
-                if m:
-                    e[iu] -= m
-                    e[iv] -= m
-                    c = c * q**m
-            t = tuple(e)
-            prev = terms.get(t)
-            terms[t] = c if prev is None else prev + c
-        return TateElement._trusted(ambient, terms)
+        return w.cancel_pairs(self.laurent_pairs)
 
     def pushed_images(
         self,
@@ -424,7 +406,7 @@ class AffinoidPresentation:
             # Products of shape normal forms are free of substituted
             # variables, so only the Laurent layer is left to apply.
             for e, i in steps:
-                img = images[e] = self._laurent_normal(img * gens[i])
+                img = images[e] = self.laurent_normal(img * gens[i])
             out.append(img)
         return out
 
@@ -560,7 +542,7 @@ class AffinoidPresentation:
         coords = reduce_against(
             {col_of[e]: c for e, c in shaped.terms.items()}, *generic
         )
-        return TateElement._trusted(
+        return TateElement(
             self.ambient, {shape_basis[j]: coords[j] for j in sorted(coords)}
         )
 

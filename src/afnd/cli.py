@@ -35,10 +35,12 @@ Checks run in declaration order and the JSON report lists them in that
 order.  Reports contain no timestamps or timings, so two runs on the same
 input produce byte-identical output.  The exit status is 0 exactly when
 every check verdict is holds / exact / covered / ok, and 2 with a
-`line N:` message when the file is malformed or the library rejects what a
-line asks for (a zero radius, a norm-table element above the truncation).
-An unexpected exception also exits 2, with one `error: internal error:`
-line, so that a crash never reads as a failed check (exit 1).
+`line N:` message when the file is malformed, is not UTF-8 text, or the
+library rejects what a line asks for (a zero radius, a norm-table element
+above the truncation).  A `--json` file that cannot be written exits 2
+with one `error:` line naming it.  An unexpected exception also exits 2,
+with one `error: internal error:` line, so that a crash never reads as a
+failed check (exit 1).
 """
 
 from __future__ import annotations
@@ -458,8 +460,16 @@ def _run_check(spec: CheckSpec, sc: Scenario, degree: int, proved: dict) -> dict
 def run_scenario(
     path: str, degree: Optional[int] = None, fail_fast: bool = False
 ) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        sc = parse_scenario(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(
+            f"{path} is not UTF-8 text ({exc.reason})",
+            data.count(b"\n", 0, exc.start) + 1,
+        ) from None
+    sc = parse_scenario(text)
     d = degree if degree is not None else sc.degree
     field_str = (
         f"p-adic {sc.field_spec.p}"
@@ -533,8 +543,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     text = render_report(report)
     sys.stdout.write(text)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     return 0 if report["all_passed"] else 1
 
 

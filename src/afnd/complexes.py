@@ -13,7 +13,9 @@ tensor variables) and the fold map of a self-tensor onto its factor
 This module is the one place where a linear map between presentations
 becomes a matrix: exact, sparse, one row per target basis vector, built once
 per complex and degree, with columns from a walk of the exponent lattice
-(`AffinoidPresentation.pushed_images`).
+(`AffinoidPresentation.pushed_images`).  Ranks need no norms, so the monomial
+weights of a level basis and the norm of a witness cycle are computed when
+read, by `strict_exactness` or a printed witness.
 Images that overflow the requested degree enlarge the target truncation
 instead of dropping terms.  "Homology vanishes at degree D" therefore means:
 every cycle supported in degree <= D is the boundary of a chain supported in
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
@@ -37,7 +40,7 @@ from afnd.linalg import (
 )
 from afnd.normed import classify
 from afnd.scalar import FieldSpec, NormValue
-from afnd.tate import Exponent, TateElement
+from afnd.tate import Exponent, Polyradius, TateElement
 
 
 @dataclass(frozen=True)
@@ -57,13 +60,25 @@ class MapComponent:
 @dataclass
 class LevelBasis:
     entries: list[tuple[int, Exponent]]  # (summand index, exponent)
-    weights: list[NormValue]
     truncation: int
     index: dict[tuple[int, Exponent], int]  # entry -> position
+    ambients: list[Polyradius]  # per summand of the level
 
     @property
     def dim(self) -> int:
         return len(self.entries)
+
+    @cached_property
+    def weights(self) -> list[NormValue]:
+        return [self.ambients[si].monomial_weight(e) for si, e in self.entries]
+
+    def parts(self, coords: SparseRow) -> dict[int, TateElement]:
+        """A sparse vector as one element per summand it touches."""
+        terms: dict[int, dict[Exponent, Fraction]] = {}
+        for k, c in coords.items():
+            si, e = self.entries[k]
+            terms.setdefault(si, {})[e] = c
+        return {si: TateElement(self.ambients[si], t) for si, t in terms.items()}
 
 
 @dataclass
@@ -106,18 +121,21 @@ class ChainComplex:
         and shared like the matrices."""
         key = (n, degree)
         if key not in self._bases:
-            entries: list[tuple[int, Exponent]] = []
-            weights: list[NormValue] = []
-            for si, summand in enumerate(self.levels.get(n, [])):
-                for e in summand.algebra.monomial_basis(degree):
-                    entries.append((si, e))
-                    weights.append(summand.algebra.ambient.monomial_weight(e))
+            algebras = [s.algebra for s in self.levels.get(n, [])]
+            entries = [
+                (si, e)
+                for si, alg in enumerate(algebras)
+                for e in alg.monomial_basis(degree)
+            ]
             index = {k: j for j, k in enumerate(entries)}
-            self._bases[key] = LevelBasis(entries, weights, degree, index)
+            self._bases[key] = LevelBasis(
+                entries, degree, index, [alg.ambient for alg in algebras]
+            )
         return self._bases[key]
 
     def matrix(self, n: int, degree: int) -> DifferentialMatrix:
-        """d^n from the degree-<=degree source basis, exact.
+        """d^n from the degree-<=degree source basis, exact; the zero map
+        where no component is given.
 
         Built once per (n, degree): levels and components are fixed after
         construction, so later calls return the same matrix.
@@ -129,11 +147,12 @@ class ChainComplex:
 
     def _build_matrix(self, n: int, degree: int) -> DifferentialMatrix:
         """Per component, `pushed_images` walks the source exponents; each
-        image times the shape-normal coefficient is normalized once.  That
-        fixes the growth degree; the generic layer needs that bound and
-        reduces the images afterwards."""
+        image times the shape-normal coefficient is a product of shape
+        normal forms, so only the Laurent layer is applied.  That fixes the
+        growth degree; the generic layer needs that bound and reduces the
+        images afterwards."""
         source = self.level_basis(n, degree)
-        sources, targets = self.levels[n], self.levels[n + 1]
+        sources, targets = self.levels.get(n, []), self.levels.get(n + 1, [])
         images: list[list[tuple[int, TateElement]]] = [[] for _ in source.entries]
         growth = degree
         for (t, s), comp in self.components.get(n, {}).items():
@@ -144,7 +163,7 @@ class ChainComplex:
                 sources[s].algebra.ambient, comp.rename, [e for _, e in cols]
             )
             for (j, _), img in zip(cols, pushed):
-                val = alg.shape_normal(coeff * img)
+                val = alg.laurent_normal(coeff * img)
                 if not val.is_zero:
                     growth = max(growth, val.total_degree())
                     images[j].append((t, val))
@@ -157,28 +176,16 @@ class ChainComplex:
                     entries[target.index[(t, e)]][j] = c
         return DifferentialMatrix(source, target, entries)
 
-    def _parts(
-        self, n: int, coords: SparseRow, basis: LevelBasis
-    ) -> dict[int, TateElement]:
-        """A sparse level-n vector as one element per summand it touches."""
-        terms: dict[int, dict[Exponent, Fraction]] = {}
-        for k, c in coords.items():
-            si, e = basis.entries[k]
-            terms.setdefault(si, {})[e] = c
-        summands = self.levels[n]
-        return {
-            si: TateElement(summands[si].algebra.ambient, t)
-            for si, t in terms.items()
-        }
-
     def embed(
         self, n: int, coords: SparseRow, frm: LevelBasis, into: LevelBasis
     ) -> SparseRow:
-        """Re-express a sparse level-n vector on a larger-degree basis."""
+        """Re-express a sparse level-n vector on a larger-degree basis.  Its
+        basis monomials are shape normal forms, so only the generic layer
+        runs."""
         summands = self.levels[n]
         out: SparseRow = {}
-        for si, v in self._parts(n, coords, frm).items():
-            nf = summands[si].algebra.normal_form(v, into.truncation)
+        for si, v in frm.parts(coords).items():
+            nf = summands[si].algebra.generic_normal_form(v, into.truncation)
             for e, c in nf.terms.items():
                 out[into.index[(si, e)]] = c
         return out
@@ -205,11 +212,23 @@ class ChainComplex:
 
 @dataclass
 class CycleWitness:
-    """A representative cycle, one element per summand of its level."""
+    """A representative cycle, one element per summand of its level, and
+    its coordinates on the level basis, which give its norm when read."""
 
     degree: int
     parts: dict[int, TateElement]
-    norm: NormValue
+    coords: SparseRow
+    basis: LevelBasis
+    field: FieldSpec
+
+    @property
+    def norm(self) -> NormValue:
+        weights = self.basis.weights
+        return vector_norm(
+            self.field,
+            list(self.coords.values()),
+            [weights[k] for k in self.coords],
+        )
 
 
 @dataclass
@@ -219,19 +238,11 @@ class HomologyReport:
     cycle_rank: int
     rank: int
     is_zero: bool
-    witnesses: list[CycleWitness]
+    # The first cycle that is not a boundary, None when homology vanishes.
+    witness: Optional[CycleWitness]
     # Rank of d^{n-1} from the degree-bounded basis: the boundary space the
     # cycles are tested against (0 where d^{n-1} is absent).
-    boundary_rank: int = 0
-
-
-def _cycle_to_witness(
-    cx: ChainComplex, n: int, coords: SparseRow, basis: LevelBasis
-) -> CycleWitness:
-    norm = vector_norm(
-        cx.field, list(coords.values()), [basis.weights[k] for k in coords]
-    )
-    return CycleWitness(n, cx._parts(n, coords, basis), norm)
+    boundary_rank: int
 
 
 def cycles(
@@ -240,19 +251,16 @@ def cycles(
     """The degree-<=degree level-n basis and a sparse basis of the kernel
     of d^n on it (all of the level where d^n is absent)."""
     basis = cx.level_basis(n, degree)
-    rows = cx.matrix(n, degree).entries if n in cx.components else []
-    return basis, kernel_basis(rows, basis.dim)
+    return basis, kernel_basis(cx.matrix(n, degree).entries, basis.dim)
 
 
 def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
     basis, zs = cycles(cx, n, degree)
-    if n - 1 not in cx.components:
-        witnesses = [_cycle_to_witness(cx, n, z, basis) for z in zs]
-        return HomologyReport(n, degree, len(zs), len(zs), not zs, witnesses)
     min_ = cx.matrix(n - 1, degree)
     # The boundary space, as sparse row vectors over the level-n basis: the
-    # columns of d^{n-1}, read off its rows.  It is eliminated even when
-    # there are no cycles, because the report carries its rank.
+    # columns of d^{n-1} (none where it is absent), read off its rows.  It is
+    # eliminated even when there are no cycles, because the report carries
+    # its rank.
     boundary_cols: list[SparseRow] = [{} for _ in range(min_.source.dim)]
     for i, row in enumerate(min_.entries):
         for j, v in row.items():
@@ -260,7 +268,7 @@ def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
     span_rows, span_pivots = sparse_rref(boundary_cols)
     obst_rows: list[dict] = []
     obst_pivots: list[int] = []
-    witnesses: list[CycleWitness] = []
+    witness = None
     for z in zs:
         zed = cx.embed(n, z, basis, min_.target)
         rem = reduce_against(zed, span_rows, span_pivots)
@@ -270,10 +278,11 @@ def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
             pv = rem[c]
             obst_rows.append({j: v / pv for j, v in rem.items()})
             obst_pivots.append(c)
-            witnesses.append(_cycle_to_witness(cx, n, z, basis))
+            if witness is None:
+                witness = CycleWitness(n, basis.parts(z), z, basis, cx.field)
     quotient_rank = len(obst_rows)
     return HomologyReport(
-        n, degree, len(zs), quotient_rank, quotient_rank == 0, witnesses,
+        n, degree, len(zs), quotient_rank, quotient_rank == 0, witness,
         len(span_pivots),
     )
 
@@ -328,7 +337,7 @@ def strict_exactness(
         else:
             exact = False
             verdicts.append(
-                DegreeVerdict(n, False, rep.rank, constant, rep.witnesses[0])
+                DegreeVerdict(n, False, rep.rank, constant, rep.witness)
             )
     return ExactnessWitness(degree, verdicts, exact, overall)
 

@@ -267,5 +267,5 @@ def _tor_scan(
         rep = homology(cx, n, degree)
         ranks[n] = rep.rank
         if n < 0 and rep.rank and witness is None:
-            witness = rep.witnesses[0]
+            witness = rep.witness
     return ranks, witness

@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from afnd.scalar import FieldSpec, NormValue, padic_valuation, scalar_norm
@@ -155,10 +156,11 @@ class NormAwareElimination:
     row_weights on the codomain.  Pivots maximize
     |entry| * row_weight / col_weight, ties broken by smallest row index then
     smallest column index.  After construction, `pivots` lists the (row,
-    column) pairs in the order chosen, `pivot_scores` holds the singular
-    values in that greedy (non-increasing) order, and `srows` holds the
-    Jordan-reduced rows: row i of pivot (i, j) has 1 at column j and nothing
-    at any other pivot column, and every other row is empty.
+    column) pairs in the order chosen and `srows` holds the Jordan-reduced
+    rows: row i of pivot (i, j) has 1 at column j and nothing at any other
+    pivot column, and every other row is empty.  `pivot_scores`, the
+    singular values in that greedy (non-increasing) order, is computed from
+    the kept pivot entries when first read.
 
     Pivots are chosen on an exact rational key: with L
     the lcm of the denominators of every weight exponent, the key of (i, j)
@@ -186,7 +188,7 @@ class NormAwareElimination:
             raise ValueError("weight lists must match the matrix shape")
         self._setup_scoring()
         self.pivots: list[tuple[int, int]] = []
-        self.pivot_scores: list[NormValue] = []
+        self._pivot_entries: list[Fraction] = []
         self._eliminate()
 
     def _setup_scoring(self) -> None:
@@ -226,11 +228,7 @@ class NormAwareElimination:
             i = max(best, key=lambda k: best[k][0])
             j = best.pop(i)[1]
             self.pivots.append((i, j))
-            self.pivot_scores.append(
-                scalar_norm(self.field, self.srows[i][j])
-                * self.row_weights[i]
-                / self.col_weights[j]
-            )
+            self._pivot_entries.append(self.srows[i][j])
             for o in _clear_column(self.srows, holders, i, j):
                 if o not in best:
                     continue
@@ -238,6 +236,14 @@ class NormAwareElimination:
                     best[o] = self._best_of_row(o)
                 else:
                     del best[o]
+
+    @cached_property
+    def pivot_scores(self) -> list[NormValue]:
+        rw, cw = self.row_weights, self.col_weights
+        return [
+            scalar_norm(self.field, a) * rw[i] / cw[j]
+            for (i, j), a in zip(self.pivots, self._pivot_entries)
+        ]
 
     @property
     def rank(self) -> int:

@@ -119,7 +119,8 @@ class TateElement:
                 raise ValueError(f"bad exponent {exponent} for {ambient}")
             c = Fraction(c)
             if c != 0:
-                cleaned[exponent] = cleaned.get(exponent, Fraction(0)) + c
+                prev = cleaned.get(exponent)
+                cleaned[exponent] = c if prev is None else prev + c
         self.terms = {e: c for e, c in cleaned.items() if c != 0}
 
     @classmethod
@@ -315,6 +316,31 @@ class TateElement:
                 v = pc * c
                 prev = terms.get(t)
                 terms[t] = v if prev is None else prev + v
+        return TateElement._trusted(self.ambient, terms)
+
+    def cancel_pairs(
+        self, pairs: Mapping[tuple[str, str], Rational]
+    ) -> "TateElement":
+        """Apply each relation u*v = q exactly: every monomial u^a v^b
+        becomes q^m u^(a-m) v^(b-m), m = min(a, b)."""
+        if not pairs:
+            return self
+        idx = [
+            (self.ambient.index(u), self.ambient.index(v), Fraction(q))
+            for (u, v), q in pairs.items()
+        ]
+        terms: dict[Exponent, Fraction] = {}
+        for exponent, c in self.terms.items():
+            e = list(exponent)
+            for iu, iv, q in idx:
+                m = min(e[iu], e[iv])
+                if m:
+                    e[iu] -= m
+                    e[iv] -= m
+                    c = c * q**m
+            t = tuple(e)
+            prev = terms.get(t)
+            terms[t] = c if prev is None else prev + c
         return TateElement._trusted(self.ambient, terms)
 
     def recenter(self, center: Sequence[Rational]) -> "TateElement":

@@ -6,6 +6,7 @@ import pytest
 
 from afnd.affinoid import (
     BezoutCertificate,
+    GENERIC_BOUNDED,
     PresentationError,
     free_affinoid,
     laurent_localization,
@@ -136,3 +137,26 @@ def test_is_over_rejects_unrelated():
     A1 = free_affinoid(unit_disc("x"))
     A2 = free_affinoid(unit_disc("y"))
     assert not A2.is_over(A1)
+
+
+def test_generic_basis_builds_no_pivot_scores(monkeypatch):
+    """The normal-form basis reads which columns are pivots, not their
+    scores, so it divides no norms."""
+    bidisc = Polyradius(
+        Q5, ("x", "y"), (NormValue.one(), NormValue.of_rational(2))
+    )
+    M = quotient(free_affinoid(bidisc), [parse_element("3*x^2 - 10*y", bidisc)])
+    assert M.strategy == GENERIC_BOUNDED
+    calls = []
+    divide = NormValue.__truediv__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return divide(a, b)
+
+    monkeypatch.setattr(NormValue, "__truediv__", counted)
+    basis = M.monomial_basis(8)
+    assert calls == []
+    # x^2 = (10/3) y: no basis monomial is divisible by x^2.
+    assert basis and all(e[0] < 2 for e in basis)
+    assert len(basis) == 2 * 8 + 1

@@ -243,6 +243,32 @@ def test_main_json_flag(tmp_path):
     assert json.loads(out.read_text())["all_passed"]
 
 
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_unwritable_json_exits_2_with_one_line(tmp_path, capsys, target):
+    """A missing directory or a directory path is an input error (exit 2),
+    not a traceback with the exit code of a failed check."""
+    good = tmp_path / "good.afnd"
+    good.write_text(MINIMAL)
+    out = str(tmp_path / target)
+    assert main([str(good), "--json", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the report: ")
+    assert err.count("\n") == 1
+    assert repr(out) in err
+
+
+def test_non_utf8_scenario_exits_2_with_line(tmp_path, capsys):
+    path = tmp_path / "latin1.afnd"
+    path.write_bytes(MINIMAL.encode("utf-8") + "# café\n".encode("latin-1"))
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    line = MINIMAL.count("\n") + 1
+    assert err == (
+        f"error: line {line}: {path} is not UTF-8 text "
+        "(invalid continuation byte)\n"
+    )
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "afnd.cli", str(SCENARIOS / "norm_table.afnd")],

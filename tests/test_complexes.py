@@ -7,6 +7,7 @@ import pytest
 
 from afnd.affinoid import free_affinoid, quotient, weierstrass_localization
 from afnd.cech import CoverData, build_complex
+from afnd.cli import parse_scenario
 from afnd.complexes import (
     ChainComplex,
     MapComponent,
@@ -21,7 +22,7 @@ from afnd.complexes import (
 from afnd.homotopy import _make_resolution
 from afnd.scalar import FieldSpec, NormValue
 from afnd.tate import Polyradius, TateElement, grevlex_key, parse_element
-from test_homotopy import fold_maps, scenario_pairs
+from test_homotopy import SCENARIOS, fold_maps, scenario_pairs
 
 Q5 = FieldSpec.padic(5)
 
@@ -72,7 +73,7 @@ def test_homology_multiplication_by_variable():
     h0 = homology(cx, 0, 8)
     # Cokernel of x is the constants: rank 1 with witness 1.
     assert h0.rank == 1
-    assert str(h0.witnesses[0].parts[0]) == "1"
+    assert str(h0.witness.parts[0]) == "1"
 
 
 def test_homology_zero_divisor():
@@ -296,3 +297,35 @@ def test_weights_and_shape_bases_match_brute_force():
             for r, k in zip(amb.radii, e):
                 expected = expected * r**k
             assert amb.monomial_weight(e) == expected
+
+
+def test_homology_reads_no_weights(monkeypatch):
+    """Ranks and witness cycles print no norm, so homology computes no
+    monomial weight; a witness's norm computes them when read."""
+    algebras = parse_scenario(
+        (SCENARIOS / "unit_disk.afnd").read_text(encoding="utf-8")
+    ).algebras
+    base = algebras["A"]
+    complexes = []
+    for name in ("V1", "V2"):
+        piece = algebras[name]
+        res = _make_resolution(base, piece)
+        complexes.append(derived_tensor(piece, res)[0])
+        complexes += [fold_complex(*f) for f in fold_maps(base, piece)]
+    calls = []
+    weight = Polyradius.monomial_weight
+
+    def counted(self, exponent):
+        calls.append(exponent)
+        return weight(self, exponent)
+
+    monkeypatch.setattr(Polyradius, "monomial_weight", counted)
+    reports = [
+        homology(cx, n, 8) for cx in complexes for n in cx.degrees()
+    ]
+    assert calls == []
+    # H^0 of each derived self-tensor is the piece itself.
+    witnesses = [r.witness for r in reports if r.witness is not None]
+    assert len(witnesses) == 2
+    assert [str(w.norm) for w in witnesses] == ["1", "1"]
+    assert calls

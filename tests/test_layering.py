@@ -35,3 +35,45 @@ def test_only_affinoid_complexes_and_normed_import_linalg():
         )
     }
     assert importers == {"affinoid", "complexes", "normed"}
+
+
+def private_attributes(tree, class_name):
+    """The single-underscore methods and `self._x` attributes of a class."""
+    [cls] = [
+        n for n in tree.body
+        if isinstance(n, ast.ClassDef) and n.name == class_name
+    ]
+    names = set()
+    for node in ast.walk(cls):
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            and isinstance(node.ctx, ast.Store)
+        ):
+            names.add(node.attr)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_presentation_and_tate_internals_stay_in_their_modules():
+    # Only affinoid reads a presentation's private state; only tate builds
+    # elements without validating them.
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in PACKAGE.glob("*.py")
+    }
+    private = private_attributes(trees["affinoid"], "AffinoidPresentation")
+    assert {"_shape_basis", "_generic_elimination", "_pushed"} <= private
+    reads, trusted = set(), set()
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if stem != "affinoid" and node.attr in private:
+                reads.add((stem, node.attr))
+            if stem != "tate" and node.attr == "_trusted":
+                trusted.add(stem)
+    assert reads == set()
+    assert trusted == set()
