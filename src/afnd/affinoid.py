@@ -182,11 +182,13 @@ class AffinoidPresentation:
                 self.laurent_pairs[(u, v)] = q
                 paired.update((u, v))
 
-            # A second pair relation through an already-paired variable is an
-            # exact identification: from u*w = q and a*u*v = b one gets
-            # v = v*(u*w)/q = (u*v)*w/q = (b/(a*q))*w.  Register it as a
-            # substitution and renormalize from scratch.
-            action = self._pair_identification(remaining)
+            # Relations that share a factor up to a scalar identify two
+            # variables exactly: from g*w = c1 and (t*g)*v = c2 one gets
+            # v = (c2/(t*c1))*w.  A Laurent pair u*w = q is the case g = u,
+            # so a pair relation a*u*v = b through it gives
+            # v = (b/(a*q))*w.  Register it as a substitution and
+            # renormalize from scratch.
+            action = self._shared_factor_identification(remaining)
             if action == "restart":
                 rels = [r for r in self.relations if not r.is_zero]
                 for var, h in self.substitutions.items():
@@ -252,39 +254,6 @@ class AffinoidPresentation:
         }
         self.substitutions[var] = h
 
-    def _pair_of(self, name: str) -> tuple[tuple[str, str], Fraction] | None:
-        for pair, q in self.laurent_pairs.items():
-            if name in pair:
-                return pair, q
-        return None
-
-    def _pair_identification(self, remaining: list[TateElement]) -> str | None:
-        """Resolve two-term pair relations overlapping an existing pair."""
-        for ri, rel in enumerate(remaining):
-            hit = self._pair_relation(rel)
-            if hit is None:
-                continue
-            u, v, val = hit
-            pu, pv = self._pair_of(u), self._pair_of(v)
-            if pu is not None and pv is not None:
-                if pu[0] == pv[0]:
-                    # Same pair twice: redundant or contradictory.
-                    if val == pu[1]:
-                        del remaining[ri]
-                        return self._pair_identification(remaining)
-                    return "zero"
-                continue  # two distinct pairs: left to the generic layer
-            if pu is None and pv is None:
-                continue
-            if pu is None:
-                u, v = v, u
-                pu = pv
-            (pair, q) = pu
-            partner = pair[0] if pair[1] == u else pair[1]
-            if self._try_identify(v, partner, val / q):
-                return "restart"
-        return self._shared_factor_identification(remaining)
-
     def _try_identify(self, v: str, w: str, coeff: Fraction) -> bool:
         """Install v = coeff*w (or the reverse), whichever respects radii."""
         h = TateElement.variable(self.ambient, w).scale(coeff)
@@ -323,14 +292,25 @@ class AffinoidPresentation:
     def _shared_factor_identification(
         self, remaining: list[TateElement]
     ) -> str | None:
-        """Identify variables cut out by proportional factors.
+        """Identify variables cut out by proportional factors, among the
+        Laurent pair relations and `remaining`.
 
         From g*v1 = c1 and (t*g)*v2 = c2 one gets c1*t*v2 = c2*v1 exactly
         (multiply the first by t*v2 and the second by v1), so v2 is a scalar
-        multiple of v1 whenever t is a scalar.
+        multiple of v1 whenever t is a scalar, and the second relation is
+        redundant or contradictory when v1 = v2.  Pairs share no variable,
+        so two pair relations never match and the one dropped is always in
+        `remaining`.
         """
-        decomps = [self._linear_decompositions(r) for r in remaining]
-        for rj in range(len(remaining)):
+        pairs = [
+            TateElement.variable(self.ambient, u)
+            * TateElement.variable(self.ambient, w)
+            - TateElement.constant(self.ambient, q)
+            for (u, w), q in self.laurent_pairs.items()
+        ]
+        rels = pairs + remaining
+        decomps = [self._linear_decompositions(r) for r in rels]
+        for rj in range(len(rels)):
             for ri in range(rj):
                 for v1, g1, c1 in decomps[ri]:
                     for v2, g2, c2 in decomps[rj]:
@@ -339,8 +319,10 @@ class AffinoidPresentation:
                             continue
                         if v1 == v2:
                             if c2 == lam * c1:
-                                del remaining[rj]
-                                return self._pair_identification(remaining)
+                                del remaining[rj - len(pairs)]
+                                return self._shared_factor_identification(
+                                    remaining
+                                )
                             return "zero"
                         if self._try_identify(v2, v1, c2 / (lam * c1)):
                             return "restart"

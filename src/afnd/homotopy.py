@@ -4,8 +4,9 @@ All three verdicts compare finitely presented models on degree-bounded
 monomial bases, so a "holds" is a certificate at the stated truncation degree
 and a "fails" comes with an explicit witness cycle.  When no certified
 resolution is available and the fallback Koszul complex does not resolve the
-target at the truncation degree, the verdict is "unresolved" rather than a
-guess.
+target at the truncation degree, or when a fold map fails only through the
+degree-bounded generic layer of a presentation, the verdict is "unresolved"
+rather than a guess.
 
 A homotopy epimorphism A -> B is an epimorphism with vanishing self-Tor, and
 each fact is proved once.  Degree zero of B (x)^L_A B -> B is the
@@ -35,6 +36,7 @@ from afnd.complexes import (
     KoszulResolution,
     MapComponent,
     Summand,
+    cycles,
     derived_tensor,
     homology,
     quotient_resolution,
@@ -91,8 +93,10 @@ def is_epimorphism(
     if target.is_zero_algebra:
         return MorphismVerdict(kind, HOLDS, degree, "target is the zero algebra")
     square, rename = tensor_over(base, target, target)
-    kernel_rank, surjective = _reduce_fold_map(square, target, rename, degree)
-    if not kernel_rank and surjective:
+    kernel_rank, surjective, witness = _reduce_fold_map(
+        square, target, rename, degree
+    )
+    if witness is None:
         return MorphismVerdict(
             kind, HOLDS, degree,
             "multiplication map bijective on degree-bounded bases",
@@ -102,8 +106,9 @@ def is_epimorphism(
         reasons.append(f"kernel of rank {kernel_rank}")
     if not surjective:
         reasons.append("image misses part of the target basis")
-    return MorphismVerdict(
-        kind, FAILS, degree, "multiplication map not bijective: " + ", ".join(reasons)
+    detail = "multiplication map not bijective: " + ", ".join(reasons)
+    return _certified(
+        MorphismVerdict(kind, FAILS, degree, detail, {}, witness), square, target
     )
 
 
@@ -112,14 +117,16 @@ def _reduce_fold_map(
     target: AffinoidPresentation,
     rename: dict[str, str],
     degree: int,
-) -> tuple[int, bool]:
+) -> tuple[int, bool, Optional[CycleWitness]]:
     """The fold map big -> target (renamed copies sent back) as the one
     differential of a two-level complex.
 
-    Returns the kernel rank and whether every degree-bounded target basis
-    monomial is hit (no homology at level 1).  The level-1 homology
-    eliminates the columns of the differential once; the kernel rank is the
-    source dimension minus their rank.
+    Returns the kernel rank, whether every degree-bounded target basis
+    monomial is hit (no homology at level 1), and a witness when either
+    fails: the first kernel vector, else the first unhit target monomial.
+    The level-1 homology eliminates the columns of the differential once;
+    the kernel rank is the source dimension minus their rank, and only a
+    kernel vector costs a second elimination.
     """
     inverse = {v: k for k, v in rename.items()}
     one = TateElement.constant(target.ambient, 1)
@@ -129,7 +136,27 @@ def _reduce_fold_map(
         {0: {(0, 0): MapComponent(one, inverse)}},
     )
     rep = homology(fold, 1, degree)
-    return fold.level_basis(0, degree).dim - rep.boundary_rank, rep.is_zero
+    kernel_rank = fold.level_basis(0, degree).dim - rep.boundary_rank
+    witness = rep.witness
+    if kernel_rank:
+        basis, zs = cycles(fold, 0, degree)
+        witness = CycleWitness(0, basis.parts(zs[0]), zs[0], basis, fold.field)
+    return kernel_rank, rep.is_zero, witness
+
+
+def _certified(
+    failure: MorphismVerdict,
+    big: AffinoidPresentation,
+    target: AffinoidPresentation,
+) -> MorphismVerdict:
+    """A fold-map failure stands, with its witness, when both ends have
+    exact normal forms.  The generic layer reduces only against relation
+    multiples of degree <= D, so its normal forms need not be canonical and
+    a failure seen through it proves nothing: the verdict is unresolved."""
+    if big.generic_relations or target.generic_relations:
+        failure.status, failure.witness = UNRESOLVED, None
+        failure.detail += "; the degree-bounded generic layer cannot certify it"
+    return failure
 
 
 def is_homotopy_epi(
@@ -179,19 +206,22 @@ def is_homotopy_epi(
             ranks, witness,
         )
     square, rename = tensor_over(base, target, target)
-    why = None
     if square.is_zero_algebra:
-        why = "degree-zero part collapses to the zero algebra"
-    else:
-        kernel_rank, hit = _reduce_fold_map(square, target, rename, degree)
-        if kernel_rank:
-            why = f"fold map has kernel of rank {kernel_rank}"
-        elif not hit:
-            why = "fold map misses part of the target basis"
-    if why is not None:
+        # The fold map sends 1 (x) 1 to 1, so 1 = 0 in the target too.
         return MorphismVerdict(
-            kind, FAILS, degree,
-            f"degree-zero part differs from the target: {why}", ranks,
+            kind, HOLDS, degree,
+            "target is the zero algebra: its self-tensor collapses", ranks,
+        )
+    kernel_rank, hit, witness = _reduce_fold_map(square, target, rename, degree)
+    if witness is not None:
+        why = (
+            f"fold map has kernel of rank {kernel_rank}" if kernel_rank
+            else "fold map misses part of the target basis"
+        )
+        detail = f"degree-zero part differs from the target: {why}"
+        return _certified(
+            MorphismVerdict(kind, FAILS, degree, detail, ranks, witness),
+            square, target,
         )
     ranks[0] = 0
     return MorphismVerdict(

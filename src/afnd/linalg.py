@@ -2,9 +2,10 @@
 
 Matrices are lists of sparse rows: one dict {column: Fraction} per row, zero
 entries absent, and the column count passed alongside where it matters.
-Every elimination runs the same Gauss-Jordan step, `_clear_column`: scale
-the pivot row to 1 and clear its column from the other rows, found through a
-column -> rows index.  Two pivot rules drive it:
+Every elimination runs one pivot loop, `_pivot_loop`: a lazy heap hands out
+the next pivot, and the Gauss-Jordan step `_clear_column` scales the pivot
+row to 1 and clears its column from the other rows, found through a
+column -> rows index.  Two pivot rules drive the loop:
 
 * `sparse_rref`, the fully reduced row echelon form, for ranks, kernels and
   span membership.  Rows are taken fewest nonzeros first to limit fill-in;
@@ -23,7 +24,7 @@ import heapq
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from afnd.scalar import FieldSpec, NormValue, padic_valuation, scalar_norm
 
@@ -78,35 +79,56 @@ def _clear_column(
     return cleared
 
 
+def _pivot_loop(
+    rows: list[SparseRow], rank: Callable[[int], tuple]
+) -> list[tuple[int, int, Fraction]]:
+    """Gauss-Jordan elimination of `rows` in place; returns (row, column,
+    entry before scaling) for each pivot, in the order taken.
+
+    `rank(i)` is (priority, column) for a nonempty row i.  Rows are taken
+    from a heap, smallest priority and then smallest row first, and pivot
+    at their column, or at their first nonzero when it is None (found only
+    when the row is taken).  A row that `_clear_column` changes gets a new
+    stamp and is pushed again; entries with an old stamp are skipped.
+    """
+    holders = _column_index(rows)
+    stamps = [0] * len(rows)  # -1 once the row is a pivot row
+    heap = []
+    for i, r in enumerate(rows):
+        if r:
+            priority, c = rank(i)
+            heap.append((priority, i, 0, c))
+    heapq.heapify(heap)
+    found = []
+    while heap:
+        _, i, stamp, c = heapq.heappop(heap)
+        if stamp != stamps[i]:
+            continue
+        stamps[i] = -1
+        if c is None:
+            c = min(rows[i])
+        found.append((i, c, rows[i][c]))
+        for o in _clear_column(rows, holders, i, c):
+            if stamps[o] >= 0:
+                stamps[o] += 1
+                if rows[o]:
+                    priority, oc = rank(o)
+                    heapq.heappush(heap, (priority, o, stamps[o], oc))
+    return found
+
+
 def sparse_rref(rows: Sequence[SparseRow]) -> tuple[list[SparseRow], list[int]]:
     """Fully reduced echelon form of sparse rows, pivots normalized to 1.
 
-    Rows are taken fewest nonzeros first (then by input position) from a heap
-    to limit fill-in; a cleared row is pushed again, and stale heap entries
-    are skipped.  Each pivot is the first nonzero of its row, so the result
-    is the reduced echelon form of the row space, which is unique; the output
+    Rows are taken fewest nonzeros first (then by input position) to limit
+    fill-in.  Each pivot is the first nonzero of its row, so the result is
+    the reduced echelon form of the row space, which is unique; the output
     is sorted by pivot column.  The input rows are not modified.
     """
-    work = [dict(r) for r in rows if r]
-    holders = _column_index(work)
-    heap = [(len(r), i) for i, r in enumerate(work)]
-    heapq.heapify(heap)
-    pending = [True] * len(work)
-    done: list[tuple[int, int]] = []  # (pivot column, row index)
-    while heap:
-        n, i = heapq.heappop(heap)
-        if not pending[i] or n != len(work[i]):
-            continue
-        pending[i] = False
-        if not work[i]:
-            continue
-        c = min(work[i])
-        for o in _clear_column(work, holders, i, c):
-            if pending[o]:
-                heapq.heappush(heap, (len(work[o]), o))
-        done.append((c, i))
-    done.sort()
-    return [work[i] for _, i in done], [c for c, _ in done]
+    work = [dict(r) for r in rows]
+    found = _pivot_loop(work, lambda i: (len(work[i]), None))
+    found.sort(key=lambda f: f[1])
+    return [work[i] for i, _, _ in found], [c for _, c, _ in found]
 
 
 def reduce_against(vec: SparseRow, rows: Sequence[SparseRow], pivots: Sequence[int]) -> SparseRow:
@@ -186,19 +208,16 @@ class NormAwareElimination:
             r and max(r) >= self.ncols for r in self.srows
         ):
             raise ValueError("weight lists must match the matrix shape")
-        self._setup_scoring()
-        self.pivots: list[tuple[int, int]] = []
-        self._pivot_entries: list[Fraction] = []
-        self._eliminate()
-
-    def _setup_scoring(self) -> None:
-        weights = self.row_weights + self.col_weights
-        L = math.lcm(
-            1, *(e.denominator for w in weights for e in w.exponents.values())
-        )
+        L = self._L = math.lcm(1, *(
+            e.denominator
+            for w in self.row_weights + self.col_weights
+            for e in w.exponents.values()
+        ))
         self._row_key = [_integral_power(w, L) for w in self.row_weights]
         self._col_key = [1 / _integral_power(w, L) for w in self.col_weights]
-        self._L = L
+        found = _pivot_loop(self.srows, self._best_of_row)
+        self.pivots = [(i, j) for i, j, _ in found]
+        self._pivot_entries = [a for _, _, a in found]
 
     def _key(self, i: int, j: int, entry: Fraction) -> Fraction:
         key = self._row_key[i] * self._col_key[j]
@@ -209,33 +228,13 @@ class NormAwareElimination:
         return key
 
     def _best_of_row(self, i: int) -> tuple[Fraction, int]:
-        """(key, column) of the largest key in row i, smallest column first.
-
-        Pivot columns are cleared from every unpivoted row, so each entry of
-        such a row is a candidate.
-        """
+        """(-key, column) of the largest key in row i, smallest column first:
+        its priority and pivot in `_pivot_loop`.  Pivot columns are cleared
+        from every unpivoted row, so each entry of such a row is a candidate."""
         key, neg_col = max(
             (self._key(i, j, a), -j) for j, a in self.srows[i].items()
         )
-        return key, -neg_col
-
-    def _eliminate(self) -> None:
-        holders = _column_index(self.srows)
-        # Unpivoted nonempty rows in row order, so that max() breaks ties
-        # towards the smallest row.
-        best = {i: self._best_of_row(i) for i, r in enumerate(self.srows) if r}
-        while best:
-            i = max(best, key=lambda k: best[k][0])
-            j = best.pop(i)[1]
-            self.pivots.append((i, j))
-            self._pivot_entries.append(self.srows[i][j])
-            for o in _clear_column(self.srows, holders, i, j):
-                if o not in best:
-                    continue
-                if self.srows[o]:
-                    best[o] = self._best_of_row(o)
-                else:
-                    del best[o]
+        return -key, -neg_col
 
     @cached_property
     def pivot_scores(self) -> list[NormValue]:

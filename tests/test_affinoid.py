@@ -61,6 +61,28 @@ def test_zero_algebra_detection(A):
     assert dead.monomial_basis(6) == []
 
 
+def test_pair_relation_across_two_pairs_is_identified():
+    # x*s = 1 and y*t = 1 are Laurent pairs.  3*x*y = 2 runs through both,
+    # and y = y*(x*s) = (x*y)*s = (2/3)*s exactly, so nothing is left to the
+    # degree-bounded generic layer.
+    amb = unit_disc("x", "s", "y", "t")
+    pairs = ["x*s - 1", "y*t - 1"]
+    B = quotient(
+        free_affinoid(amb),
+        [parse_element(f, amb) for f in pairs + ["3*x*y - 2"]],
+    )
+    assert B.generic_relations == []
+    assert str(B.substitutions["y"]) == "2/3*s"
+    assert str(B.substitutions["t"]) == "3/2*x"
+    assert B.monomial_basis(1) == [(0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
+    # 3*x*y = 5 asks for |x*y| = 1/5 on the torus |x| = |y| = 1: empty.
+    empty = quotient(
+        free_affinoid(amb),
+        [parse_element(f, amb) for f in pairs + ["3*x*y - 5"]],
+    )
+    assert empty.is_zero_algebra
+
+
 def test_weierstrass_localization_eliminates_variable(A):
     V = weierstrass_localization(
         A, [parse_element("x", A.ambient)], [NormValue.prime_power(5, -1)]

@@ -87,7 +87,8 @@ def test_reports_are_byte_identical():
 @pytest.mark.parametrize(
     "name, degree",
     [("unit_disk", None), ("unit_disk", 20), ("gap_cover", None),
-     ("norm_table", None), ("generic_table", None), ("three_piece", None)],
+     ("norm_table", None), ("generic_table", None), ("three_piece", None),
+     ("bidisc_cover", None)],
 )
 def test_reports_match_golden(name, degree):
     # Reports of the bundled scenarios, byte for byte.  A change to the

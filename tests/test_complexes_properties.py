@@ -62,7 +62,7 @@ def invariants(name, specs):
     out = [ranks(res.complex)]
     out += [ranks(derived_tensor(m, res)[0]) for m in pieces]
     square, rename = tensor_over(base, pieces[0], pieces[0])
-    out.append(_reduce_fold_map(square, pieces[0], rename, DEGREE))
+    out.append(_reduce_fold_map(square, pieces[0], rename, DEGREE)[:2])
     return out
 
 

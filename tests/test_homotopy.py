@@ -56,6 +56,10 @@ def test_free_extension_is_not_epi():
     # Rank-nullity on the fold map: the kernel rank is the source dimension
     # minus the rank of one reduction.
     assert v.detail == "multiplication map not bijective: kernel of rank 220"
+    # Both ends are exact, so a kernel vector of the fold map is a witness:
+    # y - y' in the self-tensor.
+    assert v.witness.degree == 0
+    assert {str(p) for p in v.witness.parts.values()} == {"-y' + y"}
 
 
 def test_closed_immersion_epi_but_not_homotopy_epi():
@@ -235,9 +239,11 @@ def test_fold_map_matches_reference(degree):
     assert len(cases) >= 26
     outcomes = set()
     for label, big, target, rename in cases:
-        got = _reduce_fold_map(big, target, rename, degree)
+        kernel_rank, hit, witness = _reduce_fold_map(big, target, rename, degree)
+        got = (kernel_rank, hit)
         assert got == reference_fold_map(big, target, rename, degree), label
-        outcomes.add((bool(got[0]), got[1]))
+        assert (witness is None) == (not kernel_rank and hit), label
+        outcomes.add((bool(kernel_rank), hit))
     assert outcomes == {(False, True), (True, True), (False, False)}
 
 
@@ -255,7 +261,7 @@ def test_degree_zero_part_is_the_self_tensor():
         assert square.relations == h0.relations, label
         assert rename == h0_rename, label
         checked += 1
-    assert checked == 10
+    assert checked == 13  # three from bidisc_cover
 
 
 def test_fold_map_runs_one_elimination(monkeypatch):
@@ -281,11 +287,37 @@ def test_fold_map_runs_one_elimination(monkeypatch):
     assert len(sizes) == 1
 
 
+def test_collapsed_self_tensor_proves_the_target_zero(monkeypatch):
+    """B (x)_A B -> B sends 1 (x) 1 to 1, so a self-tensor found to be the
+    zero algebra makes the target zero as well, and hoepi holds."""
+    import afnd.homotopy
+
+    real = afnd.homotopy.tensor_over
+
+    def collapsed(base, left, right):
+        square, rename = real(base, left, right)
+        one = TateElement.constant(square.ambient, 1)
+        return quotient(square, [one]), rename
+
+    monkeypatch.setattr(afnd.homotopy, "tensor_over", collapsed)
+    A = make_base()
+    V = weierstrass_localization(
+        A, [parse_element("x", A.ambient)], [NormValue.prime_power(5, -1)]
+    )
+    v = is_homotopy_epi(A, V, D)
+    assert (v.status, v.detail) == (
+        HOLDS, "target is the zero algebra: its self-tensor collapses"
+    )
+
+
 def test_verdict_details():
-    """Every hoepi and transversal branch these inputs reach, pinned."""
+    """Every epi, hoepi and transversal branch these inputs reach, pinned."""
     A = make_base()
     x = parse_element("x", A.ambient)
     V = weierstrass_localization(A, [x], [NormValue.prime_power(5, -1)])
+    # |x^2| <= 5^-1: T - x^2 is a generic relation (|x^2| = 1 dominates
+    # |T|), so its fold maps reach the degree-bounded generic layer.
+    V2 = weierstrass_localization(A, [x * x], [NormValue.prime_power(5, -1)])
     W = weierstrass_localization(
         V, [x.in_ambient(V.ambient)], [NormValue.prime_power(5, -2)]
     )
@@ -301,7 +333,27 @@ def test_verdict_details():
         "fallback Koszul complex does not resolve the target "
         "at this truncation degree"
     )
+    generic = "; the degree-bounded generic layer cannot certify it"
     cases = [
+        (
+            is_epimorphism(A, V, D), HOLDS,
+            "multiplication map bijective on degree-bounded bases", {},
+        ),
+        (
+            is_epimorphism(A, B, D), FAILS,
+            "multiplication map not bijective: kernel of rank 220", {},
+        ),
+        (
+            is_epimorphism(A, V2, D), UNRESOLVED,
+            "multiplication map not bijective: kernel of rank 19" + generic,
+            {},
+        ),
+        (
+            is_homotopy_epi(A, V2, D), UNRESOLVED,
+            "degree-zero part differs from the target: "
+            "fold map has kernel of rank 19" + generic,
+            {-1: 0},
+        ),
         (
             is_homotopy_epi(A, V, D), HOLDS,
             "self-tensor concentrated in degree zero and matching the target",

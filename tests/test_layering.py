@@ -77,3 +77,23 @@ def test_presentation_and_tate_internals_stay_in_their_modules():
                 trusted.add(stem)
     assert reads == set()
     assert trusted == set()
+
+
+def test_linalg_has_one_pivot_loop():
+    # Both pivot rules, fewest nonzeros (`sparse_rref`) and largest norm
+    # (`NormAwareElimination`), run through `_pivot_loop`: it is the only
+    # code in afnd.linalg that reads the heap or takes a Gauss-Jordan step.
+    tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    shared = {"_clear_column", "heapq"}
+    users = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "heapq"
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name == "_clear_column":
+            continue
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Name) and inner.id in shared:
+                users.add(node.name)
+    assert users == {"_pivot_loop"}

@@ -145,9 +145,13 @@ def reference_elimination(field, mat, row_w, col_w):
                 rows[i2] = [x - f * y for x, y in zip(rows[i2], rows[i])]
 
 
-def test_norm_aware_matches_reference_on_two_prime_weights():
+def test_norm_aware_matches_reference_on_two_prime_weights(monkeypatch):
     # Weights 2^(a/b) * 5^(c/d) mix the primes with rational exponents; the
     # entries carry 5-adic valuations from -1 to 2, with repeated scores.
+    # Tall matrices clear each row several times, so the pivot heap holds
+    # stale entries: of rows whose best key has fallen, and of rows whose
+    # best key stays but moves to another column.  (An ultrametric clearing
+    # step never raises a row's best key: the pivot has the largest score.)
     rng = random.Random(17)
     entries = [0, 0, 1, -2, 3, 5, -10, 25, F(1, 5), F(7, 5), 50]
     def weight():
@@ -155,9 +159,20 @@ def test_norm_aware_matches_reference_on_two_prime_weights():
             2: F(rng.randint(-3, 3), rng.randint(1, 3)),
             5: F(rng.randint(-2, 2), rng.randint(1, 2)),
         })
+    ranked = []  # (row, (best key, column)) per ranking in the current matrix
+    moves = set()  # how a row's best moved between two rankings
+    best_of_row = NormAwareElimination._best_of_row
+
+    def recording(self, i):
+        out = best_of_row(self, i)
+        ranked.append((i, (-out[0], out[1])))
+        return out
+
+    monkeypatch.setattr(NormAwareElimination, "_best_of_row", recording)
+    shapes = [(5, 5)] * 60 + [(40, 8)] * 15
     for field in (Q5, FieldSpec.trivial()):
-        for _ in range(60):
-            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        for max_r, max_c in shapes:
+            nr, nc = rng.randint(1, max_r), rng.randint(1, max_c)
             mat = M([[rng.choice(entries) for _ in range(nc)] for _ in range(nr)])
             row_w = [weight() for _ in range(nr)]
             col_w = [weight() for _ in range(nc)]
@@ -177,6 +192,18 @@ def test_norm_aware_matches_reference_on_two_prime_weights():
             assert all(
                 not r for i, r in enumerate(elim.srows) if i not in pivot_rows
             )
+            last = {}
+            for i, (key, col) in ranked:
+                if i in last:
+                    old_key, old_col = last[i]
+                    assert key <= old_key
+                    if key < old_key:
+                        moves.add("falls")
+                    elif col != old_col:
+                        moves.add("moves column")
+                last[i] = key, col
+            ranked.clear()
+    assert moves == {"falls", "moves column"}
 
 
 def test_norm_aware_rejects_columns_beyond_the_weights():
