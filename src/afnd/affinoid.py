@@ -27,12 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
-from afnd.linalg import NormAwareElimination, SparseRow, reduce_against
+from afnd.linalg import NormAwareElimination, SparseRow, as_entry, reduce_against
 from afnd.scalar import FieldSpec, NormValue, scalar_norm
 from afnd.tate import (
     Exponent,
+    PairRelations,
     Polyradius,
     TateElement,
     fresh_name,
@@ -136,12 +138,25 @@ class AffinoidPresentation:
     # -- normalization -----------------------------------------------------
 
     def _normalize(self) -> None:
-        ambient = self.ambient
         self.substitutions: dict[str, TateElement] = {}
         self.laurent_pairs: dict[tuple[str, str], Fraction] = {}
-        self.generic_relations: list[TateElement] = []
-        self.is_zero_algebra = False
+        remaining = self._exact_layers()
+        self.is_zero_algebra = remaining is None
+        # Layer 3: everything else.  A relation given twice makes a Macaulay
+        # row its twin clears to zero, so each is kept once.
+        self.generic_relations: list[TateElement] = list(dict.fromkeys(
+            r for r in map(self.shape_normal, remaining or ()) if not r.is_zero
+        ))
+        if remaining:
+            self.strategy = GENERIC_BOUNDED
+        else:
+            self.strategy = COORDINATE_INVERSE if self.laurent_pairs else SUBSTITUTION
 
+    def _exact_layers(self) -> list[TateElement] | None:
+        """Install the substitution and Laurent layers; returns the
+        relations left for the generic layer, or None when the presentation
+        is recognized as the zero algebra."""
+        ambient = self.ambient
         rels = [r for r in self.relations if not r.is_zero]
         while True:
             # Layer 1: substitution relations, eliminating one variable each.
@@ -166,8 +181,7 @@ class AffinoidPresentation:
                 if c != 0:
                     tail = rel - TateElement.constant(ambient, c)
                     if tail.gauss_norm() < scalar_norm(self.field, c):
-                        self.is_zero_algebra = True
-                        return
+                        return None
 
             # Layer 2: coordinate-inverse (Laurent) pairs u*v -> b/a.
             self.laurent_pairs = {}
@@ -196,19 +210,8 @@ class AffinoidPresentation:
                 rels = [r for r in rels if not r.is_zero]
                 continue
             if action == "zero":
-                self.is_zero_algebra = True
-                return
-            break
-
-        # Layer 3: everything else.
-        self.generic_relations = [
-            r for r in map(self.shape_normal, remaining) if not r.is_zero
-        ]
-
-        if not remaining:
-            self.strategy = COORDINATE_INVERSE if self.laurent_pairs else SUBSTITUTION
-        else:
-            self.strategy = GENERIC_BOUNDED
+                return None
+            return remaining
 
     def _substitution_candidate(
         self, rel: TateElement
@@ -349,9 +352,19 @@ class AffinoidPresentation:
                 out = out.substitute(var, h)
         return self.laurent_normal(out)
 
+    @cached_property
+    def _pair_relations(self) -> PairRelations:
+        return PairRelations(self.ambient, self.laurent_pairs)
+
     def laurent_normal(self, w: TateElement) -> TateElement:
         """The Laurent layer alone: every pair u*v -> b/a."""
-        return w.cancel_pairs(self.laurent_pairs)
+        return w.cancel_pairs(self._pair_relations)
+
+    def laurent_product(self, a: TateElement, b: TateElement) -> TateElement:
+        """`laurent_normal(a * b)` in one pass; for shape normal forms a and
+        b, whose product contains no substituted variable, this is
+        `shape_normal(a * b)`."""
+        return a.mul_cancel(b, self._pair_relations)
 
     def pushed_images(
         self,
@@ -388,7 +401,7 @@ class AffinoidPresentation:
             # Products of shape normal forms are free of substituted
             # variables, so only the Laurent layer is left to apply.
             for e, i in steps:
-                img = images[e] = self.laurent_normal(img * gens[i])
+                img = images[e] = self.laurent_product(img, gens[i])
             out.append(img)
         return out
 
@@ -463,12 +476,12 @@ class AffinoidPresentation:
         for rel in self.generic_relations:
             rdeg = rel.total_degree()
             for mono in self._shape_basis(max(degree - rdeg, 0))[0]:
-                prod = self.shape_normal(
-                    rel * TateElement.monomial(self.ambient, mono, 1)
+                prod = self.laurent_product(
+                    rel, TateElement.monomial(self.ambient, mono, 1)
                 )
                 if prod.total_degree() > degree:
                     continue
-                row = {col_of.get(e): c for e, c in prod.terms.items()}
+                row = {col_of.get(e): as_entry(c) for e, c in prod.terms.items()}
                 if row and None not in row:  # every term is a shape monomial
                     rows.append(row)
         if not rows:

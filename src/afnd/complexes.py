@@ -25,7 +25,6 @@ degree <= D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
@@ -33,13 +32,15 @@ from typing import Mapping, Optional, Sequence
 from afnd.affinoid import AffinoidPresentation, localization_chain
 from afnd.linalg import (
     SparseRow,
+    as_entry,
+    exact_div,
     kernel_basis,
     reduce_against,
     sparse_rref,
     vector_norm,
 )
 from afnd.normed import classify
-from afnd.scalar import FieldSpec, NormValue
+from afnd.scalar import FieldSpec, NormValue, Rational
 from afnd.tate import Exponent, Polyradius, TateElement
 
 
@@ -74,7 +75,7 @@ class LevelBasis:
 
     def parts(self, coords: SparseRow) -> dict[int, TateElement]:
         """A sparse vector as one element per summand it touches."""
-        terms: dict[int, dict[Exponent, Fraction]] = {}
+        terms: dict[int, dict[Exponent, Rational]] = {}
         for k, c in coords.items():
             si, e = self.entries[k]
             terms.setdefault(si, {})[e] = c
@@ -163,7 +164,7 @@ class ChainComplex:
                 sources[s].algebra.ambient, comp.rename, [e for _, e in cols]
             )
             for (j, _), img in zip(cols, pushed):
-                val = alg.laurent_normal(coeff * img)
+                val = alg.laurent_product(coeff, img)
                 if not val.is_zero:
                     growth = max(growth, val.total_degree())
                     images[j].append((t, val))
@@ -173,7 +174,7 @@ class ChainComplex:
             for t, v in img:
                 nf = targets[t].algebra.generic_normal_form(v, growth)
                 for e, c in nf.terms.items():
-                    entries[target.index[(t, e)]][j] = c
+                    entries[target.index[(t, e)]][j] = as_entry(c)
         return DifferentialMatrix(source, target, entries)
 
     def embed(
@@ -187,7 +188,7 @@ class ChainComplex:
         for si, v in frm.parts(coords).items():
             nf = summands[si].algebra.generic_normal_form(v, into.truncation)
             for e, c in nf.terms.items():
-                out[into.index[(si, e)]] = c
+                out[into.index[(si, e)]] = as_entry(c)
         return out
 
     def verify_d_squared(self, degree: int) -> bool:
@@ -276,7 +277,7 @@ def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
         if rem:
             c = min(rem)
             pv = rem[c]
-            obst_rows.append({j: v / pv for j, v in rem.items()})
+            obst_rows.append({j: exact_div(v, pv) for j, v in rem.items()})
             obst_pivots.append(c)
             if witness is None:
                 witness = CycleWitness(n, basis.parts(z), z, basis, cx.field)

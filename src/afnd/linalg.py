@@ -1,7 +1,13 @@
 """Exact sparse linear algebra over the rationals, with ultrametric pivoting.
 
-Matrices are lists of sparse rows: one dict {column: Fraction} per row, zero
+Matrices are lists of sparse rows: one dict {column: value} per row, zero
 entries absent, and the column count passed alongside where it matters.
+Values are `int` or `Fraction`, never float: a coefficient enters a row
+through `as_entry`, which keeps an integral one as an `int`, and every
+division of row values goes through `exact_div`, which returns an `int` when
+the quotient is integral (`/` on two ints would give a float).  Sums and
+products of ints stay ints, so an integer matrix is eliminated in `int`
+arithmetic until a pivot that does not divide its row brings in a fraction.
 Every elimination runs one pivot loop, `_pivot_loop`: a lazy heap hands out
 the next pivot, and the Gauss-Jordan step `_clear_column` scales the pivot
 row to 1 and clears its column from the other rows, found through a
@@ -26,13 +32,26 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from afnd.scalar import FieldSpec, NormValue, padic_valuation, scalar_norm
+from afnd.scalar import FieldSpec, NormValue, Rational, padic_valuation, scalar_norm
 
-SparseRow = dict[int, Fraction]
+SparseRow = dict[int, Rational]
+
+
+def as_entry(c: Fraction) -> Rational:
+    """A coefficient as a row value: its numerator when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def exact_div(a: Rational, b: Rational) -> Rational:
+    """a / b exactly, as an int when the quotient is integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return as_entry(a / b)
 
 
 def vector_norm(
-    field: FieldSpec, coords: Sequence[Fraction], weights: Sequence[NormValue]
+    field: FieldSpec, coords: Sequence[Rational], weights: Sequence[NormValue]
 ) -> NormValue:
     """max_i |c_i| * w_i, the norm in a weighted orthogonal space."""
     best = NormValue.zero()
@@ -62,7 +81,7 @@ def _clear_column(
     pivot = rows[i]
     pv = pivot[c]
     if pv != 1:
-        pivot = rows[i] = {j: v / pv for j, v in pivot.items()}
+        pivot = rows[i] = {j: exact_div(v, pv) for j, v in pivot.items()}
     cleared = holders[c] - {i}
     for o in cleared:
         other = rows[o]
@@ -81,7 +100,7 @@ def _clear_column(
 
 def _pivot_loop(
     rows: list[SparseRow], rank: Callable[[int], tuple]
-) -> list[tuple[int, int, Fraction]]:
+) -> list[tuple[int, int, Rational]]:
     """Gauss-Jordan elimination of `rows` in place; returns (row, column,
     entry before scaling) for each pivot, in the order taken.
 
@@ -138,7 +157,7 @@ def reduce_against(vec: SparseRow, rows: Sequence[SparseRow], pivots: Sequence[i
         f = out.get(c)
         if f:
             for j, v in row.items():
-                nv = out.get(j, Fraction(0)) - f * v
+                nv = out.get(j, 0) - f * v
                 if nv:
                     out[j] = nv
                 else:
@@ -153,7 +172,7 @@ def kernel_basis(rows: Sequence[SparseRow], ncols: int) -> list[SparseRow]:
     """
     reduced, pivots = sparse_rref(rows)
     pivot_set = set(pivots)
-    basis = {fc: {fc: Fraction(1)} for fc in range(ncols) if fc not in pivot_set}
+    basis = {fc: {fc: 1} for fc in range(ncols) if fc not in pivot_set}
     # In a fully reduced row, every entry off the pivot is in a free column.
     for row, pc in zip(reduced, pivots):
         for j, v in row.items():
@@ -208,18 +227,21 @@ class NormAwareElimination:
             r and max(r) >= self.ncols for r in self.srows
         ):
             raise ValueError("weight lists must match the matrix shape")
+        # A Macaulay matrix has many columns but few distinct weights, so
+        # each power and inverse is computed once per weight.
+        distinct = set(self.row_weights + self.col_weights)
         L = self._L = math.lcm(1, *(
-            e.denominator
-            for w in self.row_weights + self.col_weights
-            for e in w.exponents.values()
+            e.denominator for w in distinct for e in w.exponents.values()
         ))
-        self._row_key = [_integral_power(w, L) for w in self.row_weights]
-        self._col_key = [1 / _integral_power(w, L) for w in self.col_weights]
+        power = {w: _integral_power(w, L) for w in distinct}
+        inverse = {w: 1 / power[w] for w in set(self.col_weights)}
+        self._row_key = [power[w] for w in self.row_weights]
+        self._col_key = [inverse[w] for w in self.col_weights]
         found = _pivot_loop(self.srows, self._best_of_row)
         self.pivots = [(i, j) for i, j, _ in found]
         self._pivot_entries = [a for _, _, a in found]
 
-    def _key(self, i: int, j: int, entry: Fraction) -> Fraction:
+    def _key(self, i: int, j: int, entry: Rational) -> Fraction:
         key = self._row_key[i] * self._col_key[j]
         if self.field.mode == "p-adic":
             v = padic_valuation(entry, self.field.p)

@@ -105,6 +105,44 @@ class Polyradius:
         return f"{self.field}{{{inner}}}"
 
 
+class PairRelations:
+    """Relations u*v = q on disjoint pairs of variables of one ambient.
+
+    Each relation sends a monomial u^a v^b to q^m u^(a-m) v^(b-m),
+    m = min(a, b).  The normal exponent of a monomial and its factor are
+    worked out once per exponent and kept, since a presentation reduces the
+    same exponents over and over while it builds its matrices.
+    """
+
+    def __init__(
+        self, ambient: Polyradius, pairs: Mapping[tuple[str, str], Rational]
+    ):
+        self._idx = [
+            (ambient.index(u), ambient.index(v), Fraction(q))
+            for (u, v), q in pairs.items()
+        ]
+        # exponent -> (normal exponent, factor), None for a factor of 1:
+        # x^exponent = factor * x^(normal exponent).  Read it first, and
+        # call `normal` on a miss.
+        self.known: dict[Exponent, tuple[Exponent, Fraction | None]] = {}
+
+    def __bool__(self) -> bool:
+        return bool(self._idx)
+
+    def normal(self, exponent: Exponent) -> tuple[Exponent, Fraction | None]:
+        """Work out, keep and return the entry of `known` for `exponent`."""
+        e = list(exponent)
+        f = Fraction(1)
+        for iu, iv, q in self._idx:
+            m = min(e[iu], e[iv])
+            if m:
+                e[iu] -= m
+                e[iv] -= m
+                f *= q**m
+        out = self.known[exponent] = (tuple(e), None if f == 1 else f)
+        return out
+
+
 class TateElement:
     """A polynomial representative of an element of the ambient Tate algebra."""
 
@@ -318,29 +356,37 @@ class TateElement:
                 terms[t] = v if prev is None else prev + v
         return TateElement._trusted(self.ambient, terms)
 
-    def cancel_pairs(
-        self, pairs: Mapping[tuple[str, str], Rational]
-    ) -> "TateElement":
-        """Apply each relation u*v = q exactly: every monomial u^a v^b
-        becomes q^m u^(a-m) v^(b-m), m = min(a, b)."""
+    def cancel_pairs(self, pairs: "PairRelations") -> "TateElement":
+        """Apply each relation u*v = q of `pairs` exactly."""
         if not pairs:
             return self
-        idx = [
-            (self.ambient.index(u), self.ambient.index(v), Fraction(q))
-            for (u, v), q in pairs.items()
-        ]
+        known, normal = pairs.known.get, pairs.normal
         terms: dict[Exponent, Fraction] = {}
-        for exponent, c in self.terms.items():
-            e = list(exponent)
-            for iu, iv, q in idx:
-                m = min(e[iu], e[iv])
-                if m:
-                    e[iu] -= m
-                    e[iv] -= m
-                    c = c * q**m
-            t = tuple(e)
-            prev = terms.get(t)
-            terms[t] = c if prev is None else prev + c
+        for e, c in self.terms.items():
+            e, f = known(e) or normal(e)
+            if f is not None:
+                c = c * f
+            prev = terms.get(e)
+            terms[e] = c if prev is None else prev + c
+        return TateElement._trusted(self.ambient, terms)
+
+    def mul_cancel(
+        self, other: "TateElement", pairs: "PairRelations"
+    ) -> "TateElement":
+        """(self * other).cancel_pairs(pairs), each product term sent to
+        its normal exponent as it is made."""
+        if not pairs:
+            return self * other
+        self._check_same_ambient(other)
+        known, normal = pairs.known.get, pairs.normal
+        terms: dict[Exponent, Fraction] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                e, f = known(e) or normal(e)
+                c = c1 * c2 if f is None else c1 * c2 * f
+                prev = terms.get(e)
+                terms[e] = c if prev is None else prev + c
         return TateElement._trusted(self.ambient, terms)
 
     def recenter(self, center: Sequence[Rational]) -> "TateElement":

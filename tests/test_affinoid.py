@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 
 from afnd.affinoid import (
-    BezoutCertificate,
+    COORDINATE_INVERSE,
     GENERIC_BOUNDED,
+    SUBSTITUTION,
+    AffinoidPresentation,
+    BezoutCertificate,
     PresentationError,
     free_affinoid,
     laurent_localization,
@@ -81,6 +84,45 @@ def test_pair_relation_across_two_pairs_is_identified():
         [parse_element(f, amb) for f in pairs + ["3*x*y - 5"]],
     )
     assert empty.is_zero_algebra
+
+
+def test_zero_algebra_has_an_exact_layer_strategy():
+    # Found zero by the shared-factor rule, with Laurent pairs installed.
+    amb = unit_disc("x", "s", "y", "t")
+    empty = quotient(
+        free_affinoid(amb),
+        [parse_element(f, amb) for f in ["x*s - 1", "y*t - 1", "3*x*y - 5"]],
+    )
+    assert empty.is_zero_algebra
+    assert empty.strategy == COORDINATE_INVERSE
+    # Found zero by a dominant constant term, before any pair is read.
+    A = free_affinoid(unit_disc())
+    Z = quotient(A, [parse_element("1 + 5*x", A.ambient)])
+    assert Z.is_zero_algebra
+    assert Z.strategy == SUBSTITUTION
+    assert Z.generic_relations == [] and Z.monomial_basis(4) == []
+
+
+def test_duplicate_generic_relation_is_kept_once():
+    """M (x)_B M repeats the relation of M.  Each Macaulay row of the copy
+    is cleared to zero by its twin, which has the lower row index and so is
+    taken first on equal keys: dropping the copy changes no pivot and no
+    normal-form basis."""
+    bidisc = Polyradius(
+        Q5, ("x", "y"), (NormValue.one(), NormValue.of_rational(2))
+    )
+    B = free_affinoid(bidisc)
+    M = quotient(B, [parse_element("3*x^2 - 10*y", bidisc)])
+    square, _ = tensor_over(B, M, M)
+    assert square.relations[0] == square.relations[1]
+    assert square.generic_relations == M.generic_relations
+    doubled = AffinoidPresentation(square.ambient, square.relations)
+    doubled.generic_relations = doubled.generic_relations * 2
+    for degree in (4, 8):
+        assert doubled._generic_elimination(degree) == (
+            square._generic_elimination(degree)
+        )
+        assert doubled.monomial_basis(degree) == square.monomial_basis(degree)
 
 
 def test_weierstrass_localization_eliminates_variable(A):

@@ -86,7 +86,8 @@ def test_reports_are_byte_identical():
 
 @pytest.mark.parametrize(
     "name, degree",
-    [("unit_disk", None), ("unit_disk", 20), ("gap_cover", None),
+    [("unit_disk", None), ("unit_disk", 20), ("unit_disk", 32),
+     ("gap_cover", None),
      ("norm_table", None), ("generic_table", None), ("three_piece", None),
      ("bidisc_cover", None)],
 )

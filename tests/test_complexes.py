@@ -7,7 +7,7 @@ import pytest
 
 from afnd.affinoid import free_affinoid, quotient, weierstrass_localization
 from afnd.cech import CoverData, build_complex
-from afnd.cli import parse_scenario
+from afnd.cli import parse_scenario, run_scenario
 from afnd.complexes import (
     ChainComplex,
     MapComponent,
@@ -329,3 +329,22 @@ def test_homology_reads_no_weights(monkeypatch):
     assert len(witnesses) == 2
     assert [str(w.norm) for w in witnesses] == ["1", "1"]
     assert calls
+
+
+def test_differentials_hold_ints_where_integral(monkeypatch):
+    """Every differential that the unit-disk scenario builds at D=8 holds
+    only ints and Fractions, and each integral value is an int."""
+    built = []
+    build = ChainComplex._build_matrix
+
+    def recording(self, n, degree):
+        m = build(self, n, degree)
+        built.append(m)
+        return m
+
+    monkeypatch.setattr(ChainComplex, "_build_matrix", recording)
+    run_scenario(str(SCENARIOS / "unit_disk.afnd"), 8)
+    values = [v for m in built for row in m.entries for v in row.values()]
+    assert len(built) >= 10 and values
+    assert all(type(v) is int for v in values if v == int(v))
+    assert all(type(v) is Fraction for v in values if v != int(v))
