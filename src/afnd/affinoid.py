@@ -14,8 +14,11 @@ reduction machinery normalizes relations into three layers:
 
 `normal_form` runs the first two layers (`shape_normal`) and then the third
 (`generic_normal_form`); a caller that already holds shape normal forms
-runs only the third, and a product of shape normal forms, which contains no
-substituted variable, needs only the Laurent layer (`laurent_normal`).
+runs only the third.  Every multiplication map, a differential column or a
+relation multiple rel*x^m of the third layer, comes from one walk of the
+exponent lattice (`pushed_images`): a product of shape normal forms contains
+no substituted variable, so the walk applies only the Laurent layer, fused
+with each product.
 
 A presentation is recognized as the zero algebra when some reduced relation
 has a dominant constant term: a*1 = (a - rel) + rel with ||a - rel|| < |a|
@@ -127,7 +130,7 @@ class AffinoidPresentation:
         self._shape_cache: dict[
             int, tuple[list[Exponent], dict[Exponent, int]]
         ] = {}
-        # pushed_images results per (source ambient, rename).
+        # pushed_images results per (source ambient, rename, coeff).
         self._pushed: dict[tuple, tuple[dict, list[TateElement]]] = {}
         self._normalize()
 
@@ -350,41 +353,38 @@ class AffinoidPresentation:
         for var, h in self.substitutions.items():
             if out.uses(var):
                 out = out.substitute(var, h)
-        return self.laurent_normal(out)
+        return out.mul_cancel(
+            TateElement.constant(self.ambient, 1), self._pair_relations
+        )
 
     @cached_property
     def _pair_relations(self) -> PairRelations:
         return PairRelations(self.ambient, self.laurent_pairs)
 
-    def laurent_normal(self, w: TateElement) -> TateElement:
-        """The Laurent layer alone: every pair u*v -> b/a."""
-        return w.cancel_pairs(self._pair_relations)
-
-    def laurent_product(self, a: TateElement, b: TateElement) -> TateElement:
-        """`laurent_normal(a * b)` in one pass; for shape normal forms a and
-        b, whose product contains no substituted variable, this is
-        `shape_normal(a * b)`."""
-        return a.mul_cancel(b, self._pair_relations)
-
     def pushed_images(
         self,
         ambient: Polyradius,
         rename: Mapping[str, str] | None,
+        coeff: TateElement,
         exponents: Sequence[Exponent],
     ) -> list[TateElement]:
-        """`shape_normal` of each monomial x^e of `ambient`, pushed into
-        this ambient along `rename`, for each e of `exponents`.
+        """`shape_normal(coeff * push(x^e))` for each e of `exponents`, where
+        x^e is a monomial of `ambient`, pushed into this ambient along
+        `rename`, and `coeff` is an element of this ambient.
 
         Pushing along a rename and shape normalization are multiplicative,
-        so the image of x^e is the image of its lower neighbour x^(e - eps_i)
-        (`walk_down`) times the image of x_i, normalized once.  Images are
-        kept per (ambient, rename), so an exponent costs one product the
+        so the walk starts at `shape_normal(coeff)` and the image of x^e is
+        the image of its lower neighbour x^(e - eps_i) (`walk_down`) times
+        the image of x_i.  Both factors are shape normal forms, so their
+        product contains no substituted variable and only the Laurent layer
+        is applied, fused with the product (`mul_cancel`).  Images are kept
+        per (ambient, rename, coeff), so an exponent costs one product the
         first time any caller asks for it.  A grevlex-ordered basis that is
         closed under lowering one coordinate (a shape basis) always finds
         its lower neighbour known.
         """
         rename = rename or {}
-        key = (ambient, tuple(sorted(rename.items())))
+        key = (ambient, tuple(sorted(rename.items())), coeff)
         if key not in self._pushed:
             gens = [
                 self.shape_normal(
@@ -392,16 +392,15 @@ class AffinoidPresentation:
                 )
                 for name in ambient.names
             ]
-            one = TateElement.constant(self.ambient, 1)
-            self._pushed[key] = ({(0,) * ambient.nvars: one}, gens)
+            seed = self.shape_normal(coeff)
+            self._pushed[key] = ({(0,) * ambient.nvars: seed}, gens)
         images, gens = self._pushed[key]
+        pairs = self._pair_relations
         out = []
         for exponent in exponents:
             img, steps = walk_down(exponent, images)
-            # Products of shape normal forms are free of substituted
-            # variables, so only the Laurent layer is left to apply.
             for e, i in steps:
-                img = images[e] = self.laurent_product(img, gens[i])
+                img = images[e] = img.mul_cancel(gens[i], pairs)
             out.append(img)
         return out
 
@@ -475,15 +474,16 @@ class AffinoidPresentation:
         rows = []
         for rel in self.generic_relations:
             rdeg = rel.total_degree()
-            for mono in self._shape_basis(max(degree - rdeg, 0))[0]:
-                prod = self.laurent_product(
-                    rel, TateElement.monomial(self.ambient, mono, 1)
+            if rdeg > degree:
+                continue
+            # Every term of a product of shape normal forms is a shape
+            # monomial, of degree <= D here.
+            for prod in self.pushed_images(
+                self.ambient, None, rel, self._shape_basis(degree - rdeg)[0]
+            ):
+                rows.append(
+                    {col_of[e]: as_entry(c) for e, c in prod.terms.items()}
                 )
-                if prod.total_degree() > degree:
-                    continue
-                row = {col_of.get(e): as_entry(c) for e, c in prod.terms.items()}
-                if row and None not in row:  # every term is a shape monomial
-                    rows.append(row)
         if not rows:
             self._generic_cache[degree] = None
             return None
@@ -747,24 +747,7 @@ def tensor_over(
     relations = [rel.in_ambient(ambient) for rel in b.relations]
     for rel in c.relations[len(a.relations):]:
         relations.append(rel.in_ambient(ambient, rename))
-    localization = None
-    if c.localization is not None and c.localization.base is a:
-        relators = tuple(
-            Relator(
-                rl.element.in_ambient(ambient, rename),
-                rename.get(rl.var, rl.var),
-                rl.radius,
-                rl.shape,
-            )
-            for rl in c.localization.relators
-        )
-        localization = LocalizationData(
-            kind=c.localization.kind,
-            base=b,
-            relators=relators,
-            inequalities=(),
-        )
-    return AffinoidPresentation(ambient, relations, localization=localization), rename
+    return AffinoidPresentation(ambient, relations), rename
 
 
 def localization_path(

@@ -291,9 +291,12 @@ def parse_scenario(text: str) -> Scenario:
     if degree is None:
         degree = 10
     # Validate check references up front so errors point at the right line.
+    # Every argument names an algebra, except a numeric cech DEPTH.
     for spec in checks:
-        for ref in spec.args:
-            if not ref.isdigit() and ref not in algebras:
+        for pos, ref in enumerate(spec.args):
+            if spec.kind == "cech" and pos == 1 and ref.isdigit():
+                continue
+            if ref not in algebras:
                 raise ScenarioError(
                     f"check {spec.name!r} references undeclared "
                     f"algebra {ref!r}", spec.line

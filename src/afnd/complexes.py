@@ -13,6 +13,7 @@ tensor variables) and the fold map of a self-tensor onto its factor
 This module is the one place where a linear map between presentations
 becomes a matrix: exact, sparse, one row per target basis vector, built once
 per complex and degree, with columns from a walk of the exponent lattice
+that starts at the component's coefficient
 (`AffinoidPresentation.pushed_images`).  Ranks need no norms, so the monomial
 weights of a level basis and the norm of a witness cycle are computed when
 read, by `strict_exactness` or a printed witness.
@@ -147,24 +148,21 @@ class ChainComplex:
         return self._matrices[key]
 
     def _build_matrix(self, n: int, degree: int) -> DifferentialMatrix:
-        """Per component, `pushed_images` walks the source exponents; each
-        image times the shape-normal coefficient is a product of shape
-        normal forms, so only the Laurent layer is applied.  That fixes the
-        growth degree; the generic layer needs that bound and reduces the
-        images afterwards."""
+        """Per component, `pushed_images` walks the source exponents from
+        the component's coefficient, so each column is one shape normal
+        form.  That fixes the growth degree; the generic layer needs that
+        bound and reduces the images afterwards."""
         source = self.level_basis(n, degree)
         sources, targets = self.levels.get(n, []), self.levels.get(n + 1, [])
         images: list[list[tuple[int, TateElement]]] = [[] for _ in source.entries]
         growth = degree
         for (t, s), comp in self.components.get(n, {}).items():
-            alg = targets[t].algebra
             cols = [(j, e) for j, (si, e) in enumerate(source.entries) if si == s]
-            coeff = alg.shape_normal(comp.coeff)
-            pushed = alg.pushed_images(
-                sources[s].algebra.ambient, comp.rename, [e for _, e in cols]
+            pushed = targets[t].algebra.pushed_images(
+                sources[s].algebra.ambient, comp.rename, comp.coeff,
+                [e for _, e in cols],
             )
-            for (j, _), img in zip(cols, pushed):
-                val = alg.laurent_product(coeff, img)
+            for (j, _), val in zip(cols, pushed):
                 if not val.is_zero:
                     growth = max(growth, val.total_degree())
                     images[j].append((t, val))

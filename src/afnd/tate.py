@@ -356,25 +356,12 @@ class TateElement:
                 terms[t] = v if prev is None else prev + v
         return TateElement._trusted(self.ambient, terms)
 
-    def cancel_pairs(self, pairs: "PairRelations") -> "TateElement":
-        """Apply each relation u*v = q of `pairs` exactly."""
-        if not pairs:
-            return self
-        known, normal = pairs.known.get, pairs.normal
-        terms: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            e, f = known(e) or normal(e)
-            if f is not None:
-                c = c * f
-            prev = terms.get(e)
-            terms[e] = c if prev is None else prev + c
-        return TateElement._trusted(self.ambient, terms)
-
     def mul_cancel(
         self, other: "TateElement", pairs: "PairRelations"
     ) -> "TateElement":
-        """(self * other).cancel_pairs(pairs), each product term sent to
-        its normal exponent as it is made."""
+        """self * other with each relation u*v = q of `pairs` applied
+        exactly, each product term sent to its normal exponent as it is
+        made."""
         if not pairs:
             return self * other
         self._check_same_ambient(other)

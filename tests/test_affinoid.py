@@ -1,5 +1,7 @@
 """Affinoid presentations: normal forms, localizations, tensor products."""
 
+import itertools
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -19,10 +21,13 @@ from afnd.affinoid import (
     tensor_over,
     weierstrass_localization,
 )
+from afnd.cli import run_scenario
+from afnd.linalg import NormAwareElimination
 from afnd.scalar import FieldSpec, NormValue
-from afnd.tate import Polyradius, TateElement, parse_element
+from afnd.tate import Polyradius, TateElement, grevlex_key, parse_element
 
 Q5 = FieldSpec.padic(5)
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def unit_disc(*names):
@@ -224,3 +229,81 @@ def test_generic_basis_builds_no_pivot_scores(monkeypatch):
     # x^2 = (10/3) y: no basis monomial is divisible by x^2.
     assert basis and all(e[0] < 2 for e in basis)
     assert len(basis) == 2 * 8 + 1
+
+
+@pytest.fixture(scope="module")
+def scenario_generic_presentations():
+    """Every distinct presentation with generic relations that running the
+    bundled scenarios builds: their algebras, the self-tensors and fold-map
+    squares of `epi` and `hoepi`, and the pushouts of derived tensors and
+    Cech intersections."""
+    built = []
+    init = AffinoidPresentation.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AffinoidPresentation, "__init__", recording)
+        for path in sorted(SCENARIOS.glob("*.afnd")):
+            run_scenario(str(path))
+    distinct = {(p.ambient, p.relations): p for p in built if p.generic_relations}
+    return list(distinct.values())
+
+
+def macaulay_oracle(pres, degree):
+    """`_generic_elimination` from first principles: one row per generic
+    relation rel and shape monomial x^m with deg rel + deg m <= D, each the
+    shape normal form of the element rel * x^m, eliminated over the shape
+    monomials of degree <= D in grevlex order."""
+    ambient = pres.ambient
+
+    def shape_monomials(top):
+        out = []
+        for d in range(top + 1):
+            for picks in itertools.combinations_with_replacement(
+                pres.free_variable_indices(), d
+            ):
+                e = tuple(picks.count(i) for i in range(ambient.nvars))
+                x_e = TateElement.monomial(ambient, e)
+                if pres.shape_normal(x_e) == x_e:
+                    out.append(e)
+        return sorted(out, key=grevlex_key)
+
+    cols = shape_monomials(degree)
+    col_of = {e: j for j, e in enumerate(cols)}
+    rows = []
+    for rel in pres.generic_relations:
+        for m in shape_monomials(degree - rel.total_degree()):
+            prod = pres.shape_normal(rel * TateElement.monomial(ambient, m))
+            rows.append({col_of[e]: c for e, c in prod.terms.items()})
+    if not rows:
+        return None
+    elim = NormAwareElimination(
+        pres.field,
+        rows,
+        [NormValue.one()] * len(rows),
+        [ambient.monomial_weight(e) for e in cols],
+    )
+    return [elim.srows[i] for i, _ in elim.pivots], [j for _, j in elim.pivots]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4, 8])
+def test_macaulay_rows_match_elementwise_products(
+    scenario_generic_presentations, degree
+):
+    """The relation rows that `pushed_images` walks out equal the shape
+    normal forms of rel * x^m built one element at a time, also at a D
+    below the degree of a relation, whose multiples must all be left out."""
+    presentations = scenario_generic_presentations
+    assert any(
+        rel.total_degree() >= 3
+        for pres in presentations
+        for rel in pres.generic_relations
+    )
+    for pres in presentations:
+        fresh = AffinoidPresentation(pres.ambient, pres.relations)
+        assert fresh._generic_elimination(degree) == macaulay_oracle(
+            fresh, degree
+        ), pres

@@ -382,10 +382,28 @@ HEADER = "scenario h\ndegree 3\nfield p-adic 5\n"
             10,
             "every piece must be presented over the base",
         ),
+        # Only the cech DEPTH may be numeric; any other number is an
+        # algebra name that was never declared.
+        (
+            HEADER + "algebra A\n  var x 1\nend\ncheck h hoepi A 2\n",
+            7,
+            "references undeclared algebra '2'",
+        ),
+        (
+            HEADER + "algebra A\n  var x 1\nend\ncheck c cech A 1 2\n",
+            7,
+            "references undeclared algebra '2'",
+        ),
+        (
+            HEADER + "algebra A\n  var x 1\nend\ncheck p cover A 3\n",
+            7,
+            "references undeclared algebra '3'",
+        ),
     ],
     ids=["zero-radius", "norm-table-above-truncation", "cover-trivial-field",
          "cover-of-non-localization", "cover-piece-on-another-polydisc",
-         "cech-piece-not-over-base"],
+         "cech-piece-not-over-base", "hoepi-numeric-target",
+         "cech-numeric-piece", "cover-numeric-piece"],
 )
 def test_library_errors_exit_2_with_line(tmp_path, capsys, text, line, message):
     path = tmp_path / "bad.afnd"
