@@ -29,12 +29,11 @@ bound) to 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from afnd.linalg import NormAwareElimination, SparseRow, as_entry, reduce_against
-from afnd.scalar import FieldSpec, NormValue, scalar_norm
+from afnd.linalg import NormAwareElimination, SparseRow, reduce_against
+from afnd.scalar import FieldSpec, NormValue, Rational, exact_div, scalar_norm
 from afnd.tate import (
     Exponent,
     PairRelations,
@@ -142,7 +141,7 @@ class AffinoidPresentation:
 
     def _normalize(self) -> None:
         self.substitutions: dict[str, TateElement] = {}
-        self.laurent_pairs: dict[tuple[str, str], Fraction] = {}
+        self.laurent_pairs: dict[tuple[str, str], Rational] = {}
         remaining = self._exact_layers()
         self.is_zero_algebra = remaining is None
         # Layer 3: everything else.  A relation given twice makes a Macaulay
@@ -224,12 +223,12 @@ class AffinoidPresentation:
         # appended last); first admissible candidate wins.
         for i in reversed(range(ambient.nvars)):
             exponent = tuple(1 if k == i else 0 for k in range(ambient.nvars))
-            a = rel.terms.get(exponent, Fraction(0))
+            a = rel.terms.get(exponent, 0)
             if a == 0:
                 continue
             name = ambient.names[i]
             h = (TateElement.monomial(ambient, exponent, a) - rel).scale(
-                Fraction(1) / a
+                exact_div(1, a)
             )
             if h.uses(name):
                 continue
@@ -238,7 +237,7 @@ class AffinoidPresentation:
             return name, h
         return None
 
-    def _pair_relation(self, rel: TateElement) -> tuple[str, str, Fraction] | None:
+    def _pair_relation(self, rel: TateElement) -> tuple[str, str, Rational] | None:
         """Read rel as a*u*v + c with c != 0 (u, v distinct): (u, v, -c/a)."""
         if len(rel.terms) != 2:
             return None
@@ -252,7 +251,7 @@ class AffinoidPresentation:
         if len(support) != 2 or any(exponent[i] != 1 for i in support):
             return None
         names = self.ambient.names
-        return names[support[0]], names[support[1]], -const / a
+        return names[support[0]], names[support[1]], exact_div(-const, a)
 
     def _register_substitution(self, var: str, h: TateElement) -> None:
         self.substitutions = {
@@ -260,13 +259,13 @@ class AffinoidPresentation:
         }
         self.substitutions[var] = h
 
-    def _try_identify(self, v: str, w: str, coeff: Fraction) -> bool:
+    def _try_identify(self, v: str, w: str, coeff: Rational) -> bool:
         """Install v = coeff*w (or the reverse), whichever respects radii."""
         h = TateElement.variable(self.ambient, w).scale(coeff)
         if h.gauss_norm() <= self.ambient.radius_of(v):
             self._register_substitution(v, h)
             return True
-        h = TateElement.variable(self.ambient, v).scale(Fraction(1) / coeff)
+        h = TateElement.variable(self.ambient, v).scale(exact_div(1, coeff))
         if h.gauss_norm() <= self.ambient.radius_of(w):
             self._register_substitution(w, h)
             return True
@@ -274,7 +273,7 @@ class AffinoidPresentation:
 
     def _linear_decompositions(
         self, rel: TateElement
-    ) -> list[tuple[str, TateElement, Fraction]]:
+    ) -> list[tuple[str, TateElement, Rational]]:
         """Ways to read rel as g*v - c (v of exponent 1 throughout, c != 0)."""
         const = rel.constant_term()
         if const == 0:
@@ -330,17 +329,17 @@ class AffinoidPresentation:
                                     remaining
                                 )
                             return "zero"
-                        if self._try_identify(v2, v1, c2 / (lam * c1)):
+                        if self._try_identify(v2, v1, exact_div(c2, lam * c1)):
                             return "restart"
         return None
 
     @staticmethod
-    def _proportionality(g1: TateElement, g2: TateElement) -> Fraction | None:
+    def _proportionality(g1: TateElement, g2: TateElement) -> Rational | None:
         """The scalar t with g2 = t*g1, if one exists."""
         if g1.is_zero or set(g1.terms) != set(g2.terms):
             return None
         e0 = next(iter(g1.terms))
-        lam = g2.terms[e0] / g1.terms[e0]
+        lam = exact_div(g2.terms[e0], g1.terms[e0])
         for e, cf in g1.terms.items():
             if g2.terms[e] != lam * cf:
                 return None
@@ -481,9 +480,7 @@ class AffinoidPresentation:
             for prod in self.pushed_images(
                 self.ambient, None, rel, self._shape_basis(degree - rdeg)[0]
             ):
-                rows.append(
-                    {col_of[e]: as_entry(c) for e, c in prod.terms.items()}
-                )
+                rows.append({col_of[e]: c for e, c in prod.terms.items()})
         if not rows:
             self._generic_cache[degree] = None
             return None
@@ -682,7 +679,7 @@ def rational_localization(
     one = TateElement.constant(base.ambient, 1)
     if g == one:
         return weierstrass_localization(base, f, r)
-    is_variable = len(g.terms) == 1 and set(g.terms.values()) == {Fraction(1)} and (
+    is_variable = len(g.terms) == 1 and set(g.terms.values()) == {1} and (
         g.total_degree() == 1
     )
     if not is_variable:

@@ -33,15 +33,13 @@ from typing import Mapping, Optional, Sequence
 from afnd.affinoid import AffinoidPresentation, localization_chain
 from afnd.linalg import (
     SparseRow,
-    as_entry,
-    exact_div,
     kernel_basis,
     reduce_against,
     sparse_rref,
     vector_norm,
 )
 from afnd.normed import classify
-from afnd.scalar import FieldSpec, NormValue, Rational
+from afnd.scalar import FieldSpec, NormValue, Rational, exact_div
 from afnd.tate import Exponent, Polyradius, TateElement
 
 
@@ -172,7 +170,7 @@ class ChainComplex:
             for t, v in img:
                 nf = targets[t].algebra.generic_normal_form(v, growth)
                 for e, c in nf.terms.items():
-                    entries[target.index[(t, e)]][j] = as_entry(c)
+                    entries[target.index[(t, e)]][j] = c
         return DifferentialMatrix(source, target, entries)
 
     def embed(
@@ -186,7 +184,7 @@ class ChainComplex:
         for si, v in frm.parts(coords).items():
             nf = summands[si].algebra.generic_normal_form(v, into.truncation)
             for e, c in nf.terms.items():
-                out[into.index[(si, e)]] = as_entry(c)
+                out[into.index[(si, e)]] = c
         return out
 
     def verify_d_squared(self, degree: int) -> bool:

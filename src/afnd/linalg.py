@@ -2,12 +2,12 @@
 
 Matrices are lists of sparse rows: one dict {column: value} per row, zero
 entries absent, and the column count passed alongside where it matters.
-Values are `int` or `Fraction`, never float: a coefficient enters a row
-through `as_entry`, which keeps an integral one as an `int`, and every
-division of row values goes through `exact_div`, which returns an `int` when
-the quotient is integral (`/` on two ints would give a float).  Sums and
-products of ints stay ints, so an integer matrix is eliminated in `int`
-arithmetic until a pivot that does not divide its row brings in a fraction.
+Values are `int` or `Fraction`, never float: an integral value is an `int`,
+as a `TateElement` coefficient already is, and every division of row values
+goes through `scalar.exact_div`, which returns an `int` when the quotient is
+integral (`/` on two ints would give a float).  Sums and products of ints
+stay ints, so an integer matrix is eliminated in `int` arithmetic until a
+pivot that does not divide its row brings in a fraction.
 Every elimination runs one pivot loop, `_pivot_loop`: a lazy heap hands out
 the next pivot, and the Gauss-Jordan step `_clear_column` scales the pivot
 row to 1 and clears its column from the other rows, found through a
@@ -32,22 +32,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from afnd.scalar import FieldSpec, NormValue, Rational, padic_valuation, scalar_norm
+from afnd.scalar import (
+    FieldSpec, NormValue, Rational, exact_div, padic_valuation, scalar_norm
+)
 
 SparseRow = dict[int, Rational]
-
-
-def as_entry(c: Fraction) -> Rational:
-    """A coefficient as a row value: its numerator when it is integral."""
-    return c.numerator if c.denominator == 1 else c
-
-
-def exact_div(a: Rational, b: Rational) -> Rational:
-    """a / b exactly, as an int when the quotient is integral."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    return as_entry(a / b)
 
 
 def vector_norm(

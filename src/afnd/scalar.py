@@ -1,14 +1,16 @@
 """Exact base-field arithmetic and the factored norm-value domain.
 
-Scalars are plain :class:`fractions.Fraction` values; the base field is the
-rationals carrying either a p-adic absolute value or the trivial one.  Norm
-values are kept in factored form (finite map prime -> rational exponent) so
-that products, quotients and rational roots of radii stay exact.  Two norm
-values are ordered in integers: with d the difference of their exponent
-vectors and L the lcm of its denominators, a > b exactly when the integer
-prod_{d_p > 0} p^(L d_p) exceeds prod_{d_p < 0} p^(-L d_p).  Raising to the
-L-th power is strictly increasing on positive reals, so this is the order of
-the real values.
+Scalars are exact rationals: an `int` when integral and a
+:class:`fractions.Fraction` otherwise (`as_entry`).  A quotient of two is
+taken with `exact_div`, never with `/` on two ints, so no float arises.  The
+base field is the rationals carrying either a p-adic absolute value or the
+trivial one.  Norm values are kept in factored form (finite map prime ->
+rational exponent) so that products, quotients and rational roots of radii
+stay exact.  Two norm values are ordered in integers: with d the difference
+of their exponent vectors and L the lcm of its denominators, a > b exactly
+when the integer prod_{d_p > 0} p^(L d_p) exceeds prod_{d_p < 0}
+p^(-L d_p).  Raising to the L-th power is strictly increasing on positive
+reals, so this is the order of the real values.
 """
 
 from __future__ import annotations
@@ -65,10 +67,22 @@ class FieldSpec:
         return f"Q_{self.p}" if self.mode == "p-adic" else "Q(trivial)"
 
 
+def as_entry(c: Rational) -> Rational:
+    """An int or Fraction as an int when it is integral."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def exact_div(a: Rational, b: Rational) -> Rational:
+    """a / b exactly, as an int when the quotient is integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return as_entry(a / b)
+
+
 def padic_valuation(a: Rational, p: int) -> int:
     """v_p(a) for a nonzero rational; raises on zero."""
-    a = Fraction(a)
-    if a == 0:
+    if not a:
         raise ValueError("v_p(0) is infinite")
 
     def _vp(n: int) -> int:
@@ -277,8 +291,7 @@ class NormValue:
 
 def scalar_norm(spec: FieldSpec, a: Rational) -> NormValue:
     """|a| in the chosen field: 0 at zero, p^(-v_p(a)) or trivially 1."""
-    a = Fraction(a)
-    if a == 0:
+    if not a:
         return NormValue.zero()
     if spec.mode == "trivial":
         return NormValue.one()

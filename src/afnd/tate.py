@@ -6,7 +6,9 @@ convergent series, and every downstream verdict is certified at a truncation
 degree, so series tails never enter any statement made by this package.
 Elements are validated where they enter (the public constructor, `monomial`,
 `variable`, `constant`, `parse_element`); results of arithmetic are built by
-a trusted constructor that only drops zero coefficients.
+a trusted constructor that only drops zero coefficients.  Either way an
+integral coefficient is stored as an `int` (`scalar.as_entry`) and any other
+as a `Fraction`, so products of integral elements run in `int` arithmetic.
 
 Exponent vectors are ordered grevlex (total degree, then reversed-lexicographic
 tiebreak on variable index) for canonical printing and deterministic
@@ -22,7 +24,9 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence, TypeVar
 
-from afnd.scalar import FieldSpec, NormValue, Rational, max_norm, scalar_norm
+from afnd.scalar import (
+    FieldSpec, NormValue, Rational, as_entry, max_norm, scalar_norm
+)
 
 Exponent = tuple[int, ...]
 V = TypeVar("V")
@@ -118,28 +122,28 @@ class PairRelations:
         self, ambient: Polyradius, pairs: Mapping[tuple[str, str], Rational]
     ):
         self._idx = [
-            (ambient.index(u), ambient.index(v), Fraction(q))
+            (ambient.index(u), ambient.index(v), as_entry(q))
             for (u, v), q in pairs.items()
         ]
         # exponent -> (normal exponent, factor), None for a factor of 1:
         # x^exponent = factor * x^(normal exponent).  Read it first, and
         # call `normal` on a miss.
-        self.known: dict[Exponent, tuple[Exponent, Fraction | None]] = {}
+        self.known: dict[Exponent, tuple[Exponent, Rational | None]] = {}
 
     def __bool__(self) -> bool:
         return bool(self._idx)
 
-    def normal(self, exponent: Exponent) -> tuple[Exponent, Fraction | None]:
+    def normal(self, exponent: Exponent) -> tuple[Exponent, Rational | None]:
         """Work out, keep and return the entry of `known` for `exponent`."""
         e = list(exponent)
-        f = Fraction(1)
+        f = 1
         for iu, iv, q in self._idx:
             m = min(e[iu], e[iv])
             if m:
                 e[iu] -= m
                 e[iv] -= m
                 f *= q**m
-        out = self.known[exponent] = (tuple(e), None if f == 1 else f)
+        out = self.known[exponent] = (tuple(e), None if f == 1 else as_entry(f))
         return out
 
 
@@ -150,27 +154,28 @@ class TateElement:
 
     def __init__(self, ambient: Polyradius, terms: Mapping[Exponent, Rational]):
         self.ambient = ambient
-        cleaned: dict[Exponent, Fraction] = {}
+        cleaned: dict[Exponent, Rational] = {}
         for exponent, c in terms.items():
             exponent = tuple(exponent)
             if len(exponent) != ambient.nvars or any(e < 0 for e in exponent):
                 raise ValueError(f"bad exponent {exponent} for {ambient}")
-            c = Fraction(c)
+            c = c if type(c) is int else Fraction(c)
             if c != 0:
                 prev = cleaned.get(exponent)
                 cleaned[exponent] = c if prev is None else prev + c
-        self.terms = {e: c for e, c in cleaned.items() if c != 0}
+        self.terms = {e: as_entry(c) for e, c in cleaned.items() if c != 0}
 
     @classmethod
     def _trusted(
-        cls, ambient: Polyradius, terms: Mapping[Exponent, Fraction]
+        cls, ambient: Polyradius, terms: Mapping[Exponent, Rational]
     ) -> "TateElement":
         """A result of this package's own arithmetic: exponents are tuples
-        of the ambient's length and coefficients Fractions already, so only
-        the zero coefficients are dropped."""
+        of the ambient's length and coefficients ints or Fractions already,
+        so only the zero coefficients are dropped and integral Fractions
+        made ints."""
         out = cls.__new__(cls)
         out.ambient = ambient
-        out.terms = {e: c for e, c in terms.items() if c}
+        out.terms = {e: as_entry(c) for e, c in terms.items() if c}
         return out
 
     # -- constructors ------------------------------------------------------
@@ -199,13 +204,13 @@ class TateElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.ambient.nvars, Fraction(0))
+    def constant_term(self) -> Rational:
+        return self.terms.get((0,) * self.ambient.nvars, 0)
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, Rational]]:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]))
 
     def uses(self, name: str) -> bool:
@@ -238,7 +243,7 @@ class TateElement:
 
     def __mul__(self, other: "TateElement") -> "TateElement":
         self._check_same_ambient(other)
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, Rational] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
@@ -248,7 +253,6 @@ class TateElement:
         return TateElement._trusted(self.ambient, terms)
 
     def scale(self, c: Rational) -> "TateElement":
-        c = Fraction(c)
         return TateElement._trusted(
             self.ambient, {e: c * v for e, v in self.terms.items()}
         )
@@ -328,7 +332,7 @@ class TateElement:
         positions = []
         for name in self.ambient.names:
             positions.append(ambient.index(rename.get(name, name)))
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, Rational] = {}
         for e, c in self.terms.items():
             new = [0] * ambient.nvars
             for pos, k in zip(positions, e):
@@ -343,7 +347,7 @@ class TateElement:
         self._check_same_ambient(replacement)
         i = self.ambient.index(name)
         powers = [TateElement.constant(self.ambient, 1)]
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, Rational] = {}
         for e, c in self.sorted_terms():
             k = e[i]
             while len(powers) <= k:
@@ -366,7 +370,7 @@ class TateElement:
             return self * other
         self._check_same_ambient(other)
         known, normal = pairs.known.get, pairs.normal
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, Rational] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
@@ -489,7 +493,11 @@ def parse_element(text: str, ambient: Polyradius) -> TateElement:
     def parse_atom() -> TateElement:
         kind, val = advance()
         if kind == "number":
-            return TateElement.constant(ambient, Fraction(val))
+            try:
+                c = Fraction(val)
+            except ZeroDivisionError:
+                raise ElementSyntaxError("zero denominator") from None
+            return TateElement.constant(ambient, c)
         if kind == "name":
             try:
                 return TateElement.variable(ambient, val)

@@ -399,11 +399,25 @@ HEADER = "scenario h\ndegree 3\nfield p-adic 5\n"
             7,
             "references undeclared algebra '3'",
         ),
+        # A zero denominator in an element literal is a bad element.
+        (
+            HEADER + "algebra A\n  var x 1\nend\n"
+            "check n norm-table A\n  element 3/0\nend\n",
+            7,
+            "bad element '3/0': zero denominator",
+        ),
+        (
+            HEADER + "algebra A\n  var x 1\nend\n"
+            "module M of A\n  relation 1/0\nend\n",
+            8,
+            "bad element '1/0': zero denominator",
+        ),
     ],
     ids=["zero-radius", "norm-table-above-truncation", "cover-trivial-field",
          "cover-of-non-localization", "cover-piece-on-another-polydisc",
          "cech-piece-not-over-base", "hoepi-numeric-target",
-         "cech-numeric-piece", "cover-numeric-piece"],
+         "cech-numeric-piece", "cover-numeric-piece",
+         "norm-table-zero-denominator", "relation-zero-denominator"],
 )
 def test_library_errors_exit_2_with_line(tmp_path, capsys, text, line, message):
     path = tmp_path / "bad.afnd"

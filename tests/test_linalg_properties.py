@@ -1,7 +1,7 @@
 """Integer entries take the same elimination as their Fraction copies;
 skipped without hypothesis.
 
-Row values stay `int` while they are integral, and `linalg.exact_div`
+Row values stay `int` while they are integral, and `scalar.exact_div`
 divides them.  On random sparse matrices of `int` entries, or of `int` and
 `Fraction` entries mixed, every elimination must give the values it gives
 on the same matrix written in `Fraction`s, and never a float.
@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from afnd.linalg import (  # noqa: E402
     NormAwareElimination,
-    exact_div,
     kernel_basis,
     reduce_against,
     sparse_rref,
@@ -80,11 +79,3 @@ def test_int_entries_eliminate_like_their_fraction_copies(case, data):
     assert fast.pivot_scores == slow.pivot_scores
     assert fast.srows == slow.srows
     assert_exact(fast.srows)
-
-
-@given(st.integers(-60, 60), st.integers(-12, 12).filter(bool))
-def test_exact_div_is_an_int_exactly_when_the_quotient_is(a, b):
-    q = exact_div(a, b)
-    assert q == Fraction(a, b)
-    assert type(q) is (int if a % b == 0 else Fraction)
-    assert type(exact_div(Fraction(a), Fraction(b))) is type(q)

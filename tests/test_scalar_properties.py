@@ -1,4 +1,5 @@
-"""Property tests of the NormValue order; skipped without hypothesis."""
+"""Property tests of the NormValue order and of exact scalar division;
+skipped without hypothesis."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -8,7 +9,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from afnd.scalar import NormValue  # noqa: E402
+from afnd.scalar import NormValue, as_entry, exact_div  # noqa: E402
 
 exponents = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 nonzero_values = st.dictionaries(
@@ -44,3 +45,20 @@ def test_order_is_compatible_with_products(a, b, c):
                                     max_denominator=6))
 def test_positive_powers_preserve_the_order_against_one(a, k):
     assert (a ** k).compare(NormValue.one()) == a.compare(NormValue.one())
+
+
+@given(st.integers(-60, 60), st.integers(-12, 12).filter(bool))
+def test_exact_div_is_an_int_exactly_when_the_quotient_is(a, b):
+    q = exact_div(a, b)
+    assert q == Fraction(a, b)
+    assert type(q) is (int if a % b == 0 else Fraction)
+    assert type(exact_div(Fraction(a), Fraction(b))) is type(q)
+    assert type(exact_div(a, Fraction(b))) is type(q)
+
+
+@given(st.fractions(min_value=-60, max_value=60, max_denominator=12))
+def test_as_entry_is_an_int_exactly_when_the_value_is_integral(c):
+    entry = as_entry(c)
+    assert entry == c
+    assert type(entry) is (int if c.denominator == 1 else Fraction)
+    assert as_entry(entry) is entry
