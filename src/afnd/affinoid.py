@@ -33,7 +33,9 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from afnd.linalg import NormAwareElimination, SparseRow, reduce_against
-from afnd.scalar import FieldSpec, NormValue, Rational, exact_div, scalar_norm
+from afnd.scalar import (
+    FieldSpec, NormValue, Rational, exact_div, max_norm, scalar_norm
+)
 from afnd.tate import (
     Exponent,
     PairRelations,
@@ -67,17 +69,15 @@ class BezoutCertificate:
 
 @dataclass(frozen=True)
 class Relator:
-    """One localization relator in a fresh variable of known radius.
+    """One localization relator in a fresh variable `var`.
 
-    `shape` is "weierstrass" for T - f, "laurent" for g*T - 1, and "generic"
-    for anything else (generic relators only get the multi-relator Koszul
-    fallback with a validity check).
+    Every relator has one of two shapes: T - f (a Weierstrass step) or
+    g*S - 1 (a Laurent step).  One-step Koszul resolutions of these shapes
+    compose, so a localization chain needs no validity check.
     """
 
     element: TateElement
     var: str
-    radius: NormValue
-    shape: str
 
 
 @dataclass(frozen=True)
@@ -596,21 +596,19 @@ def _append_localization(
         var = fresh_name(var_prefix, names + new_names)
         new_names.append(var)
         new_radii.append(radius)
-        relators.append((var, partner, radius, shape))
+        relators.append((var, partner, shape))
     ambient = base.ambient.extend(new_names, new_radii)
     relations = [rel.in_ambient(ambient) for rel in base.relations]
     built: list[Relator] = []
-    for var, partner, radius, shape in relators:
+    for var, partner, shape in relators:
         t = TateElement.variable(ambient, var)
         p = partner.in_ambient(ambient)
         if shape == "weierstrass":
             element = t - p
-        elif shape == "laurent":
-            element = p * t - TateElement.constant(ambient, 1)
         else:
-            raise PresentationError(f"unknown relator shape {shape!r}")
+            element = p * t - TateElement.constant(ambient, 1)
         relations.append(element)
-        built.append(Relator(element, var, radius, shape))
+        built.append(Relator(element, var))
     data = LocalizationData(
         kind=kind,
         base=base,
@@ -663,63 +661,41 @@ def rational_localization(
     g: TateElement,
     r: Sequence[NormValue],
     certificate: BezoutCertificate | None = None,
-    epsilon: NormValue | None = None,
 ) -> AffinoidPresentation:
-    """A{T/r}/(g T_i - f_i): the rational subdomain |f_i| <= r_i |g|.
+    """The rational subdomain |f_i| <= r_i |g| of A, for m >= 1 functions.
 
-    Admissibility is not decided here: the caller supplies g = 1
-    (Weierstrass), g a bare generator variable (Laurent-type shape), or a
-    Bezout certificate for (f_1..f_m, g) = 1.  With a certificate, a caller
-    chosen spectral lower bound epsilon (|g| >= epsilon on the domain) is
-    used to factor the localization as Laurent-then-Weierstrass, which is the
-    shape the resolution machinery can certify.
+    With g = 1 this is the Weierstrass domain A{T/r}/(T_i - f_i).  Any
+    other g needs a Bezout certificate b*g + sum a_i f_i = 1, verified
+    exactly.  It bounds g below on the domain: the ultrametric inequality
+    gives 1 <= max(||b||, max_i ||a_i|| r_i) |g| =: M |g|, with Gauss norms.
+    So the domain factors as a Laurent step, g*S - 1 with S at radius M,
+    followed by a Weierstrass step, T_i - f_i*S with T_i at radius r_i
+    (BGR 7.2.3-7.2.4).  Every relator then has one of the two shapes whose
+    resolutions compose.
     """
-    if len(f) != len(r):
-        raise PresentationError("one radius per function required")
-    one = TateElement.constant(base.ambient, 1)
-    if g == one:
+    if not f or len(f) != len(r):
+        raise PresentationError(
+            "one radius per function required, and at least one function"
+        )
+    if g == TateElement.constant(base.ambient, 1):
         return weierstrass_localization(base, f, r)
-    is_variable = len(g.terms) == 1 and set(g.terms.values()) == {1} and (
-        g.total_degree() == 1
+    if certificate is None:
+        raise PresentationError(
+            "rational localization needs g = 1 or a Bezout certificate"
+        )
+    if not certificate.verify(f, g):
+        raise PresentationError("Bezout certificate does not verify")
+    bound = max_norm(
+        [certificate.b.gauss_norm()]
+        + [ai.gauss_norm() * ri for ai, ri in zip(certificate.a, r)]
     )
-    if not is_variable:
-        if certificate is None:
-            raise PresentationError(
-                "rational localization needs g = 1, g a generator variable, "
-                "or a Bezout certificate"
-            )
-        if not certificate.verify(f, g):
-            raise PresentationError("Bezout certificate does not verify")
-    if not f:
-        # Pure inversion of g: a Laurent localization.
-        radius = epsilon.inverse() if epsilon is not None else NormValue.one()
-        return laurent_localization(base, g=[g], g_radii=[radius])
-    if certificate is not None and epsilon is not None:
-        # Laurent-then-Weierstrass factorization at the supplied epsilon.
-        step = laurent_localization(base, g=[g], g_radii=[epsilon.inverse()])
-        s_var = step.localization.relators[0].var
-        s = TateElement.variable(step.ambient, s_var)
-        fs = [fi.in_ambient(step.ambient) * s for fi in f]
-        specs = [(fi, ri, "weierstrass") for fi, ri in zip(fs, r)]
-        ineqs = [DomainInequality(fi, g, ri) for fi, ri in zip(f, r)]
-        return _append_localization(step, specs, "rational", ineqs)
-    # Raw presentation with relators g T_i - f_i; resolutions fall back to
-    # the validity-checked multi-relator Koszul complex.
-    names = list(base.ambient.names)
-    new_names = []
-    for _ in f:
-        var = fresh_name("T", names + new_names)
-        new_names.append(var)
-    ambient = base.ambient.extend(new_names, list(r))
-    relations = [rel.in_ambient(ambient) for rel in base.relations]
-    relators = []
-    for var, fi, ri in zip(new_names, f, r):
-        element = g.in_ambient(ambient) * TateElement.variable(ambient, var) - fi.in_ambient(ambient)
-        relations.append(element)
-        relators.append(Relator(element, var, ri, "generic"))
-    ineqs = tuple(DomainInequality(fi, g, ri) for fi, ri in zip(f, r))
-    data = LocalizationData("rational", base, tuple(relators), ineqs)
-    return AffinoidPresentation(ambient, relations, localization=data)
+    step = laurent_localization(base, g=[g], g_radii=[bound])
+    s_var = step.localization.relators[0].var
+    s = TateElement.variable(step.ambient, s_var)
+    fs = [fi.in_ambient(step.ambient) * s for fi in f]
+    specs = [(fi, ri, "weierstrass") for fi, ri in zip(fs, r)]
+    ineqs = [DomainInequality(fi, g, ri) for fi, ri in zip(f, r)]
+    return _append_localization(step, specs, "rational", ineqs)
 
 
 def tensor_over(

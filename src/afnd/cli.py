@@ -96,7 +96,7 @@ class CheckSpec:
     name: str
     kind: str
     args: list[str]
-    elements: list[str] = field(default_factory=list)
+    elements: list[tuple[int, str]] = field(default_factory=list)
     line: int = 0
 
 
@@ -184,7 +184,7 @@ def parse_scenario(text: str) -> Scenario:
             name = toks[1]
             i += 1
         elif head == "degree":
-            if len(toks) != 2 or not toks[1].isdigit() or int(toks[1]) < 1:
+            if len(toks) != 2 or not toks[1].isdecimal() or int(toks[1]) < 1:
                 raise ScenarioError("usage: degree D with D >= 1", lineno)
             degree = int(toks[1])
             i += 1
@@ -279,7 +279,7 @@ def parse_scenario(text: str) -> Scenario:
                         raise ScenarioError(
                             "norm-table blocks hold `element EXPR` lines", ln
                         )
-                    spec.elements.append(" ".join(btoks[1:]))
+                    spec.elements.append((ln, " ".join(btoks[1:])))
             else:
                 i += 1
             checks.append(spec)
@@ -294,7 +294,7 @@ def parse_scenario(text: str) -> Scenario:
     # Every argument names an algebra, except a numeric cech DEPTH.
     for spec in checks:
         for pos, ref in enumerate(spec.args):
-            if spec.kind == "cech" and pos == 1 and ref.isdigit():
+            if spec.kind == "cech" and pos == 1 and ref.isdecimal():
                 continue
             if ref not in algebras:
                 raise ScenarioError(
@@ -368,7 +368,7 @@ def _run_check(spec: CheckSpec, sc: Scenario, degree: int, proved: dict) -> dict
         )
     elif spec.kind == "cech":
         base = arg_algebra(0)
-        if len(spec.args) < 3 or not spec.args[1].isdigit():
+        if len(spec.args) < 3 or not spec.args[1].isdecimal():
             raise ScenarioError(
                 "usage: check NAME cech BASE DEPTH PIECE...", spec.line
             )
@@ -436,14 +436,14 @@ def _run_check(spec: CheckSpec, sc: Scenario, degree: int, proved: dict) -> dict
     elif spec.kind == "norm-table":
         alg = arg_algebra(0)
         table = []
-        for expr in spec.elements:
-            el = _parse_expr(expr, alg.ambient, spec.line)
+        for ln, expr in spec.elements:
+            el = _parse_expr(expr, alg.ambient, ln)
             if degree < el.total_degree():
                 raise ScenarioError(
                     f"truncation degree {degree} below the degree of the "
-                    "element", spec.line,
+                    "element", ln,
                 )
-            with _at_line(spec.line):
+            with _at_line(ln):
                 reduced = alg.normal_form(el, degree)
             table.append(
                 {

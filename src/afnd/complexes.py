@@ -379,9 +379,10 @@ class KoszulResolution:
     """The Koszul complex of `relator_elements` over `free_extension`: a
     resolution over `base` of the target free_extension/(relator_elements).
 
-    `shape_certified` is True when every relator is of a shape for which the
-    one-step resolutions are known to compose (T - f, or g S - 1); otherwise
-    verdicts built on this resolution must first pass `validity`.
+    `shape_certified` is True for a localization chain, whose relators all
+    have a shape for which the one-step resolutions compose: T - f or
+    g*S - 1.  A quotient resolution, on arbitrary elements of the base, is
+    not, and verdicts built on it must first pass `validity`.
     """
 
     complex: ChainComplex
@@ -414,9 +415,8 @@ def resolution_of(
         [rel.in_ambient(target.ambient) for rel in base.relations],
     )
     relators = tuple(rl.element.in_ambient(target.ambient) for rl in chain)
-    certified = all(rl.shape in ("weierstrass", "laurent") for rl in chain)
     cx = koszul_complex(free_ext, relators)
-    return KoszulResolution(cx, base, free_ext, relators, certified)
+    return KoszulResolution(cx, base, free_ext, relators, True)
 
 
 def quotient_resolution(

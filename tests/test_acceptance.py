@@ -170,7 +170,7 @@ def test_homotopy_epimorphism_suite():
     )
     rat = rational_localization(
         A, [x], parse_element("x - 1", A.ambient), [NormValue.one()],
-        certificate=cert, epsilon=NormValue.one(),
+        certificate=cert,
     )
     assert is_homotopy_epi(A, rat, D).holds
     # The closed point is an epimorphism but not a homotopy epimorphism.

@@ -161,20 +161,29 @@ def test_rational_localization_with_certificate():
         parse_element("-1", A2.ambient), (parse_element("1", A2.ambient),)
     )
     assert cert.verify(f, g)
-    V = rational_localization(
-        A2, f, g, [NormValue.one()], certificate=cert,
-        epsilon=NormValue.one(),
-    )
+    V = rational_localization(A2, f, g, [NormValue.one()], certificate=cert)
     assert V.localization.kind == "rational"
+    # The certificate gives |x - 1| >= 1, so S = 1/(x - 1) has radius 1.
+    assert str(V) == "Q_5{x:1, T:1, T':1}/(-1 - T + x*T, T' - x*T)"
+    assert [str(rel) for rel in V.relations] == ["-1 - T + x*T", "T' - x*T"]
+    assert V.ambient.radii == (NormValue.one(),) * 3
     chain = localization_chain(V, A2)
     assert chain is not None and len(chain) == 2
 
 
 def test_rational_localization_needs_certificate(A):
-    f = [parse_element("x", A.ambient)]
-    g = parse_element("x^2 + 1", A.ambient)
-    with pytest.raises(PresentationError):
-        rational_localization(A, f, g, [NormValue.one()])
+    x = parse_element("x", A.ambient)
+    one = TateElement.constant(A.ambient, 1)
+    cases = [
+        ([x], parse_element("x^2 + 1", A.ambient)),
+        # A generator variable g still needs a certificate.
+        ([x], x),
+        # With no function to bound there is no rational domain.
+        ([], one),
+    ]
+    for f, g in cases:
+        with pytest.raises(PresentationError):
+            rational_localization(A, f, g, [NormValue.one()] * len(f))
 
 
 def test_rational_reduces_to_weierstrass(A):

@@ -353,10 +353,19 @@ HEADER = "scenario h\ndegree 3\nfield p-adic 5\n"
     "text, line, message",
     [
         (HEADER + "algebra A\n  var x 0\nend\n", 4, "radii must be positive"),
+        # A bad norm-table element is reported at its own line, not at the
+        # line of its check.
         (
             HEADER + "algebra A\n  var x 1\nend\n"
             "check t norm-table A\n  element x^5\nend\n",
-            7,
+            8,
+            "truncation degree 3",
+        ),
+        (
+            HEADER + "algebra A\n  var x 1\nend\n"
+            "check t norm-table A\n  element x\n  # comment\n"
+            "  element x^5\nend\n",
+            10,
             "truncation degree 3",
         ),
         (
@@ -403,7 +412,7 @@ HEADER = "scenario h\ndegree 3\nfield p-adic 5\n"
         (
             HEADER + "algebra A\n  var x 1\nend\n"
             "check n norm-table A\n  element 3/0\nend\n",
-            7,
+            8,
             "bad element '3/0': zero denominator",
         ),
         (
@@ -412,12 +421,23 @@ HEADER = "scenario h\ndegree 3\nfield p-adic 5\n"
             8,
             "bad element '1/0': zero denominator",
         ),
+        # A digit that `int` rejects (a superscript) is not a number.
+        (HEADER + "degree \u00b2\n", 4, "usage: degree D"),
+        (
+            HEADER + "algebra A\n  var x 1\nend\n"
+            "localize V of A\n  bound x 5^-1\nend\n"
+            "check c cech A \u00b2 V\n",
+            10,
+            "references undeclared algebra '\u00b2'",
+        ),
     ],
-    ids=["zero-radius", "norm-table-above-truncation", "cover-trivial-field",
+    ids=["zero-radius", "norm-table-above-truncation",
+         "norm-table-element-after-comment", "cover-trivial-field",
          "cover-of-non-localization", "cover-piece-on-another-polydisc",
          "cech-piece-not-over-base", "hoepi-numeric-target",
          "cech-numeric-piece", "cover-numeric-piece",
-         "norm-table-zero-denominator", "relation-zero-denominator"],
+         "norm-table-zero-denominator", "relation-zero-denominator",
+         "superscript-degree", "superscript-cech-depth"],
 )
 def test_library_errors_exit_2_with_line(tmp_path, capsys, text, line, message):
     path = tmp_path / "bad.afnd"

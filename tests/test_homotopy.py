@@ -96,7 +96,7 @@ def test_certified_rational_hoepi():
         parse_element("-1", A.ambient), (parse_element("1", A.ambient),)
     )
     V = rational_localization(
-        A, f, g, [NormValue.one()], certificate=cert, epsilon=NormValue.one()
+        A, f, g, [NormValue.one()], certificate=cert
     )
     v = is_homotopy_epi(A, V, D)
     assert v.holds

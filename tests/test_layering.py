@@ -97,3 +97,26 @@ def test_linalg_has_one_pivot_loop():
             if isinstance(inner, ast.Name) and inner.id in shared:
                 users.add(node.name)
     assert users == {"_pivot_loop"}
+
+
+def unused_imports(tree):
+    """The names a module imports and never reads."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_no_unused_imports():
+    # Every name a module imports is read there; the package __init__
+    # imports only to re-export.
+    unused = {
+        path.stem: unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in PACKAGE.glob("*.py")
+        if path.stem != "__init__"
+    }
+    assert {stem: names for stem, names in unused.items() if names} == {}

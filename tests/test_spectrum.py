@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from afnd.affinoid import (
+    BezoutCertificate,
     free_affinoid,
     laurent_localization,
+    rational_localization,
     weierstrass_localization,
 )
 from afnd.scalar import FieldSpec, NormValue
@@ -141,3 +143,28 @@ def test_domain_of_rejects_localization_variables():
     V = weierstrass_localization(step, [t], [NormValue.prime_power(5, -1)])
     with pytest.raises(ValueError, match="localization variable"):
         domain_of(V)
+
+
+@pytest.mark.parametrize("r", [NormValue.one(), NormValue.prime_power(5, -1)])
+def test_rational_domain_bound_from_certificate_is_sound_and_exact(r):
+    # -1/5*(x - 5) + 1/5*x = 1, so |x - 5| >= 1/max(5, 5 r) = 1/5 on
+    # {|x| <= r |x - 5|}: the inverse of x - 5 gets radius 5.
+    A = free_affinoid(UNIT)
+    x = parse_element("x", A.ambient)
+    g = parse_element("x - 5", A.ambient)
+    cert = BezoutCertificate(
+        parse_element("-1/5", A.ambient), (parse_element("1/5", A.ambient),)
+    )
+    V = rational_localization(A, [x], g, [r], certificate=cert)
+    step = V.localization.base
+    s = step.localization.relators[0].var
+    assert step.ambient.radius_of(s) == NormValue.of_rational(5)
+    # The Laurent step cuts out nothing more than the rational domain.
+    dom = domain_of(V)
+    for pt in default_sample(UNIT):
+        assert member(pt, dom) == (seminorm(pt, x) <= r * seminorm(pt, g))
+    # |x - 5| = 1/5 at the Gauss point of radius 1/5, which lies in the
+    # domain for r = 1: a lower bound |x - 5| >= 1 would exclude it.
+    gauss = GaussPoint((Fraction(0),), (NormValue.prime_power(5, -1),))
+    assert seminorm(gauss, g) == NormValue.prime_power(5, -1)
+    assert member(gauss, dom) == (r == NormValue.one())
