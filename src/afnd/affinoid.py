@@ -73,7 +73,7 @@ class Relator:
 
     Every relator has one of two shapes: T - f (a Weierstrass step) or
     g*S - 1 (a Laurent step).  One-step Koszul resolutions of these shapes
-    compose, so a localization chain needs no validity check.
+    compose, so a localization chain needs no `complexes.resolves` check.
     """
 
     element: TateElement
@@ -738,15 +738,3 @@ def localization_path(
             return path if base is None else None
         path.append(loc.base)
     return path
-
-
-def localization_chain(
-    target: AffinoidPresentation, base: AffinoidPresentation
-) -> tuple[Relator, ...] | None:
-    """Relators presenting `target` as an iterated localization of `base`."""
-    path = localization_path(target, base)
-    if path is None:
-        return None
-    return tuple(
-        rl for node in reversed(path[:-1]) for rl in node.localization.relators
-    )

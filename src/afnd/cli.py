@@ -37,7 +37,9 @@ input produce byte-identical output.  The exit status is 0 exactly when
 every check verdict is holds / exact / covered / ok, and 2 with a
 `line N:` message when the file is malformed, is not UTF-8 text, or the
 library rejects what a line asks for (a zero radius, a norm-table element
-above the truncation).  A `--json` file that cannot be written exits 2
+above the truncation, a field prime above the Miller-Rabin bound).  Each
+`algebra`, `localize` and `module` declares a new name; declaring one twice
+is malformed.  A `--json` file that cannot be written exits 2
 with one `error:` line naming it.  An unexpected exception also exits 2,
 with one `error: internal error:` line, so that a crash never reads as a
 failed check (exit 1).
@@ -166,6 +168,15 @@ def parse_scenario(text: str) -> Scenario:
             j += 1
         raise ScenarioError("unterminated block", start)
 
+    declared: dict[str, int] = {}  # algebra name -> its declaring line
+
+    def declare(ref: str, lineno: int) -> None:
+        if ref in declared:
+            raise ScenarioError(
+                f"{ref!r} is already declared on line {declared[ref]}", lineno
+            )
+        declared[ref] = lineno
+
     def need_algebra(ref: str, lineno: int) -> AffinoidPresentation:
         if ref not in algebras:
             raise ScenarioError(f"undeclared algebra {ref!r}", lineno)
@@ -206,6 +217,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError("declare the field first", lineno)
             if len(toks) != 2:
                 raise ScenarioError("usage: algebra NAME", lineno)
+            declare(toks[1], lineno)
             body, i = collect_block(i + 1)
             names: list[str] = []
             radii: list[NormValue] = []
@@ -233,6 +245,7 @@ def parse_scenario(text: str) -> Scenario:
             if len(toks) != 4 or toks[2] != "of":
                 raise ScenarioError(f"usage: {head} NAME of BASE", lineno)
             base = need_algebra(toks[3], lineno)
+            declare(toks[1], lineno)
             body, i = collect_block(i + 1)
             if head == "module":
                 rels = []

@@ -21,6 +21,11 @@ Images that overflow the requested degree enlarge the target truncation
 instead of dropping terms.  "Homology vanishes at degree D" therefore means:
 every cycle supported in degree <= D is the boundary of a chain supported in
 degree <= D.
+
+A derived tensor module (x)^L_base target is the Koszul complex of the
+target's own relators, its relations past the base's, over the pushout
+module (x)_base target without them (`derived_tensor`); that pushout is
+its H^0.  `resolves` tells whether those relators resolve the target.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
-from afnd.affinoid import AffinoidPresentation, localization_chain
+from afnd.affinoid import AffinoidPresentation, tensor_over
 from afnd.linalg import (
     SparseRow,
     kernel_basis,
@@ -339,7 +344,7 @@ def strict_exactness(
     return ExactnessWitness(degree, verdicts, exact, overall)
 
 
-# -- Koszul resolutions ------------------------------------------------------
+# -- Koszul complexes and derived tensors ------------------------------------
 
 
 def koszul_complex(
@@ -374,75 +379,32 @@ def koszul_complex(
     return ChainComplex(algebra.field, levels, components)
 
 
-@dataclass
-class KoszulResolution:
-    """The Koszul complex of `relator_elements` over `free_extension`: a
-    resolution over `base` of the target free_extension/(relator_elements).
-
-    `shape_certified` is True for a localization chain, whose relators all
-    have a shape for which the one-step resolutions compose: T - f or
-    g*S - 1.  A quotient resolution, on arbitrary elements of the base, is
-    not, and verdicts built on it must first pass `validity`.
-    """
-
-    complex: ChainComplex
-    base: AffinoidPresentation
-    free_extension: AffinoidPresentation
-    relator_elements: tuple[TateElement, ...]
-    shape_certified: bool
-
-    def validity(self, degree: int) -> bool:
-        """Negative homology vanishes at the truncation degree.
-
-        The degree-0 homology is the target presentation itself by
-        construction, so this is the only obstruction.
-        """
-        for n in self.complex.degrees():
-            if n < 0 and not homology(self.complex, n, degree).is_zero:
-                return False
-        return True
-
-
-def resolution_of(
-    target: AffinoidPresentation, base: AffinoidPresentation
-) -> KoszulResolution | None:
-    """Koszul resolution of an (iterated) localization over its base."""
-    chain = localization_chain(target, base)
-    if chain is None:
-        return None
-    free_ext = AffinoidPresentation(
-        target.ambient,
-        [rel.in_ambient(target.ambient) for rel in base.relations],
-    )
-    relators = tuple(rl.element.in_ambient(target.ambient) for rl in chain)
-    cx = koszul_complex(free_ext, relators)
-    return KoszulResolution(cx, base, free_ext, relators, True)
-
-
-def quotient_resolution(
-    base: AffinoidPresentation, elements: Sequence[TateElement]
-) -> KoszulResolution:
-    """Koszul complex of arbitrary elements of the base itself.
-
-    Resolves base/(elements) only when the elements form a regular sequence;
-    callers must gate on `validity` before trusting the homology.
-    """
-    cx = koszul_complex(base, elements)
-    return KoszulResolution(cx, base, base, tuple(elements), False)
-
-
 def derived_tensor(
-    module: AffinoidPresentation, res: KoszulResolution
-) -> tuple[ChainComplex, dict[str, str]]:
-    """module (x)^L_base target, modeled as module (x) (Koszul levels).
+    module: AffinoidPresentation,
+    base: AffinoidPresentation,
+    target: AffinoidPresentation,
+) -> tuple[ChainComplex, AffinoidPresentation, dict[str, str]]:
+    """module (x)^L_base target, modeled on the target's own relators.
 
-    `module` must be presented over the resolution base.  Returns the
-    complex and the rename applied to the resolution's fresh variables.
+    The relators that present `target` over `base` are its relations past
+    the base's: the localization relators of a chain, or the extra
+    relations of a quotient.  H^0 is the pushout module (x)_base target;
+    the complex is the Koszul complex of the renamed relators over the
+    pushout without them.  Returns the complex, H^0 and the rename of the
+    target's fresh variables.
     """
-    from afnd.affinoid import tensor_over
+    h0, rename = tensor_over(base, module, target)
+    n = len(module.relations)
+    level = AffinoidPresentation(h0.ambient, h0.relations[:n])
+    return koszul_complex(level, h0.relations[n:]), h0, rename
 
-    pushout, rename = tensor_over(res.base, module, res.free_extension)
-    relators = tuple(
-        f.in_ambient(pushout.ambient, rename) for f in res.relator_elements
-    )
-    return koszul_complex(pushout, relators), rename
+
+def resolves(
+    base: AffinoidPresentation, target: AffinoidPresentation, degree: int
+) -> bool:
+    """Whether the target's relators resolve it over the base at the
+    truncation degree: the Koszul complex of base (x)^L_base target has no
+    negative homology.  H^0 is the target by construction, so this is the
+    only obstruction."""
+    cx = derived_tensor(base, base, target)[0]
+    return all(homology(cx, n, degree).is_zero for n in cx.degrees() if n < 0)

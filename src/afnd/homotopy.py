@@ -2,22 +2,23 @@
 
 All three verdicts compare finitely presented models on degree-bounded
 monomial bases, so a "holds" is a certificate at the stated truncation degree
-and a "fails" comes with an explicit witness cycle.  When no certified
-resolution is available and the fallback Koszul complex does not resolve the
-target at the truncation degree, or when a fold map fails only through the
-degree-bounded generic layer of a presentation, the verdict is "unresolved"
-rather than a guess.
+and a "fails" comes with an explicit witness cycle.  When the target is
+neither a localization chain nor a quotient of the base, or the Koszul
+complex of a quotient's relators does not resolve it at the truncation
+degree, or when a fold map fails only through the degree-bounded generic
+layer of a presentation, the verdict is "unresolved" rather than a guess.
 
 A homotopy epimorphism A -> B is an epimorphism with vanishing self-Tor, and
 each fact is proved once.  Degree zero of B (x)^L_A B -> B is the
 multiplication map B (x)_A B -> B, the fold map that `is_epimorphism`
 reduces; the negative degrees are Tor_i^A(B, B), read by the same homology
-scan that `check_transversal` runs with module = target = B.
+scan that `check_transversal` runs with module = target = B.  The fold map's
+source is the derived tensor's own H^0, so one pushout serves both.
 
 Every matrix behind a verdict comes from `afnd.complexes`: the derived
-tensor is a Koszul complex, and the fold map is the one differential of a
-two-level complex whose level-1 homology is its cokernel; its kernel rank
-follows by rank-nullity from the same elimination.
+tensor is the Koszul complex of the target's relators, and the fold map is
+the one differential of a two-level complex whose level-1 homology is its
+cokernel; its kernel rank follows by rank-nullity from the same elimination.
 """
 
 from __future__ import annotations
@@ -33,14 +34,12 @@ from afnd.affinoid import (
 from afnd.complexes import (
     ChainComplex,
     CycleWitness,
-    KoszulResolution,
     MapComponent,
     Summand,
     cycles,
     derived_tensor,
     homology,
-    quotient_resolution,
-    resolution_of,
+    resolves,
 )
 from afnd.tate import TateElement
 
@@ -63,18 +62,32 @@ class MorphismVerdict:
         return self.status == HOLDS
 
 
-def _make_resolution(
-    base: AffinoidPresentation, target: AffinoidPresentation
-) -> KoszulResolution | None:
-    res = resolution_of(target, base)
-    if res is not None:
-        return res
-    # Quotient of the base by extra relations: the Koszul complex on those
-    # relations, gated later by a validity check.
-    if target.ambient == base.ambient and target.relations[: len(base.relations)] == base.relations:
-        extra = target.relations[len(base.relations):]
-        return quotient_resolution(base, extra)
-    return None
+def _unresolved(
+    kind: str,
+    base: AffinoidPresentation,
+    target: AffinoidPresentation,
+    degree: int,
+) -> MorphismVerdict | None:
+    """Why the Koszul complex of the target's relators cannot be trusted as
+    a resolution, or None when it can.  A localization chain is trusted:
+    its relators have the shapes whose one-step resolutions compose.  A
+    quotient of the base is trusted where `resolves` shows it at the
+    truncation degree.  Nothing else has a resolution."""
+    if localization_path(target, base) is not None:
+        return None
+    n = len(base.relations)
+    same_ambient = target.ambient == base.ambient
+    if same_ambient and target.relations[:n] == base.relations:
+        if resolves(base, target, degree):
+            return None
+        return MorphismVerdict(
+            kind, UNRESOLVED, degree,
+            "fallback Koszul complex does not resolve the target "
+            "at this truncation degree",
+        )
+    return MorphismVerdict(
+        kind, UNRESOLVED, degree, "no resolution available for the target"
+    )
 
 
 def is_epimorphism(
@@ -195,17 +208,17 @@ def is_homotopy_epi(
             kind, HOLDS, degree,
             "holds at every step of the localization chain",
         )
-    scan = _tor_scan(kind, target, base, target, degree, -1)
-    if isinstance(scan, MorphismVerdict):
-        return scan
-    ranks, witness = scan
+    blocked = _unresolved(kind, base, target, degree)
+    if blocked is not None:
+        return blocked
+    cx, square, rename = derived_tensor(target, base, target)
+    ranks, witness = _tor_ranks(cx, degree, -1)
     if witness is not None:
         return MorphismVerdict(
             kind, FAILS, degree,
             "self-tensor has nonvanishing homology in negative degrees",
             ranks, witness,
         )
-    square, rename = tensor_over(base, target, target)
     if square.is_zero_algebra:
         # The fold map sends 1 (x) 1 to 1, so 1 = 0 in the target too.
         return MorphismVerdict(
@@ -249,10 +262,12 @@ def check_transversal(
         )
     if target.is_zero_algebra:
         return MorphismVerdict(kind, HOLDS, degree, "target is the zero algebra")
-    scan = _tor_scan(kind, module, base, target, degree, 0)
-    if isinstance(scan, MorphismVerdict):
-        return scan
-    ranks, witness = scan
+    blocked = _unresolved(kind, base, target, degree)
+    if blocked is not None:
+        return blocked
+    ranks, witness = _tor_ranks(
+        derived_tensor(module, base, target)[0], degree, 0
+    )
     if witness is not None:
         return MorphismVerdict(
             kind, FAILS, degree,
@@ -263,32 +278,11 @@ def check_transversal(
     )
 
 
-def _tor_scan(
-    kind: str,
-    module: AffinoidPresentation,
-    base: AffinoidPresentation,
-    target: AffinoidPresentation,
-    degree: int,
-    top: int,
-) -> MorphismVerdict | tuple[dict[int, int], Optional[CycleWitness]]:
-    """Homology of module (x)^L_base target in degrees <= top.
-
-    Returns the ranks and the first witness of nonzero negative-degree
-    homology, or an unresolved verdict when no resolution of the target is
-    available or the fallback Koszul complex does not resolve it.
-    """
-    res = _make_resolution(base, target)
-    if res is None:
-        return MorphismVerdict(
-            kind, UNRESOLVED, degree, "no resolution available for the target"
-        )
-    if not res.shape_certified and not res.validity(degree):
-        return MorphismVerdict(
-            kind, UNRESOLVED, degree,
-            "fallback Koszul complex does not resolve the target "
-            "at this truncation degree",
-        )
-    cx, _ = derived_tensor(module, res)
+def _tor_ranks(
+    cx: ChainComplex, degree: int, top: int
+) -> tuple[dict[int, int], Optional[CycleWitness]]:
+    """Homology ranks of a derived tensor in degrees <= top, and the first
+    witness of nonzero negative-degree homology."""
     ranks: dict[int, int] = {}
     witness = None
     for n in cx.degrees():

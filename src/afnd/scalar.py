@@ -18,23 +18,45 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping, Union
 
 Rational = Union[int, Fraction]
 
 
+# Miller-Rabin with the prime bases 2..37 decides primality of every n below
+# this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
+@cache
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, decided once per n; a ValueError above
+    the bound where the bases are proven."""
+    if n >= _MR_BOUND:
+        raise ValueError(
+            f"{n} is too large to certify as prime (the bound is {_MR_BOUND})"
+        )
     if n < 2:
         return False
-    if n < 4:
+    if n in _MR_BASES:
         return True
-    if n % 2 == 0:
+    if any(n % b == 0 for b in _MR_BASES):
         return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

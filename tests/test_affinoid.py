@@ -15,7 +15,7 @@ from afnd.affinoid import (
     PresentationError,
     free_affinoid,
     laurent_localization,
-    localization_chain,
+    localization_path,
     quotient,
     rational_localization,
     tensor_over,
@@ -167,8 +167,10 @@ def test_rational_localization_with_certificate():
     assert str(V) == "Q_5{x:1, T:1, T':1}/(-1 - T + x*T, T' - x*T)"
     assert [str(rel) for rel in V.relations] == ["-1 - T + x*T", "T' - x*T"]
     assert V.ambient.radii == (NormValue.one(),) * 3
-    chain = localization_chain(V, A2)
-    assert chain is not None and len(chain) == 2
+    # A Laurent step inverting g, then a Weierstrass step: two relators.
+    path = localization_path(V, A2)
+    assert path is not None
+    assert [len(node.localization.relators) for node in path[:-1]] == [1, 1]
 
 
 def test_rational_localization_needs_certificate(A):

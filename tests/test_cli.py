@@ -69,6 +69,22 @@ def test_bundled_unit_disk_all_pass():
     assert verdicts["cover-points"] == "covered"
 
 
+def test_large_field_prime_runs_like_a_small_one(tmp_path):
+    """Primality of the field prime is decided once, by Miller-Rabin, so
+    the unit disk over Q_p with p = 2^61 - 1, where trial division of every
+    norm value's key would not finish, gives the verdicts it gives over
+    Q_5."""
+    text = (SCENARIOS / "unit_disk.afnd").read_text(encoding="utf-8")
+    path = tmp_path / "big_prime.afnd"
+    path.write_text(text.replace("p-adic 5", f"p-adic {2**61 - 1}"))
+    verdicts = [
+        {c["name"]: c["verdict"] for c in run_scenario(str(f), 4)["checks"]}
+        for f in (SCENARIOS / "unit_disk.afnd", path)
+    ]
+    assert verdicts[1] == verdicts[0]
+    assert set(verdicts[0].values()) == {"holds", "exact", "covered", "ok"}
+
+
 def test_bundled_gap_cover_fails_with_witness():
     report = run_scenario(str(SCENARIOS / "gap_cover.afnd"))
     assert not report["all_passed"]
@@ -430,6 +446,38 @@ HEADER = "scenario h\ndegree 3\nfield p-adic 5\n"
             10,
             "references undeclared algebra '\u00b2'",
         ),
+        # A prime above the Miller-Rabin bound cannot be certified.
+        (
+            "scenario h\nfield p-adic 1000000000000000000000007\n",
+            2,
+            "too large to certify as prime",
+        ),
+        (
+            "scenario h\nfield p-adic 3215031751\n",
+            2,
+            "p-adic mode needs a prime",
+        ),
+        # A second declaration of a name is an error, not a replacement.
+        (
+            HEADER + "algebra A\n  var x 1\nend\n"
+            "localize V of A\n  bound x 5^-1\nend\n"
+            "algebra A\n  var x 1\nend\ncheck h hoepi A V\n",
+            10,
+            "'A' is already declared on line 4",
+        ),
+        (
+            HEADER + "algebra A\n  var x 1\nend\n"
+            "module A of A\n  relation x\nend\n",
+            7,
+            "'A' is already declared on line 4",
+        ),
+        (
+            HEADER + "algebra A\n  var x 1\nend\n"
+            "localize V of A\n  bound x 5^-1\nend\n"
+            "localize V of A\n  invert x 5\nend\n",
+            10,
+            "'V' is already declared on line 7",
+        ),
     ],
     ids=["zero-radius", "norm-table-above-truncation",
          "norm-table-element-after-comment", "cover-trivial-field",
@@ -437,7 +485,9 @@ HEADER = "scenario h\ndegree 3\nfield p-adic 5\n"
          "cech-piece-not-over-base", "hoepi-numeric-target",
          "cech-numeric-piece", "cover-numeric-piece",
          "norm-table-zero-denominator", "relation-zero-denominator",
-         "superscript-degree", "superscript-cech-depth"],
+         "superscript-degree", "superscript-cech-depth",
+         "prime-above-bound", "strong-pseudoprime", "algebra-redeclared",
+         "module-redeclares-algebra", "localize-redeclared"],
 )
 def test_library_errors_exit_2_with_line(tmp_path, capsys, text, line, message):
     path = tmp_path / "bad.afnd"

@@ -15,14 +15,12 @@ from afnd.complexes import (
     derived_tensor,
     homology,
     koszul_complex,
-    quotient_resolution,
-    resolution_of,
+    resolves,
     strict_exactness,
 )
-from afnd.homotopy import _make_resolution
 from afnd.scalar import FieldSpec, NormValue
 from afnd.tate import Polyradius, TateElement, grevlex_key, parse_element
-from test_homotopy import SCENARIOS, fold_maps, scenario_pairs
+from test_homotopy import SCENARIOS, fold_maps, resolvable, scenario_pairs
 
 Q5 = FieldSpec.padic(5)
 
@@ -123,26 +121,20 @@ def test_resolution_of_localization():
     V = weierstrass_localization(
         A, [parse_element("x", A.ambient)], [NormValue.prime_power(5, -1)]
     )
-    res = resolution_of(V, A)
-    assert res is not None
-    assert res.shape_certified
-    assert res.validity(8)
+    assert resolves(A, V, 8)
 
 
 def test_quotient_resolution_validity_gate():
     A = free_affinoid(disc())
-    good = quotient_resolution(A, [parse_element("x", A.ambient)])
-    assert good.validity(8)
+    assert resolves(A, quotient(A, [parse_element("x", A.ambient)]), 8)
     B = quotient(A, [parse_element("x^2", A.ambient)])
-    bad = quotient_resolution(B, [parse_element("x", B.ambient)])
-    assert not bad.validity(8)
+    assert not resolves(B, quotient(B, [parse_element("x", B.ambient)]), 8)
 
 
 def test_derived_tensor_regular_module():
     A = free_affinoid(disc())
     M = quotient(A, [parse_element("x - 1", A.ambient)])
-    res = quotient_resolution(A, [parse_element("x", A.ambient)])
-    cx, _ = derived_tensor(M, res)
+    cx = derived_tensor(M, A, quotient(A, [parse_element("x", A.ambient)]))[0]
     # x and x - 1 are coprime: the derived tensor vanishes entirely.
     assert homology(cx, -1, 8).is_zero
     assert homology(cx, 0, 8).rank == 0
@@ -151,8 +143,7 @@ def test_derived_tensor_regular_module():
 def test_derived_tensor_self_intersection():
     A = free_affinoid(disc())
     M = quotient(A, [parse_element("x", A.ambient)])
-    res = quotient_resolution(A, [parse_element("x", A.ambient)])
-    cx, _ = derived_tensor(M, res)
+    cx = derived_tensor(M, A, M)[0]
     # Tor_0 = Tor_1 = k for the fiber against itself.
     assert homology(cx, 0, 8).rank == 1
     assert homology(cx, -1, 8).rank == 1
@@ -219,12 +210,12 @@ def oracle_complexes():
     for label, base, piece in pairs:
         for k, (big, target, rename) in enumerate(fold_maps(base, piece)):
             yield f"{label} fold {k}", fold_complex(big, target, rename)
-        res = _make_resolution(base, piece)
-        if res is None:
+        if not resolvable(base, piece):
             continue
-        yield f"{label} koszul", res.complex
         for m, module in enumerate(over[id(base)]):
-            yield f"{label} derived {m}", derived_tensor(module, res)[0]
+            # Module 0 is the base: the Koszul complex of piece's relators.
+            cx = derived_tensor(module, base, piece)[0]
+            yield f"{label} derived {m}", cx
     for base, *rest in over.values():
         pieces = tuple(p for p in rest if p.localization is not None)
         if len(pieces) > 1:
@@ -238,8 +229,8 @@ def oracle_complexes():
         {0: [Summand(A, "A")], 1: [Summand(Z, "Z")]},
         {0: {(0, 0): MapComponent(one)}},
     )
-    res = quotient_resolution(A, [parse_element("x", A.ambient)])
-    yield "zero derived", derived_tensor(Z, res)[0]
+    X = quotient(A, [parse_element("x", A.ambient)])
+    yield "zero derived", derived_tensor(Z, A, X)[0]
 
 
 @pytest.mark.parametrize("degree", [6, 12])
@@ -309,8 +300,7 @@ def test_homology_reads_no_weights(monkeypatch):
     complexes = []
     for name in ("V1", "V2"):
         piece = algebras[name]
-        res = _make_resolution(base, piece)
-        complexes.append(derived_tensor(piece, res)[0])
+        complexes.append(derived_tensor(piece, base, piece)[0])
         complexes += [fold_complex(*f) for f in fold_maps(base, piece)]
     calls = []
     weight = Polyradius.monomial_weight

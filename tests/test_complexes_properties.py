@@ -18,7 +18,7 @@ from afnd.affinoid import (  # noqa: E402
     tensor_over,
     weierstrass_localization,
 )
-from afnd.complexes import derived_tensor, homology, resolution_of  # noqa: E402
+from afnd.complexes import derived_tensor, homology  # noqa: E402
 from afnd.homotopy import _reduce_fold_map  # noqa: E402
 from afnd.scalar import FieldSpec, NormValue  # noqa: E402
 from afnd.tate import Polyradius, TateElement  # noqa: E402
@@ -58,9 +58,8 @@ def invariants(name, specs):
         Polyradius(FieldSpec.padic(5), (name,), (NormValue.one(),))
     )
     pieces = [interval(base, *spec) for spec in specs]
-    res = resolution_of(pieces[0], base)
-    out = [ranks(res.complex)]
-    out += [ranks(derived_tensor(m, res)[0]) for m in pieces]
+    out = [ranks(derived_tensor(base, base, pieces[0])[0])]
+    out += [ranks(derived_tensor(m, base, pieces[0])[0]) for m in pieces]
     square, rename = tensor_over(base, pieces[0], pieces[0])
     out.append(_reduce_fold_map(square, pieces[0], rename, DEGREE)[:2])
     return out

@@ -9,6 +9,7 @@ from afnd.affinoid import (
     BezoutCertificate,
     free_affinoid,
     laurent_localization,
+    localization_path,
     quotient,
     rational_localization,
     tensor_over,
@@ -20,7 +21,6 @@ from afnd.homotopy import (
     FAILS,
     HOLDS,
     UNRESOLVED,
-    _make_resolution,
     _reduce_fold_map,
     check_transversal,
     is_epimorphism,
@@ -182,21 +182,26 @@ def scenario_pairs():
                     yield f"{path.stem}:{b}->{p}", base, piece
 
 
-def reference_degree_zero(base, piece):
-    """H^0 of piece (x)^L_base piece, presented as an earlier
-    `is_homotopy_epi` presented it: the pushout of the derived self-tensor
-    modulo the renamed relators.  Returns it with the rename, or None when
-    no resolution is available."""
-    res = _make_resolution(base, piece)
-    if res is None:
-        return None
-    cx, rename = derived_tensor(piece, res)
-    pushout = cx.levels[0][0].algebra
-    h0 = quotient(
-        pushout,
-        [f.in_ambient(pushout.ambient, rename) for f in res.relator_elements],
+def resolvable(base, piece):
+    """Whether `is_homotopy_epi` builds a Koszul model of piece over base:
+    piece is a localization chain over base, or a quotient of it on the
+    same ambient."""
+    n = len(base.relations)
+    return localization_path(piece, base) is not None or (
+        piece.ambient == base.ambient and piece.relations[:n] == base.relations
     )
-    return h0, rename
+
+
+def reference_degree_zero(base, piece):
+    """H^0 of piece (x)^L_base piece, read off its Koszul complex: level 0
+    modulo the relators that d^-1 multiplies by.  Returns it with the
+    rename, or None when no resolution is available."""
+    if not resolvable(base, piece):
+        return None
+    cx, _, rename = derived_tensor(piece, base, piece)
+    level = cx.levels[0][0].algebra
+    relators = [comp.coeff for comp in cx.components.get(-1, {}).values()]
+    return quotient(level, relators), rename
 
 
 def fold_maps(base, piece):
@@ -264,6 +269,48 @@ def test_degree_zero_part_is_the_self_tensor():
     assert checked == 13  # three from bidisc_cover
 
 
+def test_hoepi_step_builds_one_pushout_and_one_square(monkeypatch):
+    """A one-step hoepi builds the pushout of its derived self-tensor and
+    the Koszul level over it, and nothing else: the fold map reduces the
+    derived tensor's H^0, which shares its Polyradius with the level, so
+    monomial weights are computed once for both."""
+    import afnd.affinoid
+    import afnd.homotopy
+
+    algebras = parse_scenario(
+        (SCENARIOS / "unit_disk.afnd").read_text(encoding="utf-8")
+    ).algebras
+    built = []
+    init = afnd.affinoid.AffinoidPresentation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    derived, folds = [], []
+    real_derived = afnd.homotopy.derived_tensor
+    real_fold = afnd.homotopy._reduce_fold_map
+
+    def recording_derived(*args):
+        derived.append(real_derived(*args))
+        return derived[-1]
+
+    def recording_fold(big, *args):
+        folds.append(big)
+        return real_fold(big, *args)
+
+    monkeypatch.setattr(
+        afnd.affinoid.AffinoidPresentation, "__init__", counting
+    )
+    monkeypatch.setattr(afnd.homotopy, "derived_tensor", recording_derived)
+    monkeypatch.setattr(afnd.homotopy, "_reduce_fold_map", recording_fold)
+    assert is_homotopy_epi(algebras["A"], algebras["V1"], 12).holds
+    assert len(built) == 2
+    [(cx, square, _)] = derived
+    assert len(folds) == 1 and folds[0] is square
+    assert cx.levels[0][0].algebra.ambient is square.ambient
+
+
 def test_fold_map_runs_one_elimination(monkeypatch):
     """The kernel rank comes from the elimination behind the cokernel."""
     import afnd.complexes
@@ -290,16 +337,16 @@ def test_fold_map_runs_one_elimination(monkeypatch):
 def test_collapsed_self_tensor_proves_the_target_zero(monkeypatch):
     """B (x)_A B -> B sends 1 (x) 1 to 1, so a self-tensor found to be the
     zero algebra makes the target zero as well, and hoepi holds."""
-    import afnd.homotopy
+    import afnd.complexes
 
-    real = afnd.homotopy.tensor_over
+    real = afnd.complexes.tensor_over
 
     def collapsed(base, left, right):
         square, rename = real(base, left, right)
         one = TateElement.constant(square.ambient, 1)
         return quotient(square, [one]), rename
 
-    monkeypatch.setattr(afnd.homotopy, "tensor_over", collapsed)
+    monkeypatch.setattr(afnd.complexes, "tensor_over", collapsed)
     A = make_base()
     V = weierstrass_localization(
         A, [parse_element("x", A.ambient)], [NormValue.prime_power(5, -1)]

@@ -120,3 +120,26 @@ def test_no_unused_imports():
         if path.stem != "__init__"
     }
     assert {stem: names for stem, names in unused.items() if names} == {}
+
+
+def function_local_imports(tree):
+    """The lines of the imports that are not statements of the module."""
+    top = {id(node) for node in tree.body}
+    imports = (ast.Import, ast.ImportFrom)
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, imports) and id(node) not in top
+    ]
+
+
+def test_no_function_local_imports():
+    # Every import in afnd is a statement of its module: one inside a
+    # function hides a dependency, or an import cycle, until it runs.
+    local = {
+        path.stem: function_local_imports(
+            ast.parse(path.read_text(encoding="utf-8"))
+        )
+        for path in PACKAGE.glob("*.py")
+    }
+    assert {stem: lines for stem, lines in local.items() if lines} == {}

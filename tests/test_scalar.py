@@ -14,6 +14,7 @@ import afnd
 from afnd.scalar import (
     FieldSpec,
     NormValue,
+    _is_prime,
     max_norm,
     padic_valuation,
     scalar_norm,
@@ -29,6 +30,20 @@ def test_field_spec_validation():
     with pytest.raises(ValueError):
         FieldSpec("p-adic", None)
     assert str(Q5) == "Q_5"
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(1, 10**4) if _is_prime(n) != trial(n)] == []
+    assert _is_prime(2**61 - 1)
+    assert _is_prime(10**18 + 3)
+    # A strong pseudoprime to the bases 2, 3, 5 and 7.
+    assert not _is_prime(3215031751)
+    # Above the bound where the bases are proven, nothing is certified.
+    with pytest.raises(ValueError, match="too large"):
+        FieldSpec.padic(10**24 + 7)
 
 
 def test_padic_valuation():
