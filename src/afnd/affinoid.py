@@ -20,6 +20,10 @@ exponent lattice (`pushed_images`): a product of shape normal forms contains
 no substituted variable, so the walk applies only the Laurent layer, fused
 with each product.
 
+A localization A -> A_V is a presentation over A whose relations past A's
+are its relators; its `LocalizationData` records only A and the
+inequalities that cut V out of A's domain.
+
 A presentation is recognized as the zero algebra when some reduced relation
 has a dominant constant term: a*1 = (a - rel) + rel with ||a - rel|| < |a|
 forces the residue seminorm of 1 below 1, hence (by multiplicativity of the
@@ -46,10 +50,6 @@ from afnd.tate import (
     walk_down,
 )
 
-SUBSTITUTION = "substitution"
-COORDINATE_INVERSE = "coordinate-inverse"
-GENERIC_BOUNDED = "generic-bounded"
-
 
 @dataclass(frozen=True)
 class BezoutCertificate:
@@ -68,19 +68,6 @@ class BezoutCertificate:
 
 
 @dataclass(frozen=True)
-class Relator:
-    """One localization relator in a fresh variable `var`.
-
-    Every relator has one of two shapes: T - f (a Weierstrass step) or
-    g*S - 1 (a Laurent step).  One-step Koszul resolutions of these shapes
-    compose, so a localization chain needs no `complexes.resolves` check.
-    """
-
-    element: TateElement
-    var: str
-
-
-@dataclass(frozen=True)
 class DomainInequality:
     """|num| <= bound * |den| as a membership condition on the base algebra."""
 
@@ -91,9 +78,19 @@ class DomainInequality:
 
 @dataclass(frozen=True)
 class LocalizationData:
-    kind: str  # weierstrass | laurent | rational
+    """One localization step: its `base` and the `inequalities` of the
+    domain it cuts out of the base's.
+
+    The step's relators are its relations past the base's,
+    `relations[len(base.relations):]`, one per fresh variable
+    `ambient.names[base.ambient.nvars:]`, in order.  Each is T - f (a
+    Weierstrass step) or g*S - 1 (a Laurent step), with T or S its fresh
+    variable and f, g free of the step's fresh variables.  One-step Koszul
+    resolutions of these shapes compose, so a localization chain needs no
+    `complexes.resolves` check.
+    """
+
     base: "AffinoidPresentation"
-    relators: tuple[Relator, ...]
     inequalities: tuple[DomainInequality, ...]
 
 
@@ -102,7 +99,7 @@ class PresentationError(ValueError):
 
 
 class AffinoidPresentation:
-    """A = k{r^-1 x} / (relations), with a layered reduction strategy."""
+    """A = k{r^-1 x} / (relations), with layered normal forms."""
 
     def __init__(
         self,
@@ -149,10 +146,6 @@ class AffinoidPresentation:
         self.generic_relations: list[TateElement] = list(dict.fromkeys(
             r for r in map(self.shape_normal, remaining or ()) if not r.is_zero
         ))
-        if remaining:
-            self.strategy = GENERIC_BOUNDED
-        else:
-            self.strategy = COORDINATE_INVERSE if self.laurent_pairs else SUBSTITUTION
 
     def _exact_layers(self) -> list[TateElement] | None:
         """Install the substitution and Laurent layers; returns the
@@ -578,43 +571,29 @@ def quotient(
 
 def _append_localization(
     base: AffinoidPresentation,
-    relator_specs: Sequence[tuple[TateElement, NormValue, str]],
-    kind: str,
+    bounds: Sequence[tuple[TateElement, NormValue]],
+    inverts: Sequence[tuple[TateElement, NormValue]],
     inequalities: Sequence[DomainInequality],
-    var_prefix: str = "T",
 ) -> AffinoidPresentation:
-    """Shared construction: extend the ambient and install relators.
-
-    Each relator spec is (partner, radius, shape): shape "weierstrass"
-    installs T - partner, shape "laurent" installs partner*T - 1.
-    """
+    """Extend the ambient by one fresh variable per bound, then one per
+    inversion, and install the relators: T - f for a bound (f, r), with T
+    at radius r, and g*S - 1 for an inversion (g, q), with S at radius q."""
     names = list(base.ambient.names)
-    relators = []
-    new_names: list[str] = []
-    new_radii: list[NormValue] = []
-    for partner, radius, shape in relator_specs:
-        var = fresh_name(var_prefix, names + new_names)
-        new_names.append(var)
-        new_radii.append(radius)
-        relators.append((var, partner, shape))
-    ambient = base.ambient.extend(new_names, new_radii)
-    relations = [rel.in_ambient(ambient) for rel in base.relations]
-    built: list[Relator] = []
-    for var, partner, shape in relators:
-        t = TateElement.variable(ambient, var)
-        p = partner.in_ambient(ambient)
-        if shape == "weierstrass":
-            element = t - p
-        else:
-            element = p * t - TateElement.constant(ambient, 1)
-        relations.append(element)
-        built.append(Relator(element, var))
-    data = LocalizationData(
-        kind=kind,
-        base=base,
-        relators=tuple(built),
-        inequalities=tuple(inequalities),
+    for _ in range(len(bounds) + len(inverts)):
+        names.append(fresh_name("T", names))
+    new_names = names[base.ambient.nvars:]
+    ambient = base.ambient.extend(
+        new_names, [r for _, r in bounds] + [q for _, q in inverts]
     )
+    fresh = [TateElement.variable(ambient, name) for name in new_names]
+    one = TateElement.constant(ambient, 1)
+    relations = [rel.in_ambient(ambient) for rel in base.relations]
+    relations += [t - f.in_ambient(ambient) for t, (f, _) in zip(fresh, bounds)]
+    relations += [
+        g.in_ambient(ambient) * s - one
+        for s, (g, _) in zip(fresh[len(bounds):], inverts)
+    ]
+    data = LocalizationData(base, tuple(inequalities))
     return AffinoidPresentation(ambient, relations, localization=data)
 
 
@@ -626,12 +605,10 @@ def weierstrass_localization(
     """A{T/r}/(T_i - f_i): the subdomain |f_i| <= r_i."""
     if len(f) != len(r):
         raise PresentationError("one radius per function required")
-    specs = [(fi, ri, "weierstrass") for fi, ri in zip(f, r)]
-    ineqs = [
-        DomainInequality(fi, TateElement.constant(base.ambient, 1), ri)
-        for fi, ri in zip(f, r)
-    ]
-    return _append_localization(base, specs, "weierstrass", ineqs)
+    bounds = list(zip(f, r))
+    one = TateElement.constant(base.ambient, 1)
+    ineqs = [DomainInequality(fi, one, ri) for fi, ri in bounds]
+    return _append_localization(base, bounds, (), ineqs)
 
 
 def laurent_localization(
@@ -647,12 +624,12 @@ def laurent_localization(
     (relations g_j S_j - 1 at radius q_j).
     """
     one = TateElement.constant(base.ambient, 1)
-    specs = [(fi, ri, "weierstrass") for fi, ri in zip(f, f_radii)]
-    specs += [(gj, qj, "laurent") for gj, qj in zip(g, g_radii)]
-    ineqs = [
-        DomainInequality(fi, one, ri) for fi, ri in zip(f, f_radii)
-    ] + [DomainInequality(one, gj, qj) for gj, qj in zip(g, g_radii)]
-    return _append_localization(base, specs, "laurent", ineqs)
+    bounds = list(zip(f, f_radii))
+    inverts = list(zip(g, g_radii))
+    ineqs = [DomainInequality(fi, one, ri) for fi, ri in bounds] + [
+        DomainInequality(one, gj, qj) for gj, qj in inverts
+    ]
+    return _append_localization(base, bounds, inverts, ineqs)
 
 
 def rational_localization(
@@ -690,12 +667,10 @@ def rational_localization(
         + [ai.gauss_norm() * ri for ai, ri in zip(certificate.a, r)]
     )
     step = laurent_localization(base, g=[g], g_radii=[bound])
-    s_var = step.localization.relators[0].var
-    s = TateElement.variable(step.ambient, s_var)
-    fs = [fi.in_ambient(step.ambient) * s for fi in f]
-    specs = [(fi, ri, "weierstrass") for fi, ri in zip(fs, r)]
+    s = TateElement.variable(step.ambient, step.ambient.names[-1])
+    bounds = [(fi.in_ambient(step.ambient) * s, ri) for fi, ri in zip(f, r)]
     ineqs = [DomainInequality(fi, g, ri) for fi, ri in zip(f, r)]
-    return _append_localization(step, specs, "rational", ineqs)
+    return _append_localization(step, bounds, (), ineqs)
 
 
 def tensor_over(

@@ -37,7 +37,9 @@ input produce byte-identical output.  The exit status is 0 exactly when
 every check verdict is holds / exact / covered / ok, and 2 with a
 `line N:` message when the file is malformed, is not UTF-8 text, or the
 library rejects what a line asks for (a zero radius, a norm-table element
-above the truncation, a field prime above the Miller-Rabin bound).  Each
+above the truncation, a field prime above the Miller-Rabin bound).  A check
+of an unknown kind, or with the wrong number of arguments for its kind, is
+malformed and is reported before any check runs.  Each
 `algebra`, `localize` and `module` declares a new name; declaring one twice
 is malformed.  A `--json` file that cannot be written exits 2
 with one `error:` line naming it.  An unexpected exception also exits 2,
@@ -84,6 +86,17 @@ from afnd.tate import ElementSyntaxError, Polyradius, TateElement, parse_element
 log = logging.getLogger("afnd")
 
 PASSING = {"holds", "exact", "covered", "ok"}
+
+# Each check kind: its arguments, and the fewest and most it takes (None:
+# no most).
+CHECK_ARGS = {
+    "epi": ("BASE TARGET", 2, 2),
+    "hoepi": ("BASE TARGET", 2, 2),
+    "transversal": ("BASE MODULE TARGET", 3, 3),
+    "norm-table": ("ALGEBRA", 1, 1),
+    "cech": ("BASE DEPTH PIECE...", 3, None),
+    "cover": ("BASE PIECE...", 1, None),
+}
 
 
 class ScenarioError(ValueError):
@@ -303,9 +316,14 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("scenario declares no field")
     if degree is None:
         degree = 10
-    # Validate check references up front so errors point at the right line.
-    # Every argument names an algebra, except a numeric cech DEPTH.
+    # Validate checks up front, before any runs, so errors point at the
+    # right line.  Every argument names an algebra, except a numeric cech
+    # DEPTH.
     for spec in checks:
+        if spec.kind not in CHECK_ARGS:
+            raise ScenarioError(
+                f"unknown check kind {spec.kind!r}", spec.line
+            )
         for pos, ref in enumerate(spec.args):
             if spec.kind == "cech" and pos == 1 and ref.isdecimal():
                 continue
@@ -314,6 +332,14 @@ def parse_scenario(text: str) -> Scenario:
                     f"check {spec.name!r} references undeclared "
                     f"algebra {ref!r}", spec.line
                 )
+        usage, fewest, most = CHECK_ARGS[spec.kind]
+        count = len(spec.args)
+        if count < fewest or (most is not None and count > most) or (
+            spec.kind == "cech" and not spec.args[1].isdecimal()
+        ):
+            raise ScenarioError(
+                f"usage: check NAME {spec.kind} {usage}", spec.line
+            )
     return Scenario(name, field_spec, degree, algebras, checks)
 
 
@@ -349,26 +375,20 @@ def _homotopy_epi(
 
 
 def _run_check(spec: CheckSpec, sc: Scenario, degree: int, proved: dict) -> dict:
+    """One check's report record; `parse_scenario` has validated its kind
+    and arguments."""
     record: dict = {"name": spec.name, "kind": spec.kind}
     algebras = sc.algebras
-
-    def arg_algebra(pos: int) -> AffinoidPresentation:
-        try:
-            return algebras[spec.args[pos]]
-        except IndexError:
-            raise ScenarioError(
-                f"check {spec.name!r}: missing argument {pos + 1}", spec.line
-            )
-
+    args = spec.args
     if spec.kind in ("epi", "hoepi", "transversal"):
-        base = arg_algebra(0)
+        base = algebras[args[0]]
         if spec.kind == "epi":
-            verdict = is_epimorphism(base, arg_algebra(1), degree)
+            verdict = is_epimorphism(base, algebras[args[1]], degree)
         elif spec.kind == "hoepi":
-            verdict = _homotopy_epi(proved, base, arg_algebra(1), degree)
+            verdict = _homotopy_epi(proved, base, algebras[args[1]], degree)
         else:
             verdict = check_transversal(
-                arg_algebra(1), base, arg_algebra(2), degree
+                algebras[args[1]], base, algebras[args[2]], degree
             )
         record.update(
             verdict=verdict.status,
@@ -380,14 +400,10 @@ def _run_check(spec: CheckSpec, sc: Scenario, degree: int, proved: dict) -> dict
             witness=_witness_json(verdict.witness),
         )
     elif spec.kind == "cech":
-        base = arg_algebra(0)
-        if len(spec.args) < 3 or not spec.args[1].isdecimal():
-            raise ScenarioError(
-                "usage: check NAME cech BASE DEPTH PIECE...", spec.line
-            )
-        depth = int(spec.args[1])
+        base = algebras[args[0]]
+        depth = int(args[1])
         with _at_line(spec.line):
-            cover = CoverData(base, tuple(algebras[a] for a in spec.args[2:]))
+            cover = CoverData(base, tuple(algebras[a] for a in args[2:]))
         report = acyclicity_check(
             cover, depth, degree,
             precondition=[
@@ -411,7 +427,7 @@ def _run_check(spec: CheckSpec, sc: Scenario, degree: int, proved: dict) -> dict
             ],
         )
     elif spec.kind == "cover":
-        base = arg_algebra(0)
+        base = algebras[args[0]]
         if sc.field_spec.mode != "p-adic":
             raise ScenarioError(
                 "cover checks sample points and need a p-adic field",
@@ -426,7 +442,7 @@ def _run_check(spec: CheckSpec, sc: Scenario, degree: int, proved: dict) -> dict
                 region = domain_of(base)
             points = [pt for pt in points if member(pt, region)]
         domains = []
-        for ref in spec.args[1:]:
+        for ref in args[1:]:
             piece = algebras[ref]
             if piece.localization is None:
                 raise ScenarioError(
@@ -436,18 +452,18 @@ def _run_check(spec: CheckSpec, sc: Scenario, degree: int, proved: dict) -> dict
             if root_ambient(piece) != root:
                 raise ScenarioError(
                     f"cover piece {ref!r} does not localize the polydisc "
-                    f"of {spec.args[0]!r}", spec.line,
+                    f"of {args[0]!r}", spec.line,
                 )
             with _at_line(spec.line):
-                domains.append(domain_of(piece, ref))
+                domains.append(domain_of(piece))
         report = cover_check(domains, points)
         record.update(
             verdict="covered" if report.covered else "uncovered",
             points_checked=report.points_checked,
             witnesses=report.witness_strings(),
         )
-    elif spec.kind == "norm-table":
-        alg = arg_algebra(0)
+    else:  # norm-table
+        alg = algebras[args[0]]
         table = []
         for ln, expr in spec.elements:
             el = _parse_expr(expr, alg.ambient, ln)
@@ -466,10 +482,6 @@ def _run_check(spec: CheckSpec, sc: Scenario, degree: int, proved: dict) -> dict
                 }
             )
         record.update(verdict="ok", degree=degree, table=table)
-    else:
-        raise ScenarioError(
-            f"unknown check kind {spec.kind!r}", spec.line
-        )
     return record
 
 

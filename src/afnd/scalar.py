@@ -135,6 +135,8 @@ class NormValue:
         for p, e in exponents.items():
             if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
+            if isinstance(e, float):
+                raise TypeError(f"inexact exponent {e!r}")
             e = Fraction(e)
             if e != 0:
                 cleaned[p] = e
@@ -162,6 +164,8 @@ class NormValue:
     @staticmethod
     def of_rational(a: Rational) -> "NormValue":
         """The factored value of a positive rational number."""
+        if isinstance(a, float):
+            raise TypeError(f"inexact value {a!r}")
         a = Fraction(a)
         if a <= 0:
             raise ValueError("need a positive rational")

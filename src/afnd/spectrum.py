@@ -4,7 +4,9 @@ Two kinds of sample points are exact enough to evaluate seminorms on without
 approximation: rigid points with rational coordinates, and Gauss points
 (centers of polydiscs with factored radii).  On a polynomial representative
 both seminorms have closed forms, so membership of a point in a rational
-subdomain |f_i| <= r_i |g| is decided exactly.
+subdomain |f_i| <= r_i |g| is decided exactly.  A domain is a tuple of
+`DomainInequality`, their conjunction; `domain_of` reads one off a
+localization chain, on the polydisc at its root.
 
 A pointwise cover check is a falsifier, not a proof: a cover that passes the
 sample may still have gaps, and the conservativity probe shows that
@@ -59,22 +61,15 @@ def seminorm(point: BerkovichPointSample, f: TateElement) -> NormValue:
     return f.recenter(point.center).gauss_seminorm(point.radii)
 
 
-@dataclass(frozen=True)
-class ConjunctionDomain:
-    """The subdomain cut out by finitely many |num| <= bound * |den|."""
-
-    inequalities: tuple[DomainInequality, ...]
-    name: str = ""
-
-
 def root_ambient(piece: AffinoidPresentation) -> Polyradius:
     """The ambient of the algebra at the start of `piece`'s localization
     chain: the polydisc that `domain_of` reads every inequality on."""
     return localization_path(piece)[-1].ambient
 
 
-def domain_of(piece: AffinoidPresentation, name: str = "") -> ConjunctionDomain:
-    """The domain cut out by a localization's recorded inequalities.
+def domain_of(piece: AffinoidPresentation) -> tuple[DomainInequality, ...]:
+    """The domain cut out by a localization's recorded inequalities, as the
+    conjunction of every |num| <= bound * |den| along its chain.
 
     The localization chain is walked back to its root, and the inequalities
     of every step are re-expressed on the root's ambient, where the sample
@@ -93,7 +88,7 @@ def domain_of(piece: AffinoidPresentation, name: str = "") -> ConjunctionDomain:
     )
     if not ineqs:
         raise ValueError("piece carries no domain inequalities")
-    return ConjunctionDomain(ineqs, name)
+    return ineqs
 
 
 def _on_root(f: TateElement, root: Polyradius) -> TateElement:
@@ -112,10 +107,12 @@ def _on_root(f: TateElement, root: Polyradius) -> TateElement:
     )
 
 
-def member(point: BerkovichPointSample, domain: ConjunctionDomain) -> bool:
+def member(
+    point: BerkovichPointSample, domain: Sequence[DomainInequality]
+) -> bool:
     return all(
         seminorm(point, ineq.num) <= ineq.bound * seminorm(point, ineq.den)
-        for ineq in domain.inequalities
+        for ineq in domain
     )
 
 
@@ -156,7 +153,7 @@ class CoverCheckReport:
 
 
 def cover_check(
-    domains: Sequence[ConjunctionDomain],
+    domains: Sequence[Sequence[DomainInequality]],
     points: Sequence[BerkovichPointSample],
 ) -> CoverCheckReport:
     """Does every sample point land in some domain of the family?"""

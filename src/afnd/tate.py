@@ -159,7 +159,10 @@ class TateElement:
             exponent = tuple(exponent)
             if len(exponent) != ambient.nvars or any(e < 0 for e in exponent):
                 raise ValueError(f"bad exponent {exponent} for {ambient}")
-            c = c if type(c) is int else Fraction(c)
+            if type(c) is not int:
+                if isinstance(c, float):
+                    raise TypeError(f"inexact coefficient {c!r}")
+                c = Fraction(c)
             if c != 0:
                 prev = cleaned.get(exponent)
                 cleaned[exponent] = c if prev is None else prev + c

@@ -7,9 +7,6 @@ from fractions import Fraction
 import pytest
 
 from afnd.affinoid import (
-    COORDINATE_INVERSE,
-    GENERIC_BOUNDED,
-    SUBSTITUTION,
     AffinoidPresentation,
     BezoutCertificate,
     PresentationError,
@@ -99,12 +96,12 @@ def test_zero_algebra_has_an_exact_layer_strategy():
         [parse_element(f, amb) for f in ["x*s - 1", "y*t - 1", "3*x*y - 5"]],
     )
     assert empty.is_zero_algebra
-    assert empty.strategy == COORDINATE_INVERSE
+    assert empty.laurent_pairs and empty.generic_relations == []
     # Found zero by a dominant constant term, before any pair is read.
     A = free_affinoid(unit_disc())
     Z = quotient(A, [parse_element("1 + 5*x", A.ambient)])
     assert Z.is_zero_algebra
-    assert Z.strategy == SUBSTITUTION
+    assert not Z.laurent_pairs
     assert Z.generic_relations == [] and Z.monomial_basis(4) == []
 
 
@@ -135,7 +132,8 @@ def test_weierstrass_localization_eliminates_variable(A):
         A, [parse_element("x", A.ambient)], [NormValue.prime_power(5, -1)]
     )
     assert V.is_over(A)
-    assert V.localization.kind == "weierstrass"
+    assert V.localization.base is A
+    assert [str(rel) for rel in V.relations] == ["T - x"]
     # x = T in the localization, so x - T reduces to zero.
     diff = parse_element("x - T", V.ambient)
     assert V.normal_form(diff, 6) == TateElement.zero(V.ambient)
@@ -145,7 +143,8 @@ def test_laurent_localization_normal_form(A):
     W = laurent_localization(
         A, g=[parse_element("x", A.ambient)], g_radii=[NormValue.of_rational(5)]
     )
-    s = W.localization.relators[0].var
+    s = W.ambient.names[-1]
+    assert [str(rel) for rel in W.relations] == [f"-1 + x*{s}"]
     # x * s = 1, so x^3 s^2 + 2 reduces to x + 2.
     f = parse_element(f"x^3*{s}^2 + 2", W.ambient)
     assert str(W.normal_form(f, 8)) == "2 + x"
@@ -162,15 +161,16 @@ def test_rational_localization_with_certificate():
     )
     assert cert.verify(f, g)
     V = rational_localization(A2, f, g, [NormValue.one()], certificate=cert)
-    assert V.localization.kind == "rational"
+    assert V.localization.base.localization.base is A2
     # The certificate gives |x - 1| >= 1, so S = 1/(x - 1) has radius 1.
     assert str(V) == "Q_5{x:1, T:1, T':1}/(-1 - T + x*T, T' - x*T)"
     assert [str(rel) for rel in V.relations] == ["-1 - T + x*T", "T' - x*T"]
     assert V.ambient.radii == (NormValue.one(),) * 3
-    # A Laurent step inverting g, then a Weierstrass step: two relators.
+    # A Laurent step inverting g, then a Weierstrass step: one fresh
+    # variable, and so one relator, each.
     path = localization_path(V, A2)
     assert path is not None
-    assert [len(node.localization.relators) for node in path[:-1]] == [1, 1]
+    assert [node.ambient.nvars for node in path] == [3, 2, 1]
 
 
 def test_rational_localization_needs_certificate(A):
@@ -193,7 +193,8 @@ def test_rational_reduces_to_weierstrass(A):
     V = rational_localization(
         A, [parse_element("x", A.ambient)], one, [NormValue.prime_power(5, -1)]
     )
-    assert V.localization.kind == "weierstrass"
+    assert V.localization.base is A
+    assert [str(rel) for rel in V.relations] == ["T - x"]
 
 
 def test_tensor_over_renames(A):
@@ -226,7 +227,7 @@ def test_generic_basis_builds_no_pivot_scores(monkeypatch):
         Q5, ("x", "y"), (NormValue.one(), NormValue.of_rational(2))
     )
     M = quotient(free_affinoid(bidisc), [parse_element("3*x^2 - 10*y", bidisc)])
-    assert M.strategy == GENERIC_BOUNDED
+    assert M.generic_relations
     calls = []
     divide = NormValue.__truediv__
 

@@ -1,11 +1,22 @@
-"""Property tests of generic normal forms; skipped without hypothesis."""
+"""Property tests of generic normal forms and of localization chains;
+skipped without hypothesis."""
+
+from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from afnd.affinoid import GENERIC_BOUNDED, free_affinoid, quotient  # noqa: E402
+from afnd.affinoid import (  # noqa: E402
+    BezoutCertificate,
+    free_affinoid,
+    laurent_localization,
+    localization_path,
+    quotient,
+    rational_localization,
+    weierstrass_localization,
+)
 from afnd.scalar import FieldSpec, NormValue  # noqa: E402
 from afnd.tate import Polyradius, TateElement, parse_element  # noqa: E402
 
@@ -33,9 +44,94 @@ elements = st.dictionaries(exponents, coefficients, max_size=8).map(
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(PRESENTATIONS), elements)
 def test_generic_normal_form_is_a_projection(pres, w):
-    assert pres.strategy == GENERIC_BOUNDED
+    assert pres.generic_relations
     nf = pres.normal_form(w, DEGREE)
     assert pres.normal_form(nf, DEGREE) == nf
     assert pres.normal_form(w - nf, DEGREE).is_zero
     # The normal form lives on the basis, off every pivot monomial.
     assert set(nf.terms) <= set(pres.monomial_basis(DEGREE))
+
+
+# -- localization chains ---------------------------------------------------
+
+DISC = Polyradius(FieldSpec.padic(5), ("x",), (NormValue.one(),))
+COEFFS = [Fraction(1), Fraction(-1), Fraction(3), Fraction(5), Fraction(1, 5)]
+RADII = st.integers(-2, 2).map(lambda k: NormValue.prime_power(5, k))
+
+
+def draw_element(data, ambient):
+    """At most three terms, of degree <= 2 in each variable of `ambient`,
+    the localization variables of earlier steps included."""
+    exponent = st.tuples(*[st.integers(0, 2)] * ambient.nvars)
+    terms = data.draw(
+        st.dictionaries(exponent, st.sampled_from(COEFFS), max_size=3)
+    )
+    return TateElement(ambient, terms)
+
+
+def draw_step(data, node):
+    """One Weierstrass, Laurent (with both f and g) or rational
+    localization of `node`."""
+    kind = data.draw(st.sampled_from(["weierstrass", "laurent", "rational"]))
+    f = [draw_element(data, node.ambient)
+         for _ in range(data.draw(st.integers(1, 2)))]
+    r = [data.draw(RADII) for _ in f]
+    if kind == "weierstrass":
+        return weierstrass_localization(node, f, r)
+    if kind == "laurent":
+        g = [draw_element(data, node.ambient)
+             for _ in range(data.draw(st.integers(1, 2)))]
+        return laurent_localization(node, f, r, g, [data.draw(RADII) for _ in g])
+    # g = (1 - sum a_i f_i) / b, so that b*g + sum a_i f_i = 1.
+    a = [draw_element(data, node.ambient) for _ in f]
+    b = data.draw(st.sampled_from(COEFFS))
+    rest = TateElement.constant(node.ambient, 1)
+    for ai, fi in zip(a, f):
+        rest = rest - ai * fi
+    certificate = BezoutCertificate(
+        TateElement.constant(node.ambient, b), tuple(a)
+    )
+    return rational_localization(
+        node, f, rest.scale(1 / b), r, certificate=certificate
+    )
+
+
+def trusted_shape(rel, var, fresh):
+    """Whether `rel` is T - f or g*S - 1 in the variable `var` (T or S),
+    with f or g free of every name in `fresh`."""
+    ambient = rel.ambient
+    f = TateElement.variable(ambient, var) - rel
+    if not any(f.uses(name) for name in fresh):
+        return True
+    i = ambient.index(var)
+    gs = rel + TateElement.constant(ambient, 1)
+    if any(e[i] != 1 for e in gs.terms):
+        return False
+    g = TateElement(
+        ambient,
+        {e[:i] + (0,) + e[i + 1:]: c for e, c in gs.terms.items()},
+    )
+    return not any(g.uses(name) for name in fresh)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_localization_chains_have_trusted_relator_shapes(data, length):
+    """`homotopy._unresolved` trusts a localization chain as its own
+    resolution; this is the shape of its relators that the trust rests
+    on."""
+    base = free_affinoid(DISC)
+    V = base
+    for _ in range(length):
+        V = draw_step(data, V)
+    assert V.is_over(base)
+    path = localization_path(V, base)
+    assert path is not None and path[-1] is base
+    for node, prev in zip(path, path[1:]):
+        assert node.localization.base is prev
+        assert node.is_over(prev)
+        fresh = node.ambient.names[prev.ambient.nvars:]
+        relators = node.relations[len(prev.relations):]
+        assert fresh and len(relators) == len(fresh)
+        for rel, var in zip(relators, fresh):
+            assert trusted_shape(rel, var, fresh), (rel, var)

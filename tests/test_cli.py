@@ -159,6 +159,37 @@ def test_each_piece_is_proved_once_per_run(tmp_path, monkeypatch, order):
     assert by_name == {c["name"]: c for c in expected["checks"]}
 
 
+def test_malformed_check_is_found_before_any_check_runs(
+    tmp_path, monkeypatch, capsys
+):
+    """An unknown check kind after two `hoepi` checks stops the run before
+    either is proved."""
+    text = (SCENARIOS / "unit_disk.afnd").read_text(encoding="utf-8")
+    path = tmp_path / "unknown_kind.afnd"
+    path.write_text(text + "check z frobnicate A\n")
+    calls = _count_hoepi_calls(monkeypatch)
+    assert main([str(path)]) == 2
+    captured = capsys.readouterr()
+    assert calls == []
+    assert captured.out == ""
+    line = text.count("\n") + 1
+    assert captured.err.splitlines()[-1] == (
+        f"error: line {line}: unknown check kind 'frobnicate'"
+    )
+
+
+def test_fail_fast_stops_at_the_first_failing_check(capsys):
+    # m-hoepi, the second check, fails: B -> B/(3x^2 - 10y) has Tor_1 != 0.
+    assert main([str(SCENARIOS / "generic_table.afnd"), "--fail-fast"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    expected = json.loads(
+        (GOLDEN / "generic_table.json").read_text(encoding="utf-8")
+    )
+    assert report["all_passed"] is False
+    assert report["checks"] == expected["checks"][:2]
+    assert [c["verdict"] for c in report["checks"]] == ["holds", "fails"]
+
+
 REFUSED = """
 scenario refused
 degree 6
@@ -446,6 +477,39 @@ HEADER = "scenario h\ndegree 3\nfield p-adic 5\n"
             10,
             "references undeclared algebra '\u00b2'",
         ),
+        # A check takes the arguments of its kind, no more and no fewer,
+        # and its kind must be known.
+        (
+            HEADER + "algebra A\n  var x 1\nend\n"
+            "localize V of A\n  bound x 5^-1\nend\n"
+            "check e epi A V A\n",
+            10,
+            "usage: check NAME epi BASE TARGET",
+        ),
+        (
+            HEADER + "algebra A\n  var x 1\nend\n"
+            "localize V of A\n  bound x 5^-1\nend\n"
+            "check n norm-table A V\n  element x\nend\n",
+            10,
+            "usage: check NAME norm-table ALGEBRA",
+        ),
+        (
+            HEADER + "algebra A\n  var x 1\nend\n"
+            "localize V of A\n  bound x 5^-1\nend\n"
+            "check t transversal A V\n",
+            10,
+            "usage: check NAME transversal BASE MODULE TARGET",
+        ),
+        (
+            HEADER + "algebra A\n  var x 1\nend\ncheck c cech A 1\n",
+            7,
+            "usage: check NAME cech BASE DEPTH PIECE...",
+        ),
+        (
+            HEADER + "algebra A\n  var x 1\nend\ncheck z frobnicate A\n",
+            7,
+            "unknown check kind 'frobnicate'",
+        ),
         # A prime above the Miller-Rabin bound cannot be certified.
         (
             "scenario h\nfield p-adic 1000000000000000000000007\n",
@@ -486,6 +550,9 @@ HEADER = "scenario h\ndegree 3\nfield p-adic 5\n"
          "cech-numeric-piece", "cover-numeric-piece",
          "norm-table-zero-denominator", "relation-zero-denominator",
          "superscript-degree", "superscript-cech-depth",
+         "epi-extra-argument", "norm-table-extra-argument",
+         "transversal-missing-argument", "cech-missing-piece",
+         "unknown-check-kind",
          "prime-above-bound", "strong-pseudoprime", "algebra-redeclared",
          "module-redeclares-algebra", "localize-redeclared"],
 )

@@ -73,6 +73,22 @@ def test_norm_value_arithmetic():
         z.inverse()
 
 
+def test_float_norm_values_are_rejected():
+    with pytest.raises(TypeError, match="inexact exponent"):
+        NormValue({5: 0.1})
+    with pytest.raises(TypeError, match="inexact exponent"):
+        NormValue.prime_power(5, 0.5)
+    with pytest.raises(TypeError, match="inexact value"):
+        NormValue.of_rational(0.5)
+    assert NormValue({5: Fraction(1, 10)}) == NormValue.prime_power(
+        5, Fraction(1, 10)
+    )
+    assert str(NormValue({5: 1, 2: Fraction(-1, 2)})) == str(
+        NormValue.of_rational(5) * NormValue.prime_power(2, Fraction(-1, 2))
+    )
+    assert NormValue.of_rational(Fraction(1, 2)) == NormValue.prime_power(2, -1)
+
+
 def test_norm_value_ordering_same_prime():
     vals = [NormValue.prime_power(5, Fraction(k, 2)) for k in range(-4, 5)]
     for lo, hi in zip(vals, vals[1:]):

@@ -34,6 +34,19 @@ def test_polyradius_validation():
         disc(("x", NormValue.zero()))
 
 
+def test_float_coefficients_are_rejected():
+    # A float is binary, not the rational it prints as: 0.1 would enter as
+    # 3602879701896397/36028797018963968.
+    with pytest.raises(TypeError, match="inexact coefficient"):
+        TateElement(UNIT, {(1,): 0.1})
+    with pytest.raises(TypeError, match="inexact coefficient"):
+        TateElement.constant(UNIT, 0.5)
+    exact = TateElement(UNIT, {(1,): Fraction(1, 10), (0,): Fraction(4, 2)})
+    assert exact.terms == {(1,): Fraction(1, 10), (0,): 2}
+    assert type(exact.terms[(0,)]) is int
+    assert TateElement.constant(UNIT, 3).terms == {(0,): 3}
+
+
 def test_gauss_norm():
     assert TateElement.zero(UNIT).gauss_norm().is_zero
     f = parse_element("5 + x", UNIT)

@@ -16,13 +16,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from afnd.affinoid import (  # noqa: E402
-    COORDINATE_INVERSE,
-    GENERIC_BOUNDED,
-    SUBSTITUTION,
-    free_affinoid,
-    quotient,
-)
+from afnd.affinoid import free_affinoid, quotient  # noqa: E402
 from afnd.scalar import FieldSpec, NormValue  # noqa: E402
 from afnd.tate import (  # noqa: E402
     PairRelations,
@@ -194,16 +188,17 @@ def test_pair_relation_products_are_exact(data, nvars):
 
 
 BIDISC = AMBIENTS[2]
-# Each presentation with its strategy and, for the exact layers, the
+# Each presentation with the one layer that holds its relation and the
 # reference of `shape_normal` on Fraction dicts.
+LAYERS = ("substitutions", "laurent_pairs", "generic_relations")
 EXACT_PRESENTATIONS = [
-    ("2*x*y - 3", COORDINATE_INVERSE, lambda w: ref_pairs(w, [(0, 1, Fraction(3, 2))])),
-    ("4*x*y - 6", COORDINATE_INVERSE, lambda w: ref_pairs(w, [(0, 1, Fraction(3, 2))])),
-    ("x*y - 5", COORDINATE_INVERSE, lambda w: ref_pairs(w, [(0, 1, 5)])),
-    ("y - 5*x^2", SUBSTITUTION, lambda w: ref_substitute(w, 1, {(2, 0): Fraction(5)})),
+    ("2*x*y - 3", "laurent_pairs", lambda w: ref_pairs(w, [(0, 1, Fraction(3, 2))])),
+    ("4*x*y - 6", "laurent_pairs", lambda w: ref_pairs(w, [(0, 1, Fraction(3, 2))])),
+    ("x*y - 5", "laurent_pairs", lambda w: ref_pairs(w, [(0, 1, 5)])),
+    ("y - 5*x^2", "substitutions", lambda w: ref_substitute(w, 1, {(2, 0): Fraction(5)})),
     (
         "2*y - 10*x + 1/3",
-        SUBSTITUTION,
+        "substitutions",
         lambda w: ref_substitute(w, 1, {(1, 0): Fraction(5), (0, 0): Fraction(-1, 6)}),
     ),
 ]
@@ -213,9 +208,9 @@ GENERIC = quotient(free_affinoid(BIDISC), [parse_element("3*x^2 - 10*y", BIDISC)
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(EXACT_PRESENTATIONS), elements_of(BIDISC))
 def test_exact_layer_normal_forms_are_exact(case, w):
-    text, strategy, reference = case
+    text, layer, reference = case
     pres = quotient(free_affinoid(BIDISC), [parse_element(text, BIDISC)])
-    assert pres.strategy == strategy
+    assert [name for name in LAYERS if getattr(pres, name)] == [layer]
     expected = reference(ref(w))
     assert_exact(pres.shape_normal(w), expected)
     degree = max((sum(e) for e in expected), default=0)
@@ -225,7 +220,7 @@ def test_exact_layer_normal_forms_are_exact(case, w):
 @settings(max_examples=40, deadline=None)
 @given(elements_of(BIDISC))
 def test_generic_normal_forms_have_canonical_coefficients(w):
-    assert GENERIC.strategy == GENERIC_BOUNDED
+    assert GENERIC.generic_relations
     nf = GENERIC.normal_form(w, 6)
     assert_exact(nf, ref(nf))
     # Reducing the Fraction copy of w gives the same normal form.
