@@ -678,7 +678,11 @@ def tensor_over(
     b: AffinoidPresentation,
     c: AffinoidPresentation,
 ) -> tuple[AffinoidPresentation, dict[str, str]]:
-    """Pushout presentation of B (x)_A C; returns it and C's rename map."""
+    """Pushout presentation of B (x)_A C; returns it and C's rename map.
+
+    Its variables are B's, then C's past A's in their order, each primed
+    until it is fresh; the rename map lists the primed ones.
+    """
     if not b.is_over(a) or not c.is_over(a):
         raise PresentationError("both factors must be presented over the base")
     n = a.ambient.nvars

@@ -1,14 +1,17 @@
 """Cover complexes of affinoid subdomains and acyclicity verdicts.
 
-A cover is a base presentation together with localization pieces over it.
-Its complex is the alternating one, indexed by strictly increasing index
-subsets, with the usual deletion signs.  It is augmented: level 0 carries the
-base, level q the q-fold intersections (tensor products over the base).  The
-acyclicity check refuses to run until every piece has been verified to be a
-homotopy epimorphism over the base at the requested truncation degree, and
-reports strict exactness with certified preimage-norm constants.  A caller
-that has already proved those verdicts at that degree passes them in as the
-`precondition`, so a run proves each piece once.
+A cover is a base presentation together with localization pieces over it.  Its
+complex is the alternating one, indexed by strictly increasing index subsets,
+with the usual deletion signs.  It is augmented: level 0 carries the base,
+level q the q-fold intersections (tensor products over the base).  The levels
+are built in turn: each intersection is one pushout of an intersection one
+level down, and each restriction map's rename is read off the block of
+variables every piece owns in the ambients.  The acyclicity check refuses to
+run until every piece has been verified to be a homotopy epimorphism over the
+base at the requested truncation degree, and reports strict exactness with
+certified preimage-norm constants.  A caller that has already proved those
+verdicts at that degree passes them in as the `precondition`, so a run proves
+each piece once.
 """
 
 from __future__ import annotations
@@ -44,85 +47,49 @@ class CoverData:
                 raise ValueError("every piece must be presented over the base")
 
 
-@dataclass
-class _Intersection:
-    algebra: AffinoidPresentation
-    # renames[k] maps the extra variables of pieces[tuple[k]] into the
-    # intersection's ambient.
-    renames: list[dict[str, str]]
-
-
-def _build_intersection(
-    cover: CoverData, idx: tuple[int, ...]
-) -> _Intersection:
-    if not idx:
-        return _Intersection(cover.base, [])
-    current = cover.pieces[idx[0]]
-    renames: list[dict[str, str]] = [{}]
-    for i in idx[1:]:
-        current, rn = tensor_over(cover.base, current, cover.pieces[i])
-        renames.append(rn)
-    return _Intersection(current, renames)
-
-
-def _restriction_rename(
-    source: _Intersection,
-    source_idx: tuple[int, ...],
-    target: _Intersection,
-    position_map: Sequence[int],
-    cover: CoverData,
-) -> dict[str, str]:
-    """Variable rename for the restriction A_I -> A_J.
-
-    position_map[k] is the position in the target tuple that the k-th entry
-    of the source tuple maps to; base variables are shared.
-    """
-    rename: dict[str, str] = {}
-    nbase = cover.base.ambient.nvars
-    for k, i in enumerate(source_idx):
-        piece = cover.pieces[i]
-        for name in piece.ambient.names[nbase:]:
-            src_name = source.renames[k].get(name, name)
-            tgt_name = target.renames[position_map[k]].get(name, name)
-            if src_name != tgt_name:
-                rename[src_name] = tgt_name
-    return rename
-
-
 def build_complex(cover: CoverData, depth: int) -> ChainComplex:
-    """The augmented alternating cover complex up to level `depth`."""
-    npieces = len(cover.pieces)
-    tuples: dict[int, list[tuple[int, ...]]] = {0: [()]}
-    for q in range(1, depth + 1):
-        tuples[q] = list(combinations(range(npieces), q))
-    data: dict[int, list[_Intersection]] = {}
-    levels: dict[int, list[Summand]] = {}
-    index_of: dict[int, dict[tuple[int, ...], int]] = {}
-    for q, idx_list in tuples.items():
-        data[q] = [_build_intersection(cover, idx) for idx in idx_list]
-        levels[q] = [
-            Summand(inter.algebra, idx)
-            for inter, idx in zip(data[q], idx_list)
-        ]
-        index_of[q] = {idx: k for k, idx in enumerate(idx_list)}
+    """The augmented alternating cover complex up to level `depth`.
+
+    Level q holds one summand per q-subset J of the pieces, labelled by J.
+    Past level 1, the intersection of J is one pushout of the intersection
+    of J less its last index along that piece.  `tensor_over` appends the
+    piece's fresh variables after the ones it extends, so the intersection's
+    variables are the base's and then one block per piece of J, in J's
+    order.  The restriction from J less its t-th index sends each block to
+    the same piece's block: its rename pairs the source's fresh names with
+    the target's less block t.  components[q] is defined for every q <
+    depth, empty once level q + 1 has no summands.
+    """
+    base, pieces = cover.base, cover.pieces
+    nbase = base.ambient.nvars
+    widths = [piece.ambient.nvars - nbase for piece in pieces]
+    levels: dict[int, list[Summand]] = {0: [Summand(base, ())]}
     components: dict[int, dict[tuple[int, int], MapComponent]] = {}
-    for q in range(depth):
+    for q in range(1, depth + 1):
+        below = {s.label: (k, s.algebra) for k, s in enumerate(levels[q - 1])}
+        level: list[Summand] = []
         comps: dict[tuple[int, int], MapComponent] = {}
-        for t_idx, jdx in enumerate(tuples[q + 1]):
-            target = data[q + 1][t_idx]
-            for t in range(q + 1):
-                src = jdx[:t] + jdx[t + 1:]
-                s_idx = index_of[q][src]
-                source = data[q][s_idx]
-                position_map = list(range(t)) + list(range(t + 1, q + 1))
-                rename = _restriction_rename(
-                    source, src, target, position_map, cover
-                )
+        for j, idx in enumerate(combinations(range(len(pieces)), q)):
+            algebra = pieces[idx[-1]]
+            if q > 1:
+                algebra = tensor_over(base, below[idx[:-1]][1], algebra)[0]
+            level.append(Summand(algebra, idx))
+            fresh = algebra.ambient.names[nbase:]
+            for t in range(q):
+                s, source = below[idx[:t] + idx[t + 1:]]
+                start = sum(widths[i] for i in idx[:t])
+                kept = fresh[:start] + fresh[start + widths[idx[t]]:]
+                rename = {
+                    a: b
+                    for a, b in zip(source.ambient.names[nbase:], kept)
+                    if a != b
+                }
                 sign = 1 if t % 2 == 0 else -1
-                coeff = TateElement.constant(target.algebra.ambient, sign)
-                comps[(t_idx, s_idx)] = MapComponent(coeff, rename)
-        components[q] = comps
-    return ChainComplex(cover.base.field, levels, components)
+                coeff = TateElement.constant(algebra.ambient, sign)
+                comps[(j, s)] = MapComponent(coeff, rename)
+        levels[q] = level
+        components[q - 1] = comps
+    return ChainComplex(base.field, levels, components)
 
 
 @dataclass
@@ -177,10 +144,9 @@ def acyclicity_check(
         )
     cx = build_complex(cover, depth)
     _, head_kernel = cycles(cx, 0, degree)
-    # The alternating complex stops on its own at depth = number of pieces,
-    # so its top position tests surjectivity.
-    positions = [n for n in range(1, depth + 1) if n - 1 in cx.components]
-    witness = strict_exactness(cx, degree, positions)
+    # Every level up to `depth` has its incoming differential, empty past the
+    # number of pieces, so the top position tests surjectivity.
+    witness = strict_exactness(cx, degree, range(1, depth + 1))
     constant = witness.constant
     if not head_kernel and witness.exact:
         return AcyclicityReport(

@@ -39,7 +39,8 @@ every check verdict is holds / exact / covered / ok, and 2 with a
 library rejects what a line asks for (a zero radius, a norm-table element
 above the truncation, a field prime above the Miller-Rabin bound).  A check
 of an unknown kind, or with the wrong number of arguments for its kind, is
-malformed and is reported before any check runs.  Each
+malformed and is reported before any check runs, as is a norm-table element
+that does not parse or lies above the truncation.  Each
 `algebra`, `localize` and `module` declares a new name; declaring one twice
 is malformed.  A `--json` file that cannot be written exits 2
 with one `error:` line naming it.  An unexpected exception also exits 2,
@@ -95,7 +96,7 @@ CHECK_ARGS = {
     "transversal": ("BASE MODULE TARGET", 3, 3),
     "norm-table": ("ALGEBRA", 1, 1),
     "cech": ("BASE DEPTH PIECE...", 3, None),
-    "cover": ("BASE PIECE...", 1, None),
+    "cover": ("BASE PIECE...", 2, None),
 }
 
 
@@ -374,9 +375,34 @@ def _homotopy_epi(
     return proved[key]
 
 
-def _run_check(spec: CheckSpec, sc: Scenario, degree: int, proved: dict) -> dict:
+def _table_elements(
+    spec: CheckSpec, sc: Scenario, degree: int
+) -> list[TateElement]:
+    """A norm-table check's elements, parsed on its algebra, each within the
+    truncation; an error names the element's own line."""
+    ambient = sc.algebras[spec.args[0]].ambient
+    elements = []
+    for ln, expr in spec.elements:
+        el = _parse_expr(expr, ambient, ln)
+        if degree < el.total_degree():
+            raise ScenarioError(
+                f"truncation degree {degree} below the degree of the "
+                "element", ln,
+            )
+        elements.append(el)
+    return elements
+
+
+def _run_check(
+    spec: CheckSpec,
+    sc: Scenario,
+    degree: int,
+    proved: dict,
+    elements: list[TateElement],
+) -> dict:
     """One check's report record; `parse_scenario` has validated its kind
-    and arguments."""
+    and arguments, and `elements` are a norm-table check's parsed elements
+    (empty for any other kind)."""
     record: dict = {"name": spec.name, "kind": spec.kind}
     algebras = sc.algebras
     args = spec.args
@@ -465,13 +491,7 @@ def _run_check(spec: CheckSpec, sc: Scenario, degree: int, proved: dict) -> dict
     else:  # norm-table
         alg = algebras[args[0]]
         table = []
-        for ln, expr in spec.elements:
-            el = _parse_expr(expr, alg.ambient, ln)
-            if degree < el.total_degree():
-                raise ScenarioError(
-                    f"truncation degree {degree} below the degree of the "
-                    "element", ln,
-                )
+        for (ln, expr), el in zip(spec.elements, elements):
             with _at_line(ln):
                 reduced = alg.normal_form(el, degree)
             table.append(
@@ -507,9 +527,14 @@ def run_scenario(
     records = []
     all_passed = True
     proved: dict = {}  # shared by `hoepi` checks and `cech` pieces
-    for spec in sc.checks:
+    # A bad norm-table element stops the run before the first check.
+    tables = [
+        _table_elements(spec, sc, d) if spec.kind == "norm-table" else []
+        for spec in sc.checks
+    ]
+    for spec, elements in zip(sc.checks, tables):
         log.info("running check %s (%s)", spec.name, spec.kind)
-        record = _run_check(spec, sc, d, proved)
+        record = _run_check(spec, sc, d, proved, elements)
         records.append(record)
         if record["verdict"] not in PASSING:
             all_passed = False

@@ -203,8 +203,25 @@ def test_tensor_over_renames(A):
     )
     T, rename = tensor_over(A, V, V)
     assert T.is_over(A)
-    assert rename  # the second copy's localization variable is renamed
-    assert T.ambient.nvars == 3
+    assert rename == {"T": "T'"}  # the second copy's variable is primed
+    # B's variables, then C's past A's in order: the layout cech reads.
+    assert T.ambient.names == ("x", "T", "T'")
+
+
+@pytest.mark.parametrize("constant, zero", [(3, True), (2, False)])
+def test_shared_factor_relations(constant, zero):
+    """x*y = 1 and 2*x*y = c share the factor x*y: for c = 3 they
+    contradict each other, so the algebra is zero; for c = 2 the second is
+    twice the first and drops out."""
+    bidisc = unit_disc("x", "y")
+    free = free_affinoid(bidisc)
+    pair = parse_element("x*y - 1", bidisc)
+    M = quotient(free, [pair, parse_element(f"2*x*y - {constant}", bidisc)])
+    assert M.is_zero_algebra is zero
+    if zero:
+        assert M.monomial_basis(4) == []
+    else:
+        assert M.monomial_basis(4) == quotient(free, [pair]).monomial_basis(4)
 
 
 def test_reduce_reports_norm(A):

@@ -2,6 +2,7 @@
 
 import pytest
 
+import afnd.cech
 from afnd.affinoid import (
     free_affinoid,
     laurent_localization,
@@ -31,6 +32,23 @@ def disk_cover():
     v1 = weierstrass_localization(A, [x_of(A)], [NormValue.prime_power(5, -1)])
     v2 = laurent_localization(A, g=[x_of(A)], g_radii=[NormValue.of_rational(5)])
     return CoverData(A, (v1, v2))
+
+
+@pytest.fixture
+def three_piece_cover():
+    """|x| <= 5^-2, the chained annulus 5^-2 <= |x| <= 5^-1 and |x| >= 5^-1."""
+    A = free_affinoid(unit_disc())
+    x = x_of(A)
+    v1 = weierstrass_localization(A, [x], [NormValue.prime_power(5, -2)])
+    v2 = laurent_localization(
+        A,
+        f=[x],
+        f_radii=[NormValue.prime_power(5, -1)],
+        g=[x],
+        g_radii=[NormValue.of_rational(25)],
+    )
+    v3 = laurent_localization(A, g=[x], g_radii=[NormValue.of_rational(5)])
+    return CoverData(A, (v1, v2, v3))
 
 
 def test_cover_data_validates_pieces():
@@ -69,21 +87,53 @@ def test_acyclicity_detects_gap():
     assert report.status == "fails"
 
 
-def test_three_piece_cover_exact():
-    A = free_affinoid(unit_disc())
-    x = x_of(A)
-    v1 = weierstrass_localization(A, [x], [NormValue.prime_power(5, -2)])
-    v2 = laurent_localization(
-        A,
-        f=[x],
-        f_radii=[NormValue.prime_power(5, -1)],
-        g=[x],
-        g_radii=[NormValue.of_rational(25)],
-    )
-    v3 = laurent_localization(A, g=[x], g_radii=[NormValue.of_rational(5)])
-    report = acyclicity_check(CoverData(A, (v1, v2, v3)), 3, 8)
+def test_three_piece_cover_exact(three_piece_cover):
+    report = acyclicity_check(three_piece_cover, 3, 8)
     assert report.exact
     assert str(report.constant) == "1"
+
+
+def test_restriction_renames_follow_the_block_layout(
+    three_piece_cover, monkeypatch
+):
+    """Each intersection of two or more pieces is one pushout, and each
+    restriction sends every piece's block of variables to that piece's
+    block.  The pieces own T, then T and T', then T; so the triple
+    intersection has the blocks T | T', T'' | T'''."""
+    calls = []
+    real = afnd.cech.tensor_over
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(afnd.cech, "tensor_over", counting)
+    cx = build_complex(three_piece_cover, 3)
+    assert len(calls) == 4  # (0, 1), (0, 2), (1, 2) and (0, 1, 2)
+    assert [s.label for s in cx.levels[2]] == [(0, 1), (0, 2), (1, 2)]
+    assert cx.levels[3][0].algebra.ambient.names == (
+        "x", "T", "T'", "T''", "T'''"
+    )
+    renames = {
+        n: {key: c.rename for key, c in comps.items()}
+        for n, comps in cx.components.items()
+    }
+    assert renames == {
+        0: {(0, 0): {}, (1, 0): {}, (2, 0): {}},
+        1: {
+            (0, 0): {},
+            (0, 1): {"T": "T'", "T'": "T''"},
+            (1, 0): {},
+            (1, 2): {"T": "T'"},
+            (2, 1): {},
+            (2, 2): {"T": "T''"},
+        },
+        2: {
+            (0, 0): {},
+            (0, 1): {"T'": "T'''"},
+            (0, 2): {"T": "T'", "T'": "T''", "T''": "T'''"},
+        },
+    }
 
 
 def test_acyclicity_takes_proved_piece_verdicts(disk_cover):

@@ -102,14 +102,13 @@ def test_reports_are_byte_identical():
 
 @pytest.mark.parametrize(
     "name, degree",
-    [("unit_disk", None), ("unit_disk", 20), ("unit_disk", 32),
-     ("gap_cover", None),
-     ("norm_table", None), ("generic_table", None), ("three_piece", None),
-     ("bidisc_cover", None)],
+    [(path.stem, None) for path in sorted(SCENARIOS.glob("*.afnd"))]
+    + [("unit_disk", 20), ("unit_disk", 32)],
 )
 def test_reports_match_golden(name, degree):
-    # Reports of the bundled scenarios, byte for byte.  A change to the
-    # elimination or assembly code must leave every one of them intact.
+    # Reports of every bundled scenario, byte for byte; a scenario without
+    # a golden fails.  A change to the elimination or assembly code must
+    # leave every one of them intact.
     suffix = f".d{degree}" if degree is not None else ""
     expected = (GOLDEN / f"{name}{suffix}.json").read_text(encoding="utf-8")
     report = run_scenario(str(SCENARIOS / f"{name}.afnd"), degree)
@@ -176,6 +175,53 @@ def test_malformed_check_is_found_before_any_check_runs(
     assert captured.err.splitlines()[-1] == (
         f"error: line {line}: unknown check kind 'frobnicate'"
     )
+
+
+BAD_ELEMENT = """
+scenario bad-element
+degree 3
+field p-adic 5
+algebra A
+  var x 1
+end
+localize V of A
+  bound x 5^-1
+end
+check h hoepi A V
+check n norm-table A
+  element 3@
+end
+"""
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        # At --degree 3 the element on line 30 lies above the truncation.
+        (
+            None, ["--degree", "3"],
+            "line 30: truncation degree 3 below the degree of the element",
+        ),
+        (BAD_ELEMENT, [], "line 13: bad element '3@': bad character at '@'"),
+    ],
+    ids=["generic-table-above-truncation", "bad-element-after-hoepi"],
+)
+def test_bad_norm_table_element_stops_the_run_before_any_check(
+    tmp_path, monkeypatch, capsys, caplog, text, argv, message
+):
+    """A norm-table element is parsed and held to the truncation before the
+    first check runs, so the run proves nothing and logs no failed check."""
+    path = SCENARIOS / "generic_table.afnd"
+    if text is not None:
+        path = tmp_path / "bad_element.afnd"
+        path.write_text(text)
+    calls = _count_hoepi_calls(monkeypatch)
+    assert main([str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert calls == []
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 def test_fail_fast_stops_at_the_first_failing_check(capsys):
@@ -506,6 +552,11 @@ HEADER = "scenario h\ndegree 3\nfield p-adic 5\n"
             "usage: check NAME cech BASE DEPTH PIECE...",
         ),
         (
+            HEADER + "algebra A\n  var x 1\nend\ncheck c cover A\n",
+            7,
+            "usage: check NAME cover BASE PIECE...",
+        ),
+        (
             HEADER + "algebra A\n  var x 1\nend\ncheck z frobnicate A\n",
             7,
             "unknown check kind 'frobnicate'",
@@ -552,7 +603,7 @@ HEADER = "scenario h\ndegree 3\nfield p-adic 5\n"
          "superscript-degree", "superscript-cech-depth",
          "epi-extra-argument", "norm-table-extra-argument",
          "transversal-missing-argument", "cech-missing-piece",
-         "unknown-check-kind",
+         "cover-missing-piece", "unknown-check-kind",
          "prime-above-bound", "strong-pseudoprime", "algebra-redeclared",
          "module-redeclares-algebra", "localize-redeclared"],
 )

@@ -266,7 +266,7 @@ def test_degree_zero_part_is_the_self_tensor():
         assert square.relations == h0.relations, label
         assert rename == h0_rename, label
         checked += 1
-    assert checked == 13  # three from bidisc_cover
+    assert checked == 16  # three each from bidisc_cover and cech_reordered
 
 
 def test_hoepi_step_builds_one_pushout_and_one_square(monkeypatch):
