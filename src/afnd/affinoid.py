@@ -86,8 +86,8 @@ class LocalizationData:
     `ambient.names[base.ambient.nvars:]`, in order.  Each is T - f (a
     Weierstrass step) or g*S - 1 (a Laurent step), with T or S its fresh
     variable and f, g free of the step's fresh variables.  One-step Koszul
-    resolutions of these shapes compose, so a localization chain needs no
-    `complexes.resolves` check.
+    resolutions of these shapes compose, so a localization chain is trusted
+    as its own resolution, with no homology scan of its Koszul complex.
     """
 
     base: "AffinoidPresentation"

@@ -6,12 +6,12 @@ with the usual deletion signs.  It is augmented: level 0 carries the base,
 level q the q-fold intersections (tensor products over the base).  The levels
 are built in turn: each intersection is one pushout of an intersection one
 level down, and each restriction map's rename is read off the block of
-variables every piece owns in the ambients.  The acyclicity check refuses to
-run until every piece has been verified to be a homotopy epimorphism over the
-base at the requested truncation degree, and reports strict exactness with
-certified preimage-norm constants.  A caller that has already proved those
-verdicts at that degree passes them in as the `precondition`, so a run proves
-each piece once.
+variables every piece owns in the ambients.  The acyclicity check takes the
+verdicts that each piece is a homotopy epimorphism over the base at the
+requested truncation degree, proved by the caller, and refuses to run unless
+every one holds; it then reports strict exactness with certified
+preimage-norm constants.  Proving the pieces is left to the caller, so a run
+proves each piece once.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from afnd.complexes import (
     ExactnessWitness,
     MapComponent,
     Summand,
-    cycles,
+    homology,
     strict_exactness,
 )
-from afnd.homotopy import HOLDS, MorphismVerdict, is_homotopy_epi
+from afnd.homotopy import HOLDS, MorphismVerdict
 from afnd.scalar import NormValue
 from afnd.tate import TateElement
 
@@ -111,27 +111,21 @@ def acyclicity_check(
     cover: CoverData,
     depth: int,
     degree: int,
-    precondition: Sequence[MorphismVerdict] | None = None,
+    precondition: Sequence[MorphismVerdict],
 ) -> AcyclicityReport:
     """Strict exactness of the augmented cover complex at the truncation.
 
-    Refuses with a diagnostic unless every piece is verified to be a
-    homotopy epimorphism over the base first.  `precondition` passes those
-    verdicts, one per piece in order, when the caller has already proved
-    them at this degree; without it the pieces are verified here.
+    `precondition` holds the verdicts that the pieces, in order, are
+    homotopy epimorphisms over the base, proved at this degree; the check
+    refuses with a diagnostic unless every one holds.
     """
-    if precondition is None:
-        verdicts = [
-            is_homotopy_epi(cover.base, piece, degree) for piece in cover.pieces
-        ]
-    else:
-        verdicts = list(precondition)
-        if len(verdicts) != len(cover.pieces) or any(
-            v.truncation != degree for v in verdicts
-        ):
-            raise ValueError(
-                "precondition needs one verdict per piece at this degree"
-            )
+    verdicts = list(precondition)
+    if len(verdicts) != len(cover.pieces) or any(
+        v.truncation != degree for v in verdicts
+    ):
+        raise ValueError(
+            "precondition needs one verdict per piece at this degree"
+        )
     bad = [i for i, v in enumerate(verdicts) if v.status != HOLDS]
     if bad:
         details = "; ".join(
@@ -143,7 +137,7 @@ def acyclicity_check(
             verdicts,
         )
     cx = build_complex(cover, depth)
-    _, head_kernel = cycles(cx, 0, degree)
+    head_kernel = homology(cx, 0, degree).rank
     # Every level up to `depth` has its incoming differential, empty past the
     # number of pieces, so the top position tests surjectivity.
     witness = strict_exactness(cx, degree, range(1, depth + 1))
@@ -156,5 +150,5 @@ def acyclicity_check(
     return AcyclicityReport(
         "fails", degree,
         "augmented cover complex not exact at this truncation",
-        verdicts, len(head_kernel), witness, constant,
+        verdicts, head_kernel, witness, constant,
     )

@@ -40,7 +40,11 @@ library rejects what a line asks for (a zero radius, a norm-table element
 above the truncation, a field prime above the Miller-Rabin bound).  A check
 of an unknown kind, or with the wrong number of arguments for its kind, is
 malformed and is reported before any check runs, as is a norm-table element
-that does not parse or lies above the truncation.  Each
+that does not parse or lies above the truncation.  So is a `cech` DEPTH
+above the number of pieces plus one: the levels past the number of pieces
+are empty.  A `cover` check samples only points of the spectrum of the
+algebra at the root of the base's localization chain, where every relation
+of that algebra vanishes.  Each
 `algebra`, `localize` and `module` declares a new name; declaring one twice
 is malformed.  A `--json` file that cannot be written exits 2
 with one `error:` line naming it.  An unexpected exception also exits 2,
@@ -63,6 +67,7 @@ from afnd.affinoid import (
     AffinoidPresentation,
     free_affinoid,
     laurent_localization,
+    localization_path,
     quotient,
     weierstrass_localization,
 )
@@ -80,7 +85,7 @@ from afnd.spectrum import (
     default_sample,
     domain_of,
     member,
-    root_ambient,
+    seminorm,
 )
 from afnd.tate import ElementSyntaxError, Polyradius, TateElement, parse_element
 
@@ -341,6 +346,13 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(
                 f"usage: check NAME {spec.kind} {usage}", spec.line
             )
+        # Levels past the number of pieces are empty and test nothing more,
+        # so at most one of them is built.
+        if spec.kind == "cech" and int(spec.args[1]) > count - 1:
+            raise ScenarioError(
+                f"cech DEPTH {spec.args[1]} above the number of pieces "
+                f"plus one ({count - 1})", spec.line,
+            )
     return Scenario(name, field_spec, degree, algebras, checks)
 
 
@@ -460,9 +472,14 @@ def _run_check(
                 spec.line,
             )
         # Points and domains both live on the polydisc at the root of the
-        # base's localization chain; a localized base keeps only its points.
-        root = root_ambient(base)
-        points = default_sample(root)
+        # base's localization chain.  Only points of the root's spectrum,
+        # where each of its relations vanishes, are sampled, and a localized
+        # base keeps only its own.
+        root = localization_path(base)[-1]
+        points = [
+            pt for pt in default_sample(root.ambient)
+            if all(seminorm(pt, f).is_zero for f in root.relations)
+        ]
         if base.localization is not None:
             with _at_line(spec.line):
                 region = domain_of(base)
@@ -475,7 +492,7 @@ def _run_check(
                     f"cover piece {ref!r} carries no localization data",
                     spec.line,
                 )
-            if root_ambient(piece) != root:
+            if localization_path(piece)[-1].ambient != root.ambient:
                 raise ScenarioError(
                     f"cover piece {ref!r} does not localize the polydisc "
                     f"of {args[0]!r}", spec.line,

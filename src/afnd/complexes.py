@@ -25,7 +25,7 @@ degree <= D.
 A derived tensor module (x)^L_base target is the Koszul complex of the
 target's own relators, its relations past the base's, over the pushout
 module (x)_base target without them (`derived_tensor`); that pushout is
-its H^0.  `resolves` tells whether those relators resolve the target.
+its H^0.
 """
 
 from __future__ import annotations
@@ -192,25 +192,6 @@ class ChainComplex:
                 out[into.index[(si, e)]] = c
         return out
 
-    def verify_d_squared(self, degree: int) -> bool:
-        """Exact check that consecutive differentials compose to zero."""
-        degs = self.degrees()
-        for n in degs:
-            if n + 2 not in self.levels:
-                continue
-            m1 = self.matrix(n, degree)
-            m2 = self.matrix(n + 1, m1.target.truncation)
-            # Row i of d^{n+1} d^n is the combination of the rows of d^n
-            # that row i of d^{n+1} selects.
-            for row in m2.entries:
-                composed: SparseRow = {}
-                for k, a in row.items():
-                    for j, b in m1.entries[k].items():
-                        composed[j] = composed.get(j, 0) + a * b
-                if any(composed.values()):
-                    return False
-        return True
-
 
 @dataclass
 class CycleWitness:
@@ -247,17 +228,12 @@ class HomologyReport:
     boundary_rank: int
 
 
-def cycles(
-    cx: ChainComplex, n: int, degree: int
-) -> tuple[LevelBasis, list[SparseRow]]:
-    """The degree-<=degree level-n basis and a sparse basis of the kernel
-    of d^n on it (all of the level where d^n is absent)."""
-    basis = cx.level_basis(n, degree)
-    return basis, kernel_basis(cx.matrix(n, degree).entries, basis.dim)
-
-
 def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
-    basis, zs = cycles(cx, n, degree)
+    """The cycles of level n, a basis of the kernel of d^n (all of the
+    level where d^n is absent), modulo the image of d^(n-1), both on
+    degree-bounded bases."""
+    basis = cx.level_basis(n, degree)
+    zs = kernel_basis(cx.matrix(n, degree).entries, basis.dim)
     min_ = cx.matrix(n - 1, degree)
     # The boundary space, as sparse row vectors over the level-n basis: the
     # columns of d^{n-1} (none where it is absent), read off its rows.  It is
@@ -272,7 +248,9 @@ def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
     obst_pivots: list[int] = []
     witness = None
     for z in zs:
-        zed = cx.embed(n, z, basis, min_.target)
+        # Where d^(n-1) made no image above the degree, its target basis is
+        # the memoized cycles' basis and the cycle needs no re-expressing.
+        zed = z if min_.target is basis else cx.embed(n, z, basis, min_.target)
         rem = reduce_against(zed, span_rows, span_pivots)
         rem = reduce_against(rem, obst_rows, obst_pivots)
         if rem:
@@ -398,13 +376,3 @@ def derived_tensor(
     level = AffinoidPresentation(h0.ambient, h0.relations[:n])
     return koszul_complex(level, h0.relations[n:]), h0, rename
 
-
-def resolves(
-    base: AffinoidPresentation, target: AffinoidPresentation, degree: int
-) -> bool:
-    """Whether the target's relators resolve it over the base at the
-    truncation degree: the Koszul complex of base (x)^L_base target has no
-    negative homology.  H^0 is the target by construction, so this is the
-    only obstruction."""
-    cx = derived_tensor(base, base, target)[0]
-    return all(homology(cx, n, degree).is_zero for n in cx.degrees() if n < 0)

@@ -36,10 +36,9 @@ from afnd.complexes import (
     CycleWitness,
     MapComponent,
     Summand,
-    cycles,
     derived_tensor,
     homology,
-    resolves,
+    koszul_complex,
 )
 from afnd.tate import TateElement
 
@@ -71,14 +70,17 @@ def _unresolved(
     """Why the Koszul complex of the target's relators cannot be trusted as
     a resolution, or None when it can.  A localization chain is trusted:
     its relators have the shapes whose one-step resolutions compose.  A
-    quotient of the base is trusted where `resolves` shows it at the
-    truncation degree.  Nothing else has a resolution."""
+    quotient of the base is trusted where the Koszul complex of its extra
+    relations over the base, which is base (x)^L_base target, has no
+    negative homology at the truncation degree.  Nothing else has a
+    resolution."""
     if localization_path(target, base) is not None:
         return None
     n = len(base.relations)
     same_ambient = target.ambient == base.ambient
     if same_ambient and target.relations[:n] == base.relations:
-        if resolves(base, target, degree):
+        cx = koszul_complex(base, target.relations[n:])
+        if _tor_ranks(cx, degree, -1)[1] is None:
             return None
         return MorphismVerdict(
             kind, UNRESOLVED, degree,
@@ -152,8 +154,7 @@ def _reduce_fold_map(
     kernel_rank = fold.level_basis(0, degree).dim - rep.boundary_rank
     witness = rep.witness
     if kernel_rank:
-        basis, zs = cycles(fold, 0, degree)
-        witness = CycleWitness(0, basis.parts(zs[0]), zs[0], basis, fold.field)
+        witness = homology(fold, 0, degree).witness
     return kernel_rank, rep.is_zero, witness
 
 

@@ -61,12 +61,6 @@ def seminorm(point: BerkovichPointSample, f: TateElement) -> NormValue:
     return f.recenter(point.center).gauss_seminorm(point.radii)
 
 
-def root_ambient(piece: AffinoidPresentation) -> Polyradius:
-    """The ambient of the algebra at the start of `piece`'s localization
-    chain: the polydisc that `domain_of` reads every inequality on."""
-    return localization_path(piece)[-1].ambient
-
-
 def domain_of(piece: AffinoidPresentation) -> tuple[DomainInequality, ...]:
     """The domain cut out by a localization's recorded inequalities, as the
     conjunction of every |num| <= bound * |den| along its chain.

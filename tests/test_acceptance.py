@@ -22,7 +22,7 @@ from afnd.affinoid import (
     tensor_over,
     weierstrass_localization,
 )
-from afnd.cech import CoverData, acyclicity_check, build_complex
+from afnd.cech import CoverData, build_complex
 from afnd.complexes import (
     ChainComplex,
     MapComponent,
@@ -46,6 +46,7 @@ from afnd.spectrum import (
     domain_of,
 )
 from afnd.tate import Polyradius, TateElement, parse_element
+from helpers import proved_acyclicity, verify_d_squared
 
 Q5 = FieldSpec.padic(5)
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -216,7 +217,7 @@ def test_tate_acyclicity_with_oracle():
     cover = CoverData(A, (v1, v2))
     degree = 20
     start = time.monotonic()
-    report = acyclicity_check(cover, 2, degree)
+    report = proved_acyclicity(cover, 2, degree)
     assert report.exact
     assert report.constant == NormValue.one()
     for verdict in report.witness.verdicts:
@@ -300,7 +301,7 @@ def test_amitsur_differential_squares_to_zero():
     )
     v3 = laurent_localization(A, g=[x], g_radii=[NormValue.of_rational(5)])
     cover = CoverData(A, (v1, v2, v3))
-    assert build_complex(cover, 3).verify_d_squared(8)
+    assert verify_d_squared(build_complex(cover, 3), 8)
 
 
 def test_transversality_verdicts():

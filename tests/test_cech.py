@@ -13,6 +13,7 @@ from afnd.cech import CoverData, acyclicity_check, build_complex
 from afnd.homotopy import is_homotopy_epi
 from afnd.scalar import FieldSpec, NormValue
 from afnd.tate import Polyradius, parse_element
+from helpers import proved_acyclicity, verify_d_squared
 
 Q5 = FieldSpec.padic(5)
 
@@ -60,11 +61,11 @@ def test_cover_data_validates_pieces():
 
 def test_alternating_complex_d_squared(disk_cover):
     cx = build_complex(disk_cover, 2)
-    assert cx.verify_d_squared(8)
+    assert verify_d_squared(cx, 8)
 
 
 def test_acyclicity_exact_with_unit_constant(disk_cover):
-    report = acyclicity_check(disk_cover, 2, 12)
+    report = proved_acyclicity(disk_cover, 2, 12)
     assert report.exact
     assert str(report.constant) == "1"
     assert all(v.exact for v in report.witness.verdicts)
@@ -74,7 +75,7 @@ def test_acyclicity_refuses_unverified_pieces():
     A = free_affinoid(unit_disc())
     k = quotient(A, [x_of(A)])  # a closed immersion, not a localization
     cover = CoverData(A, (k,))
-    report = acyclicity_check(cover, 1, 8)
+    report = proved_acyclicity(cover, 1, 8)
     assert report.status == "refused"
     assert "not verified" in report.detail
 
@@ -83,12 +84,12 @@ def test_acyclicity_detects_gap():
     A = free_affinoid(unit_disc())
     v1 = weierstrass_localization(A, [x_of(A)], [NormValue.prime_power(5, -2)])
     v2 = laurent_localization(A, g=[x_of(A)], g_radii=[NormValue.of_rational(5)])
-    report = acyclicity_check(CoverData(A, (v1, v2)), 2, 8)
+    report = proved_acyclicity(CoverData(A, (v1, v2)), 2, 8)
     assert report.status == "fails"
 
 
 def test_three_piece_cover_exact(three_piece_cover):
-    report = acyclicity_check(three_piece_cover, 3, 8)
+    report = proved_acyclicity(three_piece_cover, 3, 8)
     assert report.exact
     assert str(report.constant) == "1"
 
@@ -140,21 +141,18 @@ def test_acyclicity_takes_proved_piece_verdicts(disk_cover):
     verdicts = [
         is_homotopy_epi(disk_cover.base, piece, 8) for piece in disk_cover.pieces
     ]
-    reused = acyclicity_check(disk_cover, 2, 8, precondition=verdicts)
-    fresh = acyclicity_check(disk_cover, 2, 8)
-    assert reused.precondition == verdicts
-    assert (reused.status, reused.detail, reused.constant) == (
-        fresh.status, fresh.detail, fresh.constant
-    )
+    report = acyclicity_check(disk_cover, 2, 8, verdicts)
+    assert report.precondition == verdicts
+    assert report.exact
     with pytest.raises(ValueError):
-        acyclicity_check(disk_cover, 2, 8, precondition=verdicts[:1])
+        acyclicity_check(disk_cover, 2, 8, verdicts[:1])
     with pytest.raises(ValueError):
-        acyclicity_check(disk_cover, 2, 6, precondition=verdicts)
+        acyclicity_check(disk_cover, 2, 6, verdicts)
 
 
 def test_acyclicity_at_depth_zero_fails(disk_cover):
     # Without intersections the augmented complex is the base alone, so
     # its head has the whole degree-bounded base as kernel.
-    report = acyclicity_check(disk_cover, 0, 8)
+    report = proved_acyclicity(disk_cover, 0, 8)
     assert report.status == "fails"
     assert report.injectivity_rank == len(disk_cover.base.monomial_basis(8))

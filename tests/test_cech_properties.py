@@ -20,6 +20,7 @@ from afnd.cech import CoverData, acyclicity_check, build_complex  # noqa: E402
 from afnd.homotopy import is_homotopy_epi  # noqa: E402
 from afnd.scalar import FieldSpec, NormValue  # noqa: E402
 from afnd.tate import Polyradius, TateElement  # noqa: E402
+from helpers import verify_d_squared  # noqa: E402
 
 DEGREE = 6
 BASE = free_affinoid(Polyradius(FieldSpec.padic(5), ("x",), (NormValue.one(),)))
@@ -67,7 +68,7 @@ def summary(report):
 @given(covers)
 def test_cover_differential_squares_to_zero(family):
     cover = CoverData(BASE, tuple(family))
-    assert build_complex(cover, len(family)).verify_d_squared(DEGREE)
+    assert verify_d_squared(build_complex(cover, len(family)), DEGREE)
 
 
 @settings(max_examples=12, deadline=None)

@@ -8,7 +8,6 @@ import sys
 
 import pytest
 
-import afnd.cech
 import afnd.cli
 from afnd.cli import ScenarioError, main, parse_scenario, render_report, run_scenario
 
@@ -116,7 +115,8 @@ def test_reports_match_golden(name, degree):
 
 
 def _count_hoepi_calls(monkeypatch) -> list:
-    """Count the homotopy-epi proofs started by the CLI or by a cech check."""
+    """Count the homotopy-epi proofs that the CLI starts, for `hoepi`
+    checks and `cech` pieces alike."""
     calls = []
     real = afnd.cli.is_homotopy_epi
 
@@ -125,7 +125,6 @@ def _count_hoepi_calls(monkeypatch) -> list:
         return real(base, target, degree)
 
     monkeypatch.setattr(afnd.cli, "is_homotopy_epi", counting)
-    monkeypatch.setattr(afnd.cech, "is_homotopy_epi", counting)
     return calls
 
 
@@ -440,6 +439,73 @@ def test_cover_with_chained_localization(
 
 
 HEADER = "scenario h\ndegree 3\nfield p-adic 5\n"
+
+
+QUOTIENT_BASE = """
+scenario quotient-base
+degree 4
+field p-adic 5
+algebra A
+  var x 1
+end
+module M of A
+  relation {relation}
+end
+localize V of M
+  invert x 5
+end
+check c cech M 1 V
+check d cover M V
+"""
+
+
+@pytest.mark.parametrize(
+    "relation, status, verdict, witnesses",
+    [
+        # Sp(M) is the one point x = 1, which lies in |x| >= 5^-1.
+        ("x - 1", 0, "covered", []),
+        # Sp(M) is x = 0, which does not.
+        ("x", 1, "uncovered", ["rigid(0)"]),
+    ],
+    ids=["point-in-piece", "point-outside-piece"],
+)
+def test_cover_of_a_quotient_base_samples_its_points(
+    tmp_path, capsys, relation, status, verdict, witnesses
+):
+    """A cover check samples only the points of the base's root where each
+    of its relations vanishes; Gauss points never do."""
+    path = tmp_path / "quotient_base.afnd"
+    path.write_text(QUOTIENT_BASE.format(relation=relation))
+    assert main([str(path)]) == status
+    check = json.loads(capsys.readouterr().out)["checks"][1]
+    assert check["verdict"] == verdict
+    assert check["points_checked"] == 1
+    assert check["witnesses"] == witnesses
+
+
+def test_cech_depth_above_pieces_plus_one_stops_the_run(
+    tmp_path, monkeypatch, capsys
+):
+    """Levels past the number of pieces are empty, so a DEPTH above it plus
+    one is malformed and is reported before any check runs."""
+    text = (
+        HEADER + "algebra A\n  var x 1\nend\n"
+        "localize V of A\n  bound x 5^-1\nend\n"
+        "check h hoepi A V\ncheck c cech A 3 V\n"
+    )
+    path = tmp_path / "deep.afnd"
+    path.write_text(text)
+    calls = _count_hoepi_calls(monkeypatch)
+    assert main([str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 11: cech DEPTH 3 above the number of pieces plus one (2)\n"
+    )
+    assert calls == []
+    path.write_text(text.replace("cech A 3 V", "cech A 2 V"))
+    assert main([str(path)]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

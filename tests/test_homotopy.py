@@ -254,8 +254,10 @@ def test_fold_map_matches_reference(degree):
 
 def test_degree_zero_part_is_the_self_tensor():
     """H^0 of the derived self-tensor is the epimorphism square: the same
-    ambient, relations and rename on every resolved bundled pair."""
-    checked = 0
+    ambient, relations and rename on every resolved bundled pair, among
+    them every (base, piece) pair that a bundled `hoepi` check or `cech`
+    piece names."""
+    checked = set()
     for label, base, piece in scenario_pairs():
         ref = reference_degree_zero(base, piece)
         if ref is None:
@@ -265,8 +267,18 @@ def test_degree_zero_part_is_the_self_tensor():
         assert square.ambient == h0.ambient, label
         assert square.relations == h0.relations, label
         assert rename == h0_rename, label
-        checked += 1
-    assert checked == 16  # three each from bidisc_cover and cech_reordered
+        checked.add(label)
+    named = set()
+    for path in sorted(SCENARIOS.glob("*.afnd")):
+        for spec in parse_scenario(path.read_text(encoding="utf-8")).checks:
+            if spec.kind == "hoepi":
+                named.add(f"{path.stem}:{spec.args[0]}->{spec.args[1]}")
+            elif spec.kind == "cech":
+                named.update(
+                    f"{path.stem}:{spec.args[0]}->{piece}"
+                    for piece in spec.args[2:]
+                )
+    assert named and named <= checked
 
 
 def test_hoepi_step_builds_one_pushout_and_one_square(monkeypatch):
@@ -309,6 +321,31 @@ def test_hoepi_step_builds_one_pushout_and_one_square(monkeypatch):
     [(cx, square, _)] = derived
     assert len(folds) == 1 and folds[0] is square
     assert cx.levels[0][0].algebra.ambient is square.ambient
+
+
+def test_quotient_gate_builds_no_presentation(monkeypatch):
+    """A quotient of the base is gated on the Koszul complex of its extra
+    relations over the base itself: the hoepi verdict on generic_table's
+    B -> M builds the derived self-tensor's pushout and its Koszul level,
+    and nothing for the gate."""
+    import afnd.affinoid
+
+    algebras = parse_scenario(
+        (SCENARIOS / "generic_table.afnd").read_text(encoding="utf-8")
+    ).algebras
+    built = []
+    init = afnd.affinoid.AffinoidPresentation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(
+        afnd.affinoid.AffinoidPresentation, "__init__", counting
+    )
+    v = is_homotopy_epi(algebras["B"], algebras["M"], 8)
+    assert v.status == FAILS
+    assert len(built) == 2
 
 
 def test_fold_map_runs_one_elimination(monkeypatch):

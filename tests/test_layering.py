@@ -143,3 +143,31 @@ def test_no_function_local_imports():
         for path in PACKAGE.glob("*.py")
     }
     assert {stem: lines for stem, lines in local.items() if lines} == {}
+
+
+
+def referenced_names(tree):
+    """Every name a module imports, reads or reads as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_only_cli_proves_homotopy_epimorphisms():
+    # Each (base, piece) verdict is proved once per run, by the scenario
+    # runner, which hands the pieces' verdicts to `acyclicity_check`.
+    provers = {
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        if path.stem != "homotopy"
+        and "is_homotopy_epi" in referenced_names(
+            ast.parse(path.read_text(encoding="utf-8"))
+        )
+    }
+    assert provers == {"cli"}
