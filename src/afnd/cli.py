@@ -140,6 +140,8 @@ def _tokens(raw: str) -> list[str]:
 def _parse_radius(text: str, lineno: int) -> NormValue:
     try:
         return NormValue.parse(text)
+    except ZeroDivisionError:
+        raise ScenarioError(f"bad norm value {text!r}: zero denominator", lineno)
     except (ValueError, ArithmeticError) as exc:
         raise ScenarioError(f"bad norm value {text!r}: {exc}", lineno)
 
@@ -238,13 +240,21 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError("usage: algebra NAME", lineno)
             declare(toks[1], lineno)
             body, i = collect_block(i + 1)
-            names: list[str] = []
+            var_lines: dict[str, int] = {}  # variable -> its declaring line
             radii: list[NormValue] = []
             relation_lines: list[tuple[int, str]] = []
             for ln, btoks in body:
                 if btoks[0] == "var" and len(btoks) == 3:
-                    names.append(btoks[1])
-                    radii.append(_parse_radius(btoks[2], ln))
+                    if btoks[1] in var_lines:
+                        raise ScenarioError(
+                            f"variable {btoks[1]!r} is already declared on "
+                            f"line {var_lines[btoks[1]]}", ln
+                        )
+                    radius = _parse_radius(btoks[2], ln)
+                    if radius.is_zero:
+                        raise ScenarioError("radii must be positive", ln)
+                    var_lines[btoks[1]] = ln
+                    radii.append(radius)
                 elif btoks[0] == "relation":
                     relation_lines.append((ln, " ".join(btoks[1:])))
                 else:
@@ -253,7 +263,9 @@ def parse_scenario(text: str) -> Scenario:
                         "`relation EXPR` lines", ln
                     )
             with _at_line(lineno):
-                ambient = Polyradius(field_spec, tuple(names), tuple(radii))
+                ambient = Polyradius(
+                    field_spec, tuple(var_lines), tuple(radii)
+                )
                 alg = free_affinoid(ambient)
                 rels = [
                     _parse_expr(expr, ambient, ln)

@@ -244,6 +244,14 @@ def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
         for j, v in row.items():
             boundary_cols[j][i] = v
     span_rows, span_pivots = sparse_rref(boundary_cols)
+    if not span_pivots:
+        # No boundaries: each kernel vector owns a distinct free column, so
+        # the cycles are independent and every one is an obstruction.
+        witness = (
+            CycleWitness(n, basis.parts(zs[0]), zs[0], basis, cx.field)
+            if zs else None
+        )
+        return HomologyReport(n, degree, len(zs), len(zs), not zs, witness, 0)
     obst_rows: list[dict] = []
     obst_pivots: list[int] = []
     witness = None

@@ -21,7 +21,9 @@ column -> rows index.  Two pivot rules drive the loop:
   chosen to maximize |entry| * row_weight / col_weight, ties broken by
   smallest row index then smallest column index.  For weighted orthogonal
   spaces over a non-Archimedean field the pivot scores are the exact
-  singular values of the map.
+  singular values of the map.  The heap orders them by one exact `int`
+  priority per entry, which orders and ties exactly as the score does;
+  the scores themselves are `NormValue`s built only for the pivots.
 """
 
 from __future__ import annotations
@@ -170,12 +172,16 @@ def kernel_basis(rows: Sequence[SparseRow], ncols: int) -> list[SparseRow]:
     return list(basis.values())
 
 
-def _integral_power(w: NormValue, L: int) -> Fraction:
-    """w^L as a rational; L must clear every exponent denominator of w."""
-    out = Fraction(1)
-    for p, e in w.exponents.items():
-        out *= Fraction(p) ** (e * L).numerator
-    return out
+def _p_split(num: int, den: int, p: int) -> tuple[int, Fraction]:
+    """(k, f) with num / den = p^k * f and 1 <= f < p, for num, den > 0."""
+    k = 0
+    while num >= den * p:
+        den *= p
+        k += 1
+    while num < den:
+        num *= p
+        k -= 1
+    return k, Fraction(num, den)
 
 
 class NormAwareElimination:
@@ -192,11 +198,17 @@ class NormAwareElimination:
     singular values in that greedy (non-increasing) order, is computed from
     the kept pivot entries when first read.
 
-    Pivots are chosen on an exact rational key: with L
-    the lcm of the denominators of every weight exponent, the key of (i, j)
-    is score(i, j)^L = row_w(i)^L * col_w(j)^-L * |a_ij|^L.  x -> x^L is
-    strictly increasing and distinct factored values have distinct L-th
-    powers, so the key orders and ties exactly as the score does.  The
+    Pivots are chosen on an exact integer priority.  With L the lcm of the
+    denominators of every weight exponent, score(i, j)^L = prod q^(n_q)
+    with integer n_q, and x -> x^L is strictly increasing, so score^L
+    orders and ties as the score does.  Fix a prime p: the field's, or 2 in
+    trivial mode, where every |a| is 1.  Each row and column weight splits
+    into its p-part and its p-free part, and for each pair of p-free parts
+    F = p^k * f with 1 <= f < p; two distinct F never share f, since their
+    ratio is not a power of p.  Then score^L = p^N * f with N the sum of the
+    p-exponents and k, and the priority N * K + rank(f), where the K
+    distinct f are ranked once by exact comparison, orders and ties exactly
+    as score^L.  Only the valuation of the entry changes N per entry.  The
     factored score is built only for the chosen pivots.
     """
 
@@ -213,32 +225,70 @@ class NormAwareElimination:
         self.row_weights = list(row_weights)
         self.col_weights = list(col_weights)
         if len(self.row_weights) != len(self.srows) or any(
-            r and max(r) >= self.ncols for r in self.srows
+            r and (min(r) < 0 or max(r) >= self.ncols) for r in self.srows
         ):
             raise ValueError("weight lists must match the matrix shape")
-        # A Macaulay matrix has many columns but few distinct weights, so
-        # each power and inverse is computed once per weight.
-        distinct = set(self.row_weights + self.col_weights)
-        L = self._L = math.lcm(1, *(
-            e.denominator for w in distinct for e in w.exponents.values()
+        p = field.p if field.mode == "p-adic" else 2
+        # Each weight object's exponents are read once, keyed by id: hashing
+        # a NormValue would hash its Fraction exponents.  An equal weight
+        # held by another object gives the same integers.
+        exponents = {}
+        for w in self.row_weights + self.col_weights:
+            if id(w) not in exponents:
+                exponents[id(w)] = w.exponents
+        L = math.lcm(1, *(
+            e.denominator for ex in exponents.values() for e in ex.values()
         ))
-        power = {w: _integral_power(w, L) for w in distinct}
-        inverse = {w: 1 / power[w] for w in set(self.col_weights)}
-        self._row_key = [power[w] for w in self.row_weights]
-        self._col_key = [inverse[w] for w in self.col_weights]
+        split = {}  # id(w) -> (n_p, p-free part of w^L as (num, den))
+        for wid, ex in exponents.items():
+            n_p, num, den = 0, 1, 1
+            for q, e in ex.items():
+                n = e.numerator * (L // e.denominator)
+                if q == p:
+                    n_p = n
+                elif n > 0:
+                    num *= q**n
+                else:
+                    den *= q**-n
+            split[wid] = n_p, (num, den)
+        col_class = {}
+        for w in self.col_weights:
+            col_class.setdefault(split[id(w)][1], len(col_class))
+        # (k, f) of each pair of p-free parts, one list per row part,
+        # indexed by column class.
+        pairs = {
+            r: [_p_split(r[0] * c[1], r[1] * c[0], p) for c in col_class]
+            for r in {split[id(w)][1] for w in self.row_weights}
+        }
+        ranks = {
+            f: n for n, f in enumerate(sorted(
+                {f for ks in pairs.values() for _, f in ks}
+            ))
+        }
+        K = len(ranks)
+        # Per row weight: the priority of each column class at a unit entry,
+        # less that column's p-part.
+        tables = {}
+        for w in self.row_weights:
+            if id(w) not in tables:
+                n_p, r = split[id(w)]
+                tables[id(w)] = [(n_p + k) * K + ranks[f] for k, f in pairs[r]]
+        self._row_key = [tables[id(w)] for w in self.row_weights]
+        self._col_class = [col_class[split[id(w)][1]] for w in self.col_weights]
+        self._col_key = [split[id(w)][0] * K for w in self.col_weights]
+        self._entry_step = L * K if field.mode == "p-adic" else 0
         found = _pivot_loop(self.srows, self._best_of_row)
         self.pivots = [(i, j) for i, j, _ in found]
         self._pivot_entries = [a for _, _, a in found]
 
-    def _key(self, i: int, j: int, entry: Rational) -> Fraction:
-        key = self._row_key[i] * self._col_key[j]
-        if self.field.mode == "p-adic":
-            v = padic_valuation(entry, self.field.p)
-            if v:
-                key *= Fraction(self.field.p) ** (-self._L * v)
+    def _key(self, i: int, j: int, entry: Rational) -> int:
+        """The priority of entry a_ij: larger for a larger score."""
+        key = self._row_key[i][self._col_class[j]] - self._col_key[j]
+        if self._entry_step:
+            key -= self._entry_step * padic_valuation(entry, self.field.p)
         return key
 
-    def _best_of_row(self, i: int) -> tuple[Fraction, int]:
+    def _best_of_row(self, i: int) -> tuple[int, int]:
         """(-key, column) of the largest key in row i, smallest column first:
         its priority and pivot in `_pivot_loop`.  Pivot columns are cleared
         from every unpivoted row, so each entry of such a row is a candidate."""

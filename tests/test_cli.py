@@ -511,7 +511,36 @@ def test_cech_depth_above_pieces_plus_one_stops_the_run(
 @pytest.mark.parametrize(
     "text, line, message",
     [
-        (HEADER + "algebra A\n  var x 0\nend\n", 4, "radii must be positive"),
+        # An algebra error is reported at its `var` line.
+        (HEADER + "algebra A\n  var x 0\nend\n", 5, "radii must be positive"),
+        (
+            HEADER + "algebra A\n  var y 1\n  var x 0\nend\n",
+            6,
+            "radii must be positive",
+        ),
+        (
+            HEADER + "algebra A\n  var x 1\n  var y 1\n  var x 1\nend\n",
+            7,
+            "variable 'x' is already declared on line 5",
+        ),
+        # A zero denominator in a norm value is a bad norm value.
+        (
+            HEADER + "algebra A\n  var x 1\n  var y 5^1/0\nend\n",
+            6,
+            "bad norm value '5^1/0': zero denominator",
+        ),
+        (
+            HEADER + "algebra A\n  var x 1\nend\n"
+            "localize V of A\n  bound x 5^1/0\nend\n",
+            8,
+            "bad norm value '5^1/0': zero denominator",
+        ),
+        (
+            HEADER + "algebra A\n  var x 1\nend\n"
+            "localize V of A\n  invert x 5^1/0\nend\n",
+            8,
+            "bad norm value '5^1/0': zero denominator",
+        ),
         # A bad norm-table element is reported at its own line, not at the
         # line of its check.
         (
@@ -660,7 +689,9 @@ def test_cech_depth_above_pieces_plus_one_stops_the_run(
             "'V' is already declared on line 7",
         ),
     ],
-    ids=["zero-radius", "norm-table-above-truncation",
+    ids=["zero-radius", "zero-radius-second-var", "duplicate-var",
+         "var-zero-denominator", "bound-zero-denominator",
+         "invert-zero-denominator", "norm-table-above-truncation",
          "norm-table-element-after-comment", "cover-trivial-field",
          "cover-of-non-localization", "cover-piece-on-another-polydisc",
          "cech-piece-not-over-base", "hoepi-numeric-target",

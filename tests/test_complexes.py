@@ -18,10 +18,13 @@ from afnd.complexes import (
     strict_exactness,
 )
 from afnd.homotopy import _unresolved
-from afnd.scalar import FieldSpec, NormValue
+from afnd.linalg import kernel_basis, reduce_against
+from afnd.scalar import FieldSpec, NormValue, exact_div
 from afnd.tate import Polyradius, TateElement, grevlex_key, parse_element
 from helpers import verify_d_squared
-from test_homotopy import SCENARIOS, fold_maps, resolvable, scenario_pairs
+from test_homotopy import (
+    SCENARIOS, fold_maps, hand_maps, resolvable, scenario_pairs
+)
 
 Q5 = FieldSpec.padic(5)
 
@@ -377,6 +380,55 @@ def test_cycles_are_re_expressed_only_when_the_boundary_basis_grew(
     report = run_scenario(str(SCENARIOS / "unit_disk.afnd"), 12)
     assert report["all_passed"]
     assert calls == []
+
+
+def test_levels_without_boundaries_skip_the_reduction(monkeypatch):
+    """Where d^(n-1) is zero, the kernel vectors are the homology: the
+    report equals the one that reducing each cycle against the earlier ones
+    gives, and no cycle is reduced: on the fold map of A{x, y} (x)_A{x}
+    A{x, y} at level 0, with 220 cycles at D=10, and on the head of the
+    unit-disk cover, with none."""
+    square, target, rename = next(
+        (s, t, r) for label, s, t, r in hand_maps() if label == "free extension"
+    )
+    cover = parse_scenario(
+        (SCENARIOS / "unit_disk.afnd").read_text(encoding="utf-8")
+    ).algebras
+    cases = [
+        (fold_complex(square, target, rename), 10, 220),
+        (build_complex(CoverData(cover["A"], (cover["V1"], cover["V2"])), 2),
+         8, 0),
+    ]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return reduce_against(*args)
+
+    monkeypatch.setattr("afnd.complexes.reduce_against", counted)
+    for cx, degree, cycle_rank in cases:
+        rep = homology(cx, 0, degree)
+        assert calls == []
+        basis = cx.level_basis(0, degree)
+        zs = kernel_basis(cx.matrix(0, degree).entries, basis.dim)
+        rows, pivots = [], []
+        for z in zs:
+            rem = reduce_against(z, rows, pivots)
+            if rem:
+                c = min(rem)
+                rows.append({j: exact_div(v, rem[c]) for j, v in rem.items()})
+                pivots.append(c)
+        assert len(zs) == rep.cycle_rank == cycle_rank
+        assert rep.rank == len(rows) and rep.is_zero == (not rows)
+        assert rep.boundary_rank == 0
+        if zs:
+            assert rep.witness.coords == zs[0]
+            assert rep.witness.parts == basis.parts(zs[0])
+        else:
+            assert rep.witness is None
+    # A level with boundaries still reduces its cycles.
+    homology(cases[0][0], 1, 10)
+    assert calls
 
 
 def test_quotient_koszul_is_the_derived_tensor_over_the_base():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from afnd.affinoid import free_affinoid, laurent_localization, weierstrass_localization
+from afnd import linalg
 from afnd.cech import CoverData, build_complex
 from afnd.linalg import (
     NormAwareElimination,
@@ -206,9 +207,47 @@ def test_norm_aware_matches_reference_on_two_prime_weights(monkeypatch):
     assert moves == {"falls", "moves column"}
 
 
+def test_norm_aware_pivot_priorities_are_ints(monkeypatch):
+    """The pivot heap orders plain ints: every priority that `_pivot_loop`
+    receives from the norm-aware elimination, in either field mode, with
+    weights mixing two primes with fractional exponents."""
+    priorities = []
+    pivot_loop = linalg._pivot_loop
+
+    def recording(rows, rank):
+        def ranked(i):
+            out = rank(i)
+            priorities.append(out[0])
+            return out
+        return pivot_loop(rows, ranked)
+
+    monkeypatch.setattr(linalg, "_pivot_loop", recording)
+    rng = random.Random(23)
+    entries = [0, 0, 1, -2, 3, 5, -10, 25, F(1, 5), F(7, 5), 50]
+    for field in (Q5, FieldSpec.trivial()):
+        for _ in range(20):
+            nr, nc = rng.randint(1, 8), rng.randint(1, 6)
+            mat = [[rng.choice(entries) for _ in range(nc)] for _ in range(nr)]
+            weights = [
+                NormValue({2: F(rng.randint(-3, 3), rng.randint(1, 3)),
+                           5: F(rng.randint(-2, 2), rng.randint(1, 2))})
+                for _ in range(nr + nc)
+            ]
+            NormAwareElimination(field, S(mat), weights[:nr], weights[nr:])
+    assert priorities
+    assert all(type(p) is int for p in priorities)
+
+
 def test_norm_aware_rejects_columns_beyond_the_weights():
     with pytest.raises(ValueError):
         NormAwareElimination(Q5, [{2: F(1)}], unit_weights(1), unit_weights(2))
+
+
+def test_norm_aware_rejects_negative_columns():
+    # Python would read column -1 as the last weight and pivot there.
+    col_w = [NormValue.one(), NormValue.of_rational(5)]
+    with pytest.raises(ValueError):
+        NormAwareElimination(Q5, [{-1: 1}], unit_weights(1), col_w)
 
 
 def reference_sparse_rref(rows):

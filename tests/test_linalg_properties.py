@@ -1,5 +1,6 @@
-"""Integer entries take the same elimination as their Fraction copies;
-skipped without hypothesis.
+"""Integer entries take the same elimination as their Fraction copies, and
+the norm-aware pivot priorities order like the scores; skipped without
+hypothesis.
 
 Row values stay `int` while they are integral, and `scalar.exact_div`
 divides them.  On random sparse matrices of `int` entries, or of `int` and
@@ -7,6 +8,7 @@ divides them.  On random sparse matrices of `int` entries, or of `int` and
 on the same matrix written in `Fraction`s, and never a float.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,7 @@ from afnd.linalg import (  # noqa: E402
     reduce_against,
     sparse_rref,
 )
-from afnd.scalar import FieldSpec, NormValue  # noqa: E402
+from afnd.scalar import FieldSpec, NormValue, padic_valuation  # noqa: E402
 
 FIELDS = [FieldSpec.padic(5), FieldSpec.trivial()]
 # Valuations -1..2 at 5, units, and zeros for sparsity.
@@ -79,3 +81,61 @@ def test_int_entries_eliminate_like_their_fraction_copies(case, data):
     assert fast.pivot_scores == slow.pivot_scores
     assert fast.srows == slow.srows
     assert_exact(fast.srows)
+
+
+# Weights over 2, 3 and 5 with fractional exponents, and nonzero entries
+# 2^a 3^b 5^c with a sign, against fields whose prime is each of them.
+PRIMES = (2, 3, 5)
+PRIORITY_FIELDS = [FieldSpec.padic(p) for p in PRIMES] + [FieldSpec.trivial()]
+EXPONENTS = [0, 0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2),
+             Fraction(2, 3), Fraction(-1, 4)]
+three_prime_weights = st.builds(
+    lambda es: NormValue({p: e for p, e in zip(PRIMES, es)}),
+    st.tuples(*[st.sampled_from(EXPONENTS)] * 3),
+)
+entries = st.builds(
+    lambda sign, a, b, c: sign * Fraction(2) ** a * Fraction(3) ** b
+    * Fraction(5) ** c,
+    st.sampled_from([1, -1]), st.integers(-2, 2), st.integers(-2, 2),
+    st.integers(-2, 2),
+)
+
+
+def reference_key(field, row_w, col_w, entry, L):
+    """score^L = (|entry| * row_w / col_w)^L as a Fraction."""
+    out = Fraction(1)
+    for p, e in row_w.exponents.items():
+        out *= Fraction(p) ** (e * L).numerator
+    for p, e in col_w.exponents.items():
+        out /= Fraction(p) ** (e * L).numerator
+    if field.mode == "p-adic":
+        out /= Fraction(field.p) ** (padic_valuation(entry, field.p) * L)
+    return out
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(PRIORITY_FIELDS),
+    st.lists(three_prime_weights, min_size=1, max_size=3),
+    st.lists(three_prime_weights, min_size=1, max_size=3),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), entries),
+             min_size=2, max_size=2),
+)
+def test_pivot_priorities_order_like_the_rational_key(
+    field, row_w, col_w, triples
+):
+    rows = [{0: 1} for _ in row_w]
+    elim = NormAwareElimination(field, rows, row_w, col_w)
+    L = math.lcm(*(e.denominator for w in row_w + col_w
+                   for e in w.exponents.values()))
+    keys, refs = [], []
+    for i, j, a in triples:
+        i, j = i % len(row_w), j % len(col_w)
+        keys.append(elim._key(i, j, a))
+        refs.append(reference_key(field, row_w[i], col_w[j], a, L))
+    assert all(type(k) is int for k in keys)
+    assert sign(keys[0] - keys[1]) == sign(refs[0] - refs[1])
