@@ -113,9 +113,7 @@ class AffinoidPresentation:
             if rel.ambient != ambient:
                 raise PresentationError("relation outside the ambient algebra")
         self.localization = localization
-        self._generic_cache: dict[
-            int, tuple[list[SparseRow], list[int]] | None
-        ] = {}
+        self._generic_cache: dict[int, dict[int, SparseRow] | None] = {}
         self._basis_cache: dict[int, list[Exponent]] = {}
         # The shape monomials in grevlex order and their positions, built
         # one degree layer at a time: layer d is shapes[starts[d]:starts[d+1]].
@@ -452,10 +450,11 @@ class AffinoidPresentation:
 
     def _generic_elimination(
         self, degree: int
-    ) -> tuple[list[SparseRow], list[int]] | None:
+    ) -> dict[int, SparseRow] | None:
         """The relation rows at degree <= D, Jordan-reduced with unit pivots,
-        and their pivot columns; pivots are chosen norm-aware, so the
-        non-pivot shape monomials form the normal-form basis."""
+        keyed by pivot column in the order the pivots were taken; pivots are
+        chosen norm-aware, so the non-pivot shape monomials form the
+        normal-form basis."""
         if degree in self._generic_cache:
             return self._generic_cache[degree]
         if not self.generic_relations:
@@ -479,10 +478,9 @@ class AffinoidPresentation:
             return None
         row_weights = [NormValue.one()] * len(rows)
         elim = NormAwareElimination(self.field, rows, row_weights, weights)
-        out = self._generic_cache[degree] = (
-            [elim.srows[i] for i, _ in elim.pivots],
-            [j for _, j in elim.pivots],
-        )
+        out = self._generic_cache[degree] = {
+            j: elim.srows[i] for i, j in elim.pivots
+        }
         return out
 
     def monomial_basis(self, degree: int) -> list[Exponent]:
@@ -494,8 +492,7 @@ class AffinoidPresentation:
         shape_basis = self._shape_basis(degree)[0]
         generic = self._generic_elimination(degree)
         if generic is not None:
-            pivot_cols = set(generic[1])
-            basis = [e for j, e in enumerate(shape_basis) if j not in pivot_cols]
+            basis = [e for j, e in enumerate(shape_basis) if j not in generic]
         else:
             basis = shape_basis
         self._basis_cache[degree] = basis
@@ -525,7 +522,7 @@ class AffinoidPresentation:
         # The relation rows are Jordan-reduced, so each subtraction clears
         # one pivot coordinate and stays inside degree <= D.
         coords = reduce_against(
-            {col_of[e]: c for e, c in shaped.terms.items()}, *generic
+            {col_of[e]: c for e, c in shaped.terms.items()}, generic
         )
         return TateElement(
             self.ambient, {shape_basis[j]: coords[j] for j in sorted(coords)}

@@ -252,23 +252,31 @@ def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
             if zs else None
         )
         return HomologyReport(n, degree, len(zs), len(zs), not zs, witness, 0)
-    obst_rows: list[dict] = []
-    obst_pivots: list[int] = []
+    span = dict(zip(span_pivots, span_rows))
+    # The obstructions, Jordan-reduced among themselves and keyed by pivot.
+    # Each is a remainder modulo the span, so it is zero at every span
+    # pivot: reducing against the span and then against the obstructions
+    # leaves a vector zero at both pivot sets.
+    obstructions: dict[int, SparseRow] = {}
     witness = None
     for z in zs:
         # Where d^(n-1) made no image above the degree, its target basis is
         # the memoized cycles' basis and the cycle needs no re-expressing.
         zed = z if min_.target is basis else cx.embed(n, z, basis, min_.target)
-        rem = reduce_against(zed, span_rows, span_pivots)
-        rem = reduce_against(rem, obst_rows, obst_pivots)
+        rem = reduce_against(reduce_against(zed, span), obstructions)
         if rem:
             c = min(rem)
             pv = rem[c]
-            obst_rows.append({j: exact_div(v, pv) for j, v in rem.items()})
-            obst_pivots.append(c)
+            new = {j: exact_div(v, pv) for j, v in rem.items()}
+            # Clear the new pivot from the earlier obstructions, which keeps
+            # them Jordan-reduced; the span rows are left as they are.
+            for k, row in obstructions.items():
+                if c in row:
+                    obstructions[k] = reduce_against(row, {c: new})
+            obstructions[c] = new
             if witness is None:
                 witness = CycleWitness(n, basis.parts(z), z, basis, cx.field)
-    quotient_rank = len(obst_rows)
+    quotient_rank = len(obstructions)
     return HomologyReport(
         n, degree, len(zs), quotient_rank, quotient_rank == 0, witness,
         len(span_pivots),
@@ -382,5 +390,6 @@ def derived_tensor(
     h0, rename = tensor_over(base, module, target)
     n = len(module.relations)
     level = AffinoidPresentation(h0.ambient, h0.relations[:n])
-    return koszul_complex(level, h0.relations[n:]), h0, rename
+    relators = [r for r in h0.relations[n:] if not r.is_zero]
+    return koszul_complex(level, relators), h0, rename
 

@@ -79,7 +79,10 @@ def _unresolved(
     n = len(base.relations)
     same_ambient = target.ambient == base.ambient
     if same_ambient and target.relations[:n] == base.relations:
-        cx = koszul_complex(base, target.relations[n:])
+        # A zero relation presents nothing, and K(0) has H^-1 = base.
+        cx = koszul_complex(
+            base, [r for r in target.relations[n:] if not r.is_zero]
+        )
         if _tor_ranks(cx, degree, -1)[1] is None:
             return None
         return MorphismVerdict(

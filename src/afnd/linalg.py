@@ -24,6 +24,11 @@ column -> rows index.  Two pivot rules drive the loop:
   singular values of the map.  The heap orders them by one exact `int`
   priority per entry, which orders and ties exactly as the score does;
   the scores themselves are `NormValue`s built only for the pivots.
+
+Both leave Jordan-reduced rows: 1 at the row's pivot, 0 at every other
+pivot.  A caller that reduces vectors against them keys the rows by pivot
+column, and `reduce_against` then clears only the pivots in a vector's
+support, each once, in no particular order.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import heapq
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from afnd.scalar import (
     FieldSpec, NormValue, Rational, exact_div, padic_valuation, scalar_norm
@@ -141,12 +146,17 @@ def sparse_rref(rows: Sequence[SparseRow]) -> tuple[list[SparseRow], list[int]]:
     return [work[i] for i, _, _ in found], [c for _, c, _ in found]
 
 
-def reduce_against(vec: SparseRow, rows: Sequence[SparseRow], pivots: Sequence[int]) -> SparseRow:
-    """Remainder of a sparse vector modulo a reduced row set."""
+def reduce_against(vec: SparseRow, reduced: Mapping[int, SparseRow]) -> SparseRow:
+    """Remainder of a sparse vector modulo a Jordan-reduced row set, given
+    as pivot column -> row: each row has 1 at its pivot and nothing at any
+    other pivot.  So clearing one pivot never touches another, and each
+    pivot in the support of `vec` is cleared once with its entry there, in
+    any order: the work is over the support of `vec` and the rows it hits,
+    not over every row of the set."""
     out = dict(vec)
-    for c, row in zip(pivots, rows):
-        f = out.get(c)
-        if f:
+    for c, f in vec.items():
+        row = reduced.get(c)
+        if row is not None:
             for j, v in row.items():
                 nv = out.get(j, 0) - f * v
                 if nv:

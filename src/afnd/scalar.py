@@ -106,15 +106,15 @@ def padic_valuation(a: Rational, p: int) -> int:
     """v_p(a) for a nonzero rational; raises on zero."""
     if not a:
         raise ValueError("v_p(0) is infinite")
-
-    def _vp(n: int) -> int:
-        v = 0
-        while n % p == 0:
-            v += 1
-            n //= p
-        return v
-
-    return _vp(abs(a.numerator)) - _vp(a.denominator)
+    v, n = 0, a.numerator
+    while n % p == 0:
+        v += 1
+        n //= p
+    n = a.denominator
+    while n % p == 0:
+        v -= 1
+        n //= p
+    return v
 
 
 class NormValue:
@@ -143,6 +143,18 @@ class NormValue:
         object.__setattr__(
             self, "_exps", tuple(sorted(cleaned.items()))
         )
+
+    @staticmethod
+    def _trusted_exps(exponents: dict[int, Fraction]) -> "NormValue":
+        """A norm value from a map prime -> Fraction built by arithmetic on
+        validated values: zero exponents are dropped and the primes sorted,
+        with no prime check or exponent conversion.  Only this module
+        builds values this way."""
+        out = object.__new__(NormValue)
+        object.__setattr__(out, "_exps", tuple(sorted(
+            (p, e) for p, e in exponents.items() if e
+        )))
+        return out
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("NormValue is immutable")
@@ -196,12 +208,20 @@ class NormValue:
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other: "NormValue") -> "NormValue":
-        if self._exps is None or other._exps is None:
-            return NormValue.zero()
+        if self._exps is None:
+            return self
+        if other._exps is None:
+            return other
+        # A product with one is the other factor itself, so that equal
+        # products of weights of radius 1 share one object.
+        if not other._exps:
+            return self
+        if not self._exps:
+            return other
         exps = dict(self._exps)
         for p, e in other._exps:
-            exps[p] = exps.get(p, Fraction(0)) + e
-        return NormValue(exps)
+            exps[p] = exps.get(p, 0) + e
+        return NormValue._trusted_exps(exps)
 
     def __truediv__(self, other: "NormValue") -> "NormValue":
         return self * other.inverse()
@@ -209,7 +229,7 @@ class NormValue:
     def inverse(self) -> "NormValue":
         if self._exps is None:
             raise ZeroDivisionError("inverse of zero norm value")
-        return NormValue({p: -e for p, e in self._exps})
+        return NormValue._trusted_exps({p: -e for p, e in self._exps})
 
     def __pow__(self, k: Rational) -> "NormValue":
         k = Fraction(k)
@@ -296,7 +316,10 @@ class NormValue:
 
     @staticmethod
     def parse(text: str) -> "NormValue":
-        """Inverse of str(): "0", "1", or factors like "5^-2*2^1/3"."""
+        """Inverse of str(): "0", "1", or factors like "5^-2*2^1/3".
+
+        Text of any other form raises one ValueError saying what is
+        expected; a zero denominator raises ZeroDivisionError."""
         text = text.strip()
         if text == "0":
             return NormValue.zero()
@@ -304,13 +327,14 @@ class NormValue:
             return NormValue.one()
         exps: dict[int, Fraction] = {}
         for part in text.split("*"):
-            part = part.strip()
-            if "^" in part:
-                base, exp = part.split("^", 1)
-                e = Fraction(exp)
-            else:
-                base, e = part, Fraction(1)
-            p = int(base)
+            base, caret, exp = part.partition("^")
+            try:
+                p, e = int(base), (Fraction(exp) if caret else Fraction(1))
+            except ValueError:
+                raise ValueError(
+                    "expected 0, 1, or factors P or P^E joined by '*', "
+                    "with P a prime and E a rational literal"
+                ) from None
             exps[p] = exps.get(p, Fraction(0)) + e
         return NormValue(exps)
 

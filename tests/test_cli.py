@@ -483,6 +483,23 @@ def test_cover_of_a_quotient_base_samples_its_points(
     assert check["witnesses"] == witnesses
 
 
+def test_a_zero_relation_is_not_a_koszul_relator(tmp_path, capsys):
+    """M = A/(0) is A: the derived tensors behind hoepi and transversal
+    leave the zero relation out of their Koszul complexes, as the
+    presentation's own normal forms do, so K(0), whose H^-1 is A, is never
+    built."""
+    path = tmp_path / "zero_relation.afnd"
+    path.write_text(
+        "scenario z\ndegree 4\nfield p-adic 5\n"
+        "algebra A\n  var x 1\nend\n"
+        "module M of A\n  relation 0\nend\n"
+        "check e epi A M\ncheck h hoepi A M\ncheck t transversal A M M\n"
+    )
+    assert main([str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["verdict"] for c in report["checks"]] == ["holds"] * 3
+
+
 def test_cech_depth_above_pieces_plus_one_stops_the_run(
     tmp_path, monkeypatch, capsys
 ):
@@ -540,6 +557,20 @@ def test_cech_depth_above_pieces_plus_one_stops_the_run(
             "localize V of A\n  invert x 5^1/0\nend\n",
             8,
             "bad norm value '5^1/0': zero denominator",
+        ),
+        # A norm value that does not parse says what a norm value is.
+        (
+            HEADER + "algebra A\n  var x 1/5\nend\n",
+            5,
+            "bad norm value '1/5': expected 0, 1, or factors P or P^E "
+            "joined by '*', with P a prime and E a rational literal\n",
+        ),
+        (
+            HEADER + "algebra A\n  var x 1\nend\n"
+            "localize V of A\n  bound x 5^(1)\nend\n",
+            8,
+            "bad norm value '5^(1)': expected 0, 1, or factors P or P^E "
+            "joined by '*', with P a prime and E a rational literal\n",
         ),
         # A bad norm-table element is reported at its own line, not at the
         # line of its check.
@@ -691,7 +722,8 @@ def test_cech_depth_above_pieces_plus_one_stops_the_run(
     ],
     ids=["zero-radius", "zero-radius-second-var", "duplicate-var",
          "var-zero-denominator", "bound-zero-denominator",
-         "invert-zero-denominator", "norm-table-above-truncation",
+         "invert-zero-denominator", "var-not-a-norm-value",
+         "bound-not-a-norm-value", "norm-table-above-truncation",
          "norm-table-element-after-comment", "cover-trivial-field",
          "cover-of-non-localization", "cover-piece-on-another-polydisc",
          "cech-piece-not-over-base", "hoepi-numeric-target",

@@ -411,13 +411,17 @@ def test_levels_without_boundaries_skip_the_reduction(monkeypatch):
         assert calls == []
         basis = cx.level_basis(0, degree)
         zs = kernel_basis(cx.matrix(0, degree).entries, basis.dim)
-        rows, pivots = [], []
+        # The earlier cycles' remainders, Jordan-reduced and keyed by pivot.
+        rows = {}
         for z in zs:
-            rem = reduce_against(z, rows, pivots)
+            rem = reduce_against(z, rows)
             if rem:
                 c = min(rem)
-                rows.append({j: exact_div(v, rem[c]) for j, v in rem.items()})
-                pivots.append(c)
+                new = {j: exact_div(v, rem[c]) for j, v in rem.items()}
+                for k, row in rows.items():
+                    if c in row:
+                        rows[k] = reduce_against(row, {c: new})
+                rows[c] = new
         assert len(zs) == rep.cycle_rank == cycle_rank
         assert rep.rank == len(rows) and rep.is_zero == (not rows)
         assert rep.boundary_rank == 0

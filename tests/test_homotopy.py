@@ -165,7 +165,7 @@ def reference_fold_map(big, target, rename, degree):
         span.append({col_of[e]: c for e, c in nf.terms.items()})
     rows, pivots = sparse_rref(span)
     hit = all(
-        not reduce_against({col_of[e]: Fraction(1)}, rows, pivots)
+        not reduce_against({col_of[e]: Fraction(1)}, dict(zip(pivots, rows)))
         for e in target.monomial_basis(degree)
     )
     return len(source) - len(pivots), hit

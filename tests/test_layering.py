@@ -59,14 +59,15 @@ def private_attributes(tree, class_name):
 
 def test_presentation_and_tate_internals_stay_in_their_modules():
     # Only affinoid reads a presentation's private state; only tate builds
-    # elements without validating them.
+    # elements, and only scalar builds norm values, without validating them.
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in PACKAGE.glob("*.py")
     }
     private = private_attributes(trees["affinoid"], "AffinoidPresentation")
     assert {"_shape_basis", "_generic_elimination", "_pushed"} <= private
-    reads, trusted = set(), set()
+    assert "_trusted_exps" in private_attributes(trees["scalar"], "NormValue")
+    reads, trusted, trusted_norms = set(), set(), set()
     for stem, tree in trees.items():
         for node in ast.walk(tree):
             if not isinstance(node, ast.Attribute):
@@ -75,8 +76,11 @@ def test_presentation_and_tate_internals_stay_in_their_modules():
                 reads.add((stem, node.attr))
             if stem != "tate" and node.attr == "_trusted":
                 trusted.add(stem)
+            if stem != "scalar" and node.attr == "_trusted_exps":
+                trusted_norms.add(stem)
     assert reads == set()
     assert trusted == set()
+    assert trusted_norms == set()
 
 
 def test_linalg_has_one_pivot_loop():

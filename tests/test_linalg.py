@@ -1,6 +1,7 @@
 """Exact sparse linear algebra and the norm-aware elimination."""
 
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -67,9 +68,40 @@ def test_kernel_matches_rank_nullity_random():
 def test_sparse_rref_reduce_against():
     rows, pivots = sparse_rref([{0: F(2), 1: F(4)}, {1: F(1), 2: F(1)}])
     assert pivots == [0, 1]
-    rem = reduce_against({0: F(2), 1: F(5), 2: F(0)}, rows, pivots)
+    rem = reduce_against({0: F(2), 1: F(5), 2: F(0)}, dict(zip(pivots, rows)))
     # The remainder is supported away from the pivot columns.
     assert all(c not in pivots for c in rem)
+
+
+class CountedRows(Mapping):
+    """A pivot -> row map that records each lookup and refuses to be
+    walked."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.lookups = []
+
+    def __getitem__(self, c):
+        self.lookups.append(c)
+        return self.rows[c]
+
+    def __iter__(self):
+        raise AssertionError("the reduction walked every row")
+
+    def __len__(self):
+        raise AssertionError("the reduction counted the rows")
+
+
+def test_reduce_against_touches_only_the_vector_support():
+    # 200 Jordan-reduced rows: pivot 2k, with a tail in the free column
+    # 2k + 1.
+    rows, pivots = sparse_rref([{2 * k: 1, 2 * k + 1: k} for k in range(200)])
+    keyed = CountedRows(dict(zip(pivots, rows)))
+    vec = {301: F(1, 3), 10: 7, 20: 2}
+    assert reduce_against(vec, keyed) == {301: F(1, 3), 11: -35, 21: -20}
+    # One lookup per column of the vector, none for the columns 11 and 21
+    # that the subtraction adds, and the rows of the set are not walked.
+    assert keyed.lookups == [301, 10, 20]
 
 
 def test_vector_norm():

@@ -68,8 +68,11 @@ def test_int_entries_eliminate_like_their_fraction_copies(case, data):
     kernel = kernel_basis(rows, nc)
     assert kernel == kernel_basis(copies, nc)
     vec = rows[0] if rows else {}
-    rem = reduce_against(vec, reduced, pivots)
-    assert rem == reduce_against(as_fractions([vec])[0], *sparse_rref(copies))
+    rem = reduce_against(vec, dict(zip(pivots, reduced)))
+    copy_rows, copy_pivots = sparse_rref(copies)
+    assert rem == reduce_against(
+        as_fractions([vec])[0], dict(zip(copy_pivots, copy_rows))
+    )
     assert_exact(reduced, kernel, [rem])
 
     field = data.draw(st.sampled_from(FIELDS))
@@ -99,6 +102,55 @@ entries = st.builds(
     st.sampled_from([1, -1]), st.integers(-2, 2), st.integers(-2, 2),
     st.integers(-2, 2),
 )
+
+
+def reduce_in_pivot_order(vec, rows, pivots):
+    """The reference reduction: one pass over every row, in pivot order,
+    each clearing its pivot where the running remainder has one."""
+    out = dict(vec)
+    for c, row in zip(pivots, rows):
+        f = out.get(c)
+        if f:
+            for j, v in row.items():
+                nv = out.get(j, 0) - f * v
+                if nv:
+                    out[j] = nv
+                else:
+                    out.pop(j, None)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_reduction_over_a_pivot_map_is_order_free(case, data):
+    """`reduce_against` over the Jordan-reduced rows of `sparse_rref` and of
+    `NormAwareElimination`, keyed by pivot in a shuffled order, gives the
+    remainder of the pass over every row in pivot order."""
+    rows, nc = case
+    field = data.draw(st.sampled_from(FIELDS))
+    elim = NormAwareElimination(
+        field, rows, [data.draw(weights) for _ in rows],
+        [data.draw(weights) for _ in range(nc)],
+    )
+    # A combination of the rows, so that some vectors reduce to zero, plus
+    # free noise.
+    vec = data.draw(st.dictionaries(
+        st.integers(0, nc - 1), st.sampled_from(INTS + FRACTIONS), max_size=nc
+    ))
+    for r in rows:
+        f = data.draw(st.sampled_from(INTS))
+        for j, v in r.items():
+            vec[j] = vec.get(j, 0) + f * v
+    vec = {j: v for j, v in vec.items() if v}
+    for reduced, pivots in (
+        sparse_rref(rows),
+        ([elim.srows[i] for i, _ in elim.pivots], [j for _, j in elim.pivots]),
+    ):
+        keyed = dict(data.draw(st.permutations(list(zip(pivots, reduced)))))
+        rem = reduce_against(vec, keyed)
+        assert rem == reduce_in_pivot_order(vec, reduced, pivots)
+        assert not set(rem) & set(pivots)
+        assert_exact([rem])
 
 
 def reference_key(field, row_w, col_w, entry, L):

@@ -41,6 +41,39 @@ def test_order_is_compatible_with_products(a, b, c):
         assert a * c.inverse() < b * c.inverse()
 
 
+def validated_product(a, b):
+    """a * b through the validating constructor."""
+    if a.is_zero or b.is_zero:
+        return NormValue.zero()
+    exps = a.exponents
+    for p, e in b.exponents.items():
+        exps[p] = exps.get(p, 0) + e
+    return NormValue(exps)
+
+
+@given(values, values, values)
+def test_products_and_inverses_match_validated_values(a, b, c):
+    """Products and inverses skip the constructor's checks, and must store
+    what it stores: sorted primes with nonzero Fraction exponents."""
+    assert a * NormValue.one() is a
+    cases = [(a * b, validated_product(a, b))]
+    if not a.is_zero:
+        inverse = NormValue({p: -e for p, e in a.exponents.items()})
+        cases += [
+            (a.inverse(), inverse),
+            (b / a, validated_product(b, inverse)),
+            (a * a.inverse(), NormValue.one()),
+        ]
+    for got, want in cases:
+        assert got._exps == want._exps
+        assert got == want and hash(got) == hash(want)
+        assert str(got) == str(want)
+        assert got.compare(c) == want.compare(c)
+        if got._exps is not None:
+            assert [p for p, _ in got._exps] == sorted(p for p, _ in got._exps)
+            assert all(type(e) is Fraction and e for _, e in got._exps)
+
+
 @given(nonzero_values, st.fractions(min_value=Fraction(1, 6), max_value=6,
                                     max_denominator=6))
 def test_positive_powers_preserve_the_order_against_one(a, k):
