@@ -13,12 +13,13 @@ reduction machinery normalizes relations into three layers:
   bounds the residue seminorm from above.
 
 `normal_form` runs the first two layers (`shape_normal`) and then the third
-(`generic_normal_form`); a caller that already holds shape normal forms
-runs only the third.  Every multiplication map, a differential column or a
-relation multiple rel*x^m of the third layer, comes from one walk of the
-exponent lattice (`pushed_images`): a product of shape normal forms contains
-no substituted variable, so the walk applies only the Laurent layer, fused
-with each product.
+(`generic_normal_form`), which a caller holding shape normal forms runs
+alone, on their term maps exponent -> coefficient.  Every multiplication
+map, a differential column or a relation multiple rel*x^m of the third
+layer, is the term map of one step of a walk of the exponent lattice
+(`pushed_images`): a product of shape normal forms contains no substituted
+variable, so the walk applies only the Laurent layer, fused with each
+product (`tate.multiply_terms`), and builds no element per step.
 
 A localization A -> A_V is a presentation over A whose relations past A's
 are its relators; its `LocalizationData` records only A and the
@@ -38,7 +39,7 @@ from typing import Mapping, Sequence
 
 from afnd.linalg import NormAwareElimination, SparseRow, reduce_against
 from afnd.scalar import (
-    FieldSpec, NormValue, Rational, exact_div, max_norm, scalar_norm
+    FieldSpec, NormValue, Rational, as_entry, exact_div, max_norm, scalar_norm
 )
 from afnd.tate import (
     Exponent,
@@ -46,7 +47,7 @@ from afnd.tate import (
     Polyradius,
     TateElement,
     fresh_name,
-    grevlex_key,
+    multiply_terms,
     walk_down,
 )
 
@@ -115,17 +116,18 @@ class AffinoidPresentation:
         self.localization = localization
         self._generic_cache: dict[int, dict[int, SparseRow] | None] = {}
         self._basis_cache: dict[int, list[Exponent]] = {}
-        # The shape monomials in grevlex order and their positions, built
-        # one degree layer at a time: layer d is shapes[starts[d]:starts[d+1]].
+        # Shape monomials in grevlex order, each one's last nonzero index (-1
+        # for 1) and position; layer d is shapes[starts[d]:starts[d+1]].
         zero = (0,) * ambient.nvars
         self._shapes: list[Exponent] = [zero]
+        self._lasts = [-1]
         self._shape_col: dict[Exponent, int] = {zero: 0}
         self._layer_starts = [0, 1]
         self._shape_cache: dict[
             int, tuple[list[Exponent], dict[Exponent, int]]
         ] = {}
         # pushed_images results per (source ambient, rename, coeff).
-        self._pushed: dict[tuple, tuple[dict, list[TateElement]]] = {}
+        self._pushed: dict[tuple, tuple[dict, list[dict]]] = {}
         self._normalize()
 
     @property
@@ -357,21 +359,22 @@ class AffinoidPresentation:
         rename: Mapping[str, str] | None,
         coeff: TateElement,
         exponents: Sequence[Exponent],
-    ) -> list[TateElement]:
-        """`shape_normal(coeff * push(x^e))` for each e of `exponents`, where
-        x^e is a monomial of `ambient`, pushed into this ambient along
-        `rename`, and `coeff` is an element of this ambient.
+    ) -> list[dict[Exponent, Rational]]:
+        """The terms of `shape_normal(coeff * push(x^e))` for each e of
+        `exponents`, where x^e is a monomial of `ambient`, pushed into this
+        ambient along `rename`, and `coeff` is an element of this ambient.
 
         Pushing along a rename and shape normalization are multiplicative,
-        so the walk starts at `shape_normal(coeff)` and the image of x^e is
-        the image of its lower neighbour x^(e - eps_i) (`walk_down`) times
-        the image of x_i.  Both factors are shape normal forms, so their
-        product contains no substituted variable and only the Laurent layer
-        is applied, fused with the product (`mul_cancel`).  Images are kept
+        so the walk starts at the terms of `shape_normal(coeff)` and the
+        image of x^e is the image of its lower neighbour x^(e - eps_i)
+        (`walk_down`) times the image of x_i.  Both factors are shape normal
+        forms, so their product contains no substituted variable and only
+        the Laurent layer is applied, fused with the product
+        (`multiply_terms`); no element is built per image.  Images are kept
         per (ambient, rename, coeff), so an exponent costs one product the
         first time any caller asks for it.  A grevlex-ordered basis that is
         closed under lowering one coordinate (a shape basis) always finds
-        its lower neighbour known.
+        its lower neighbour known.  Callers must not mutate the term maps.
         """
         rename = rename or {}
         key = (ambient, tuple(sorted(rename.items())), coeff)
@@ -379,10 +382,10 @@ class AffinoidPresentation:
             gens = [
                 self.shape_normal(
                     TateElement.variable(self.ambient, rename.get(name, name))
-                )
+                ).terms
                 for name in ambient.names
             ]
-            seed = self.shape_normal(coeff)
+            seed = self.shape_normal(coeff).terms
             self._pushed[key] = ({(0,) * ambient.nvars: seed}, gens)
         images, gens = self._pushed[key]
         pairs = self._pair_relations
@@ -390,7 +393,7 @@ class AffinoidPresentation:
         for exponent in exponents:
             img, steps = walk_down(exponent, images)
             for e, i in steps:
-                img = images[e] = img.mul_cancel(gens[i], pairs)
+                img = images[e] = multiply_terms(img, gens[i], pairs)
             out.append(img)
         return out
 
@@ -412,36 +415,35 @@ class AffinoidPresentation:
         Both depend only on the substitution and Laurent layers, which are
         fixed once `_normalize` has run.  Shape monomials are closed under
         lowering one coordinate, so layer d is layer d-1 with one free
-        variable raised (at or after its last nonzero one, so that each
-        monomial comes up once), less what a Laurent pair rewrites.  Layers
-        are appended in grevlex order, so each basis is a prefix of the
-        next.  The map covers every layer built so far: a monomial of degree
-        <= D is in it exactly when it is in the degree-D basis.  Callers
-        must not mutate the returned list or map.
+        variable i raised, at or after the last nonzero one, less what the
+        Laurent partner of i rewrites.  Grevlex puts a later last nonzero
+        index first, so taking i from the last free variable down, each
+        time over the tail of layer d-1 whose last index is <= i, builds
+        layer d already sorted, and each basis is a prefix of the next.  The
+        map covers every layer built so far: a monomial of degree <= D is in
+        it exactly when it is in the degree-D basis.  Callers must not
+        mutate the returned list or map.
         """
         cached = self._shape_cache.get(degree)
         if cached is not None:
             return cached
-        ambient = self.ambient
-        free = self.free_variable_indices()
-        pair_idx = [
-            (ambient.index(u), ambient.index(v)) for (u, v) in self.laurent_pairs
-        ]
-        shapes, starts = self._shapes, self._layer_starts
+        partner = {}
+        for u, v in self.laurent_pairs:
+            iu, iv = self.ambient.index(u), self.ambient.index(v)
+            partner[iu], partner[iv] = iv, iu
+        shapes, lasts, starts = self._shapes, self._lasts, self._layer_starts
         while len(starts) <= degree + 1:
-            layer = []
-            for f in shapes[starts[-2]:]:
-                last = max((i for i in free if f[i]), default=-1)
-                for i in free:
-                    if i < last:
-                        continue
-                    e = f[:i] + (f[i] + 1,) + f[i + 1:]
-                    if all(e[iu] == 0 or e[iv] == 0 for iu, iv in pair_idx):
-                        layer.append(e)
-            layer.sort(key=grevlex_key)
-            for e in layer:
-                self._shape_col[e] = len(shapes)
-                shapes.append(e)
+            lo, end = starts[-2], starts[-1]
+            for i in reversed(self.free_variable_indices()):
+                while lo < end and lasts[lo] > i:
+                    lo += 1
+                p = partner.get(i)
+                for f in shapes[lo:end]:
+                    if p is None or not f[p]:
+                        e = f[:i] + (f[i] + 1,) + f[i + 1:]
+                        self._shape_col[e] = len(shapes)
+                        shapes.append(e)
+                        lasts.append(i)
             starts.append(len(shapes))
         cached = self._shape_cache[degree] = (
             shapes[:starts[degree + 1]], self._shape_col
@@ -472,7 +474,7 @@ class AffinoidPresentation:
             for prod in self.pushed_images(
                 self.ambient, None, rel, self._shape_basis(degree - rdeg)[0]
             ):
-                rows.append({col_of[e]: c for e, c in prod.terms.items()})
+                rows.append({col_of[e]: c for e, c in prod.items()})
         if not rows:
             self._generic_cache[degree] = None
             return None
@@ -502,31 +504,33 @@ class AffinoidPresentation:
         """The canonical representative of w on the degree-<=degree basis."""
         if w.ambient != self.ambient:
             raise PresentationError("element outside the ambient algebra")
-        return self.generic_normal_form(self.shape_normal(w), degree)
+        shaped = self.shape_normal(w)
+        terms = self.generic_normal_form(shaped.terms, degree)
+        if terms is shaped.terms:
+            return shaped
+        return TateElement(self.ambient, terms)
 
     def generic_normal_form(
-        self, shaped: TateElement, degree: int
-    ) -> TateElement:
-        """The second pass of `normal_form`: reduce a `shape_normal` result
-        against the relation rows of degree <= degree."""
+        self, shaped: Mapping[Exponent, Rational], degree: int
+    ) -> Mapping[Exponent, Rational]:
+        """The second pass of `normal_form`, on the term map of a shape normal
+        form: its remainder modulo the relation rows of degree <= degree, or
+        `shaped` itself when there are none.  Builds no element."""
         if self.is_zero_algebra:
-            return TateElement.zero(self.ambient)
+            return {}
         generic = self._generic_elimination(degree)
-        if generic is None or shaped.is_zero:
+        if generic is None or not shaped:
             return shaped
-        if shaped.total_degree() > degree:
-            raise PresentationError(
-                f"degree {shaped.total_degree()} exceeds truncation {degree}"
-            )
+        d = max(map(sum, shaped))
+        if d > degree:
+            raise PresentationError(f"degree {d} exceeds truncation {degree}")
         shape_basis, col_of = self._shape_basis(degree)
         # The relation rows are Jordan-reduced, so each subtraction clears
         # one pivot coordinate and stays inside degree <= D.
         coords = reduce_against(
-            {col_of[e]: c for e, c in shaped.terms.items()}, generic
+            {col_of[e]: c for e, c in shaped.items()}, generic
         )
-        return TateElement(
-            self.ambient, {shape_basis[j]: coords[j] for j in sorted(coords)}
-        )
+        return {shape_basis[j]: as_entry(coords[j]) for j in sorted(coords)}
 
     # -- structure maps ------------------------------------------------------
 
@@ -670,12 +674,13 @@ def rational_localization(
     return _append_localization(step, bounds, (), ineqs)
 
 
-def tensor_over(
+def pushout(
     a: AffinoidPresentation,
     b: AffinoidPresentation,
     c: AffinoidPresentation,
-) -> tuple[AffinoidPresentation, dict[str, str]]:
-    """Pushout presentation of B (x)_A C; returns it and C's rename map.
+) -> tuple[Polyradius, list[TateElement], dict[str, str]]:
+    """The ambient and relations of the pushout B (x)_A C, not yet a
+    presentation, and C's rename map.
 
     Its variables are B's, then C's past A's in their order, each primed
     until it is fresh; the rename map lists the primed ones.
@@ -696,6 +701,16 @@ def tensor_over(
     relations = [rel.in_ambient(ambient) for rel in b.relations]
     for rel in c.relations[len(a.relations):]:
         relations.append(rel.in_ambient(ambient, rename))
+    return ambient, relations, rename
+
+
+def tensor_over(
+    a: AffinoidPresentation,
+    b: AffinoidPresentation,
+    c: AffinoidPresentation,
+) -> tuple[AffinoidPresentation, dict[str, str]]:
+    """The `pushout` presentation of B (x)_A C, and C's rename map."""
+    ambient, relations, rename = pushout(a, b, c)
     return AffinoidPresentation(ambient, relations), rename
 
 

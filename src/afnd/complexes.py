@@ -12,11 +12,11 @@ tensor variables) and the fold map of a self-tensor onto its factor
 
 This module is the one place where a linear map between presentations
 becomes a matrix: exact, sparse, one row per target basis vector, built once
-per complex and degree, with columns from a walk of the exponent lattice
-that starts at the component's coefficient
-(`AffinoidPresentation.pushed_images`).  Ranks need no norms, so the monomial
-weights of a level basis and the norm of a witness cycle are computed when
-read, by `strict_exactness` or a printed witness.
+per complex and degree.  Its columns, and the cycles it re-expresses, are
+term maps from a walk that starts at the component's coefficient
+(`AffinoidPresentation.pushed_images`), not elements.  Ranks need no norms,
+so the monomial weights of a level basis and the norm of a witness cycle
+are computed when read, by `strict_exactness` or a printed witness.
 Images that overflow the requested degree enlarge the target truncation
 instead of dropping terms.  "Homology vanishes at degree D" therefore means:
 every cycle supported in degree <= D is the boundary of a chain supported in
@@ -25,7 +25,7 @@ degree <= D.
 A derived tensor module (x)^L_base target is the Koszul complex of the
 target's own relators, its relations past the base's, over the pushout
 module (x)_base target without them (`derived_tensor`); that pushout is
-its H^0.
+its H^0 (`koszul_h0`), built only where a verdict reads it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
-from afnd.affinoid import AffinoidPresentation, tensor_over
+from afnd.affinoid import AffinoidPresentation, pushout
 from afnd.linalg import (
     SparseRow,
     kernel_basis,
@@ -77,12 +77,17 @@ class LevelBasis:
     def weights(self) -> list[NormValue]:
         return [self.ambients[si].monomial_weight(e) for si, e in self.entries]
 
-    def parts(self, coords: SparseRow) -> dict[int, TateElement]:
-        """A sparse vector as one element per summand it touches."""
+    def part_terms(self, coords: SparseRow) -> dict[int, dict]:
+        """A sparse vector as one term map per summand it touches."""
         terms: dict[int, dict[Exponent, Rational]] = {}
         for k, c in coords.items():
             si, e = self.entries[k]
             terms.setdefault(si, {})[e] = c
+        return terms
+
+    def parts(self, coords: SparseRow) -> dict[int, TateElement]:
+        """A sparse vector as one element per summand it touches."""
+        terms = self.part_terms(coords)
         return {si: TateElement(self.ambients[si], t) for si, t in terms.items()}
 
 
@@ -152,12 +157,13 @@ class ChainComplex:
 
     def _build_matrix(self, n: int, degree: int) -> DifferentialMatrix:
         """Per component, `pushed_images` walks the source exponents from
-        the component's coefficient, so each column is one shape normal
-        form.  That fixes the growth degree; the generic layer needs that
-        bound and reduces the images afterwards."""
+        the component's coefficient, so each column is the term map of one
+        shape normal form.  That fixes the growth degree; the generic layer
+        needs that bound and reduces the term maps afterwards, passing an
+        exact target's through and emptying a zero algebra's."""
         source = self.level_basis(n, degree)
         sources, targets = self.levels.get(n, []), self.levels.get(n + 1, [])
-        images: list[list[tuple[int, TateElement]]] = [[] for _ in source.entries]
+        images: list[list[tuple[int, dict]]] = [[] for _ in source.entries]
         growth = degree
         for (t, s), comp in self.components.get(n, {}).items():
             cols = [(j, e) for j, (si, e) in enumerate(source.entries) if si == s]
@@ -165,16 +171,16 @@ class ChainComplex:
                 sources[s].algebra.ambient, comp.rename, comp.coeff,
                 [e for _, e in cols],
             )
-            for (j, _), val in zip(cols, pushed):
-                if not val.is_zero:
-                    growth = max(growth, val.total_degree())
-                    images[j].append((t, val))
+            for (j, _), terms in zip(cols, pushed):
+                if terms:
+                    growth = max(growth, max(map(sum, terms)))
+                    images[j].append((t, terms))
         target = self.level_basis(n + 1, growth)
         entries: list[SparseRow] = [{} for _ in range(target.dim)]
         for j, img in enumerate(images):
-            for t, v in img:
-                nf = targets[t].algebra.generic_normal_form(v, growth)
-                for e, c in nf.terms.items():
+            for t, terms in img:
+                nf = targets[t].algebra.generic_normal_form(terms, growth)
+                for e, c in nf.items():
                     entries[target.index[(t, e)]][j] = c
         return DifferentialMatrix(source, target, entries)
 
@@ -183,12 +189,12 @@ class ChainComplex:
     ) -> SparseRow:
         """Re-express a sparse level-n vector on a larger-degree basis.  Its
         basis monomials are shape normal forms, so only the generic layer
-        runs."""
+        runs, on one term map per summand."""
         summands = self.levels[n]
         out: SparseRow = {}
-        for si, v in frm.parts(coords).items():
-            nf = summands[si].algebra.generic_normal_form(v, into.truncation)
-            for e, c in nf.terms.items():
+        for si, t in frm.part_terms(coords).items():
+            nf = summands[si].algebra.generic_normal_form(t, into.truncation)
+            for e, c in nf.items():
                 out[into.index[(si, e)]] = c
         return out
 
@@ -373,23 +379,29 @@ def koszul_complex(
     return ChainComplex(algebra.field, levels, components)
 
 
+def koszul_h0(cx: ChainComplex) -> AffinoidPresentation:
+    """H^0 of a `koszul_complex`: level 0 modulo what d^-1 multiplies by."""
+    level = cx.levels[0][0].algebra
+    relators = tuple(comp.coeff for comp in cx.components.get(-1, {}).values())
+    return AffinoidPresentation(level.ambient, level.relations + relators)
+
+
 def derived_tensor(
     module: AffinoidPresentation,
     base: AffinoidPresentation,
     target: AffinoidPresentation,
-) -> tuple[ChainComplex, AffinoidPresentation, dict[str, str]]:
+) -> tuple[ChainComplex, dict[str, str]]:
     """module (x)^L_base target, modeled on the target's own relators.
 
     The relators that present `target` over `base` are its relations past
     the base's: the localization relators of a chain, or the extra
-    relations of a quotient.  H^0 is the pushout module (x)_base target;
-    the complex is the Koszul complex of the renamed relators over the
-    pushout without them.  Returns the complex, H^0 and the rename of the
-    target's fresh variables.
+    relations of a quotient.  The complex is the Koszul complex of the
+    renamed relators over the pushout module (x)_base target without them,
+    so that pushout is its H^0 (`koszul_h0`).  Returns the complex and the
+    rename of the target's fresh variables.
     """
-    h0, rename = tensor_over(base, module, target)
+    ambient, relations, rename = pushout(base, module, target)
     n = len(module.relations)
-    level = AffinoidPresentation(h0.ambient, h0.relations[:n])
-    relators = [r for r in h0.relations[n:] if not r.is_zero]
-    return koszul_complex(level, relators), h0, rename
-
+    level = AffinoidPresentation(ambient, relations[:n])
+    relators = [r for r in relations[n:] if not r.is_zero]
+    return koszul_complex(level, relators), rename

@@ -39,6 +39,7 @@ from afnd.complexes import (
     derived_tensor,
     homology,
     koszul_complex,
+    koszul_h0,
 )
 from afnd.tate import TateElement
 
@@ -215,7 +216,7 @@ def is_homotopy_epi(
     blocked = _unresolved(kind, base, target, degree)
     if blocked is not None:
         return blocked
-    cx, square, rename = derived_tensor(target, base, target)
+    cx, rename = derived_tensor(target, base, target)
     ranks, witness = _tor_ranks(cx, degree, -1)
     if witness is not None:
         return MorphismVerdict(
@@ -223,6 +224,7 @@ def is_homotopy_epi(
             "self-tensor has nonvanishing homology in negative degrees",
             ranks, witness,
         )
+    square = koszul_h0(cx)
     if square.is_zero_algebra:
         # The fold map sends 1 (x) 1 to 1, so 1 = 0 in the target too.
         return MorphismVerdict(

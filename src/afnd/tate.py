@@ -9,6 +9,7 @@ Elements are validated where they enter (the public constructor, `monomial`,
 a trusted constructor that only drops zero coefficients.  Either way an
 integral coefficient is stored as an `int` (`scalar.as_entry`) and any other
 as a `Fraction`, so products of integral elements run in `int` arithmetic.
+Every product runs one loop on term maps (`multiply_terms`).
 
 Exponent vectors are ordered grevlex (total degree, then reversed-lexicographic
 tiebreak on variable index) for canonical printing and deterministic
@@ -50,7 +51,9 @@ def walk_down(
     value = known.get(exponent)
     steps = []
     while value is None:
-        i = max(k for k, v in enumerate(exponent) if v)
+        i = len(exponent) - 1
+        while not exponent[i]:
+            i -= 1
         steps.append((exponent, i))
         exponent = exponent[:i] + (exponent[i] - 1,) + exponent[i + 1:]
         value = known.get(exponent)
@@ -145,6 +148,31 @@ class PairRelations:
                 f *= q**m
         out = self.known[exponent] = (tuple(e), None if f == 1 else as_entry(f))
         return out
+
+
+def multiply_terms(
+    left: Mapping[Exponent, Rational],
+    right: Mapping[Exponent, Rational],
+    pairs: PairRelations | None = None,
+) -> dict[Exponent, Rational]:
+    """The term map of a product of two term maps, each product term sent
+    to its normal exponent under `pairs` as it is made.  Zero coefficients
+    are dropped and integral ones made ints, as in a `TateElement`."""
+    known = pairs.known.get if pairs else None
+    terms: dict[Exponent, Rational] = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(map(add, e1, e2))
+            c = c1 * c2
+            if known is not None:
+                e, f = known(e) or pairs.normal(e)
+                if f is not None:
+                    c *= f
+            prev = terms.get(e)
+            terms[e] = c if prev is None else prev + c
+    return {
+        e: c if type(c) is int else as_entry(c) for e, c in terms.items() if c
+    }
 
 
 class TateElement:
@@ -245,15 +273,7 @@ class TateElement:
         return self + (-other)
 
     def __mul__(self, other: "TateElement") -> "TateElement":
-        self._check_same_ambient(other)
-        terms: dict[Exponent, Rational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                prev = terms.get(e)
-                terms[e] = c if prev is None else prev + c
-        return TateElement._trusted(self.ambient, terms)
+        return self.mul_cancel(other, None)
 
     def scale(self, c: Rational) -> "TateElement":
         return TateElement._trusted(
@@ -364,24 +384,14 @@ class TateElement:
         return TateElement._trusted(self.ambient, terms)
 
     def mul_cancel(
-        self, other: "TateElement", pairs: "PairRelations"
+        self, other: "TateElement", pairs: PairRelations | None
     ) -> "TateElement":
-        """self * other with each relation u*v = q of `pairs` applied
-        exactly, each product term sent to its normal exponent as it is
-        made."""
-        if not pairs:
-            return self * other
+        """self * other with each relation u*v = q of `pairs`, if any,
+        applied exactly (`multiply_terms`)."""
         self._check_same_ambient(other)
-        known, normal = pairs.known.get, pairs.normal
-        terms: dict[Exponent, Rational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                e, f = known(e) or normal(e)
-                c = c1 * c2 if f is None else c1 * c2 * f
-                prev = terms.get(e)
-                terms[e] = c if prev is None else prev + c
-        return TateElement._trusted(self.ambient, terms)
+        return TateElement._trusted(
+            self.ambient, multiply_terms(self.terms, other.terms, pairs)
+        )
 
     def recenter(self, center: Sequence[Rational]) -> "TateElement":
         """Exact shift x_i -> x_i + c_i (used for Gauss points off the origin)."""

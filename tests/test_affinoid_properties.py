@@ -1,6 +1,7 @@
-"""Property tests of generic normal forms and of localization chains;
-skipped without hypothesis."""
+"""Property tests of generic normal forms, shape bases and localization
+chains; skipped without hypothesis."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from afnd.affinoid import (  # noqa: E402
+    AffinoidPresentation,
     BezoutCertificate,
     free_affinoid,
     laurent_localization,
@@ -18,7 +20,9 @@ from afnd.affinoid import (  # noqa: E402
     weierstrass_localization,
 )
 from afnd.scalar import FieldSpec, NormValue  # noqa: E402
-from afnd.tate import Polyradius, TateElement, parse_element  # noqa: E402
+from afnd.tate import (  # noqa: E402
+    Polyradius, TateElement, grevlex_key, parse_element
+)
 
 DEGREE = 6
 BIDISC = Polyradius(
@@ -50,6 +54,71 @@ def test_generic_normal_form_is_a_projection(pres, w):
     assert pres.normal_form(w - nf, DEGREE).is_zero
     # The normal form lives on the basis, off every pivot monomial.
     assert set(nf.terms) <= set(pres.monomial_basis(DEGREE))
+
+
+# -- shape bases -------------------------------------------------------------
+
+
+@st.composite
+def shape_presentations(draw):
+    """1-4 variables of radius 1, 0-2 disjoint Laurent pairs u*v = q and
+    at most one more variable substituted by a constant."""
+    n = draw(st.integers(1, 4))
+    ambient = Polyradius(
+        FieldSpec.padic(5), tuple(f"x{i}" for i in range(n)),
+        (NormValue.one(),) * n,
+    )
+    x = [TateElement.variable(ambient, name) for name in ambient.names]
+    order = draw(st.permutations(range(n)))
+    npairs = draw(st.integers(0, n // 2))
+    relations = [
+        x[order[2 * k]] * x[order[2 * k + 1]]
+        - TateElement.constant(ambient, draw(st.sampled_from([1, 3, 5])))
+        for k in range(npairs)
+    ]
+    substituted = draw(st.sampled_from([None, *order[2 * npairs:]]))
+    if substituted is not None:
+        relations.append(x[substituted] - TateElement.constant(ambient, 5))
+    pres = AffinoidPresentation(ambient, relations)
+    assert len(pres.laurent_pairs) == npairs
+    assert len(pres.substitutions) == (substituted is not None)
+    return pres
+
+
+def brute_shape_basis(pres, degree):
+    """Every monomial of degree <= D in the free variables that no Laurent
+    pair rewrites, sorted grevlex."""
+    amb = pres.ambient
+    free = pres.free_variable_indices()
+    pairs = [(amb.index(u), amb.index(v)) for u, v in pres.laurent_pairs]
+    out = []
+    for ks in itertools.product(range(degree + 1), repeat=len(free)):
+        e = [0] * amb.nvars
+        for i, k in zip(free, ks):
+            e[i] = k
+        if sum(e) <= degree and all(e[u] == 0 or e[v] == 0 for u, v in pairs):
+            out.append(tuple(e))
+    return sorted(out, key=grevlex_key)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape_presentations(), st.lists(st.integers(0, 7), min_size=1, max_size=4)
+)
+def test_shape_bases_come_out_in_grevlex_order(pres, degrees):
+    """Layers built without sorting, in whatever order the degrees are
+    asked for, give the brute-force grevlex basis, each basis a prefix of
+    the next, and a column map that agrees with every basis."""
+    bases = {}
+    for degree in degrees:
+        basis, col_of = pres._shape_basis(degree)
+        assert basis == brute_shape_basis(pres, degree)
+        bases[degree] = basis
+    top = max(degrees)
+    for degree, basis in bases.items():
+        assert bases[top][: len(basis)] == basis
+        assert all(col_of[e] == j for j, e in enumerate(basis))
+        assert {e for e in col_of if sum(e) <= degree} == set(basis)
 
 
 # -- localization chains ---------------------------------------------------

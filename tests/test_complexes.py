@@ -205,8 +205,8 @@ def reference_matrix(cx, n, degree):
     ]
     entries = {}
     for col, t, val in images:
-        nf = targets[t].algebra.generic_normal_form(val, growth)
-        for e, c in nf.terms.items():
+        nf = targets[t].algebra.generic_normal_form(val.terms, growth)
+        for e, c in nf.items():
             entries[((t, e), col)] = c
     return growth, rows, entries
 
@@ -342,6 +342,72 @@ def test_homology_reads_no_weights(monkeypatch):
     assert len(witnesses) == 2
     assert [str(w.norm) for w in witnesses] == ["1", "1"]
     assert calls
+
+
+def count_element_builds(monkeypatch):
+    """[calls of `TateElement.__init__`, calls of `TateElement._trusted`],
+    counted from now on; reset it by slice assignment."""
+    counts = [0, 0]
+    init, trusted = TateElement.__init__, TateElement._trusted.__func__
+
+    def counting_init(self, *args):
+        counts[0] += 1
+        init(self, *args)
+
+    def counting_trusted(cls, *args):
+        counts[1] += 1
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(TateElement, "__init__", counting_init)
+    monkeypatch.setattr(TateElement, "_trusted", classmethod(counting_trusted))
+    return counts
+
+
+def test_assembly_builds_no_element_per_column(monkeypatch):
+    """Differential columns, generic-layer reductions and re-expressed
+    cycles are term maps, so the elements that assembly builds do not grow
+    with the number of columns.  Each run starts from a fresh derived
+    tensor, whose presentations have walked nothing yet."""
+    disk = parse_scenario(
+        (SCENARIOS / "unit_disk.afnd").read_text(encoding="utf-8")
+    ).algebras
+    generic = parse_scenario(
+        (SCENARIOS / "generic_table.afnd").read_text(encoding="utf-8")
+    ).algebras
+    dims, embedded = [], []
+    embed = ChainComplex.embed
+
+    def counting_embed(self, *args):
+        embedded[-1] += 1
+        return embed(self, *args)
+
+    monkeypatch.setattr(ChainComplex, "embed", counting_embed)
+
+    def hoepi_d(degree):
+        # d^-1 of the derived tensor behind `hoepi A V2`: exact layers only.
+        V2 = disk["V2"]
+        cx = derived_tensor(V2, disk["A"], V2)[0]
+        dims.append(cx.matrix(-1, degree).source.dim)
+
+    def transversal_h0(degree):
+        # H^0 of the derived tensor behind `transversal B N V`: d^-1 lands
+        # in a generic layer above D, so every cycle is re-expressed.
+        cx = derived_tensor(generic["N"], generic["B"], generic["V"])[0]
+        embedded.append(0)
+        homology(cx, 0, degree)
+        dims.append(cx.matrix(-1, degree).source.dim)
+
+    counts = count_element_builds(monkeypatch)
+    for run in (hoepi_d, transversal_h0):
+        dims.clear()
+        seen = []
+        for degree in (8, 16):
+            counts[:] = [0, 0]
+            run(degree)
+            seen.append(tuple(counts))
+        assert dims[0] < dims[1]
+        assert seen[0] == seen[1], (run.__name__, seen)
+    assert all(embedded) and embedded[0] < embedded[1]
 
 
 def test_differentials_hold_ints_where_integral(monkeypatch):

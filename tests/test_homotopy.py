@@ -198,7 +198,7 @@ def reference_degree_zero(base, piece):
     rename, or None when no resolution is available."""
     if not resolvable(base, piece):
         return None
-    cx, _, rename = derived_tensor(piece, base, piece)
+    cx, rename = derived_tensor(piece, base, piece)
     level = cx.levels[0][0].algebra
     relators = [comp.coeff for comp in cx.components.get(-1, {}).values()]
     return quotient(level, relators), rename
@@ -282,10 +282,10 @@ def test_degree_zero_part_is_the_self_tensor():
 
 
 def test_hoepi_step_builds_one_pushout_and_one_square(monkeypatch):
-    """A one-step hoepi builds the pushout of its derived self-tensor and
-    the Koszul level over it, and nothing else: the fold map reduces the
-    derived tensor's H^0, which shares its Polyradius with the level, so
-    monomial weights are computed once for both."""
+    """A one-step hoepi builds the Koszul level of its derived self-tensor
+    and, once self-Tor vanishes, that tensor's H^0, and nothing else: the
+    fold map reduces the H^0, which shares its Polyradius with the level,
+    so monomial weights are computed once for both."""
     import afnd.affinoid
     import afnd.homotopy
 
@@ -318,16 +318,18 @@ def test_hoepi_step_builds_one_pushout_and_one_square(monkeypatch):
     monkeypatch.setattr(afnd.homotopy, "_reduce_fold_map", recording_fold)
     assert is_homotopy_epi(algebras["A"], algebras["V1"], 12).holds
     assert len(built) == 2
-    [(cx, square, _)] = derived
-    assert len(folds) == 1 and folds[0] is square
-    assert cx.levels[0][0].algebra.ambient is square.ambient
+    [(cx, _)] = derived
+    assert len(folds) == 1 and folds[0] is built[1]
+    assert cx.levels[0][0].algebra is built[0]
+    assert built[1].ambient is built[0].ambient
 
 
 def test_quotient_gate_builds_no_presentation(monkeypatch):
     """A quotient of the base is gated on the Koszul complex of its extra
     relations over the base itself: the hoepi verdict on generic_table's
-    B -> M builds the derived self-tensor's pushout and its Koszul level,
-    and nothing for the gate."""
+    B -> M builds the Koszul level of its derived self-tensor and nothing
+    for the gate.  It fails on self-Tor, so the pushout, which only the
+    fold map reads, is never built."""
     import afnd.affinoid
 
     algebras = parse_scenario(
@@ -345,7 +347,34 @@ def test_quotient_gate_builds_no_presentation(monkeypatch):
     )
     v = is_homotopy_epi(algebras["B"], algebras["M"], 8)
     assert v.status == FAILS
-    assert len(built) == 2
+    assert v.detail.startswith("self-tensor has nonvanishing homology")
+    assert len(built) == 1
+
+
+def test_transversal_builds_only_the_koszul_level(monkeypatch):
+    """A transversality verdict reads the homology of the derived tensor and
+    never its H^0, so it builds the Koszul level over the pushout and no
+    other presentation."""
+    import afnd.affinoid
+
+    algebras = parse_scenario(
+        (SCENARIOS / "generic_table.afnd").read_text(encoding="utf-8")
+    ).algebras
+    built = []
+    init = afnd.affinoid.AffinoidPresentation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(
+        afnd.affinoid.AffinoidPresentation, "__init__", counting
+    )
+    for module in ("N", "M"):
+        built.clear()
+        v = check_transversal(algebras[module], algebras["B"], algebras["V"], 8)
+        assert v.status in (HOLDS, FAILS)
+        assert len(built) == 1
 
 
 def test_fold_map_runs_one_elimination(monkeypatch):
@@ -374,16 +403,15 @@ def test_fold_map_runs_one_elimination(monkeypatch):
 def test_collapsed_self_tensor_proves_the_target_zero(monkeypatch):
     """B (x)_A B -> B sends 1 (x) 1 to 1, so a self-tensor found to be the
     zero algebra makes the target zero as well, and hoepi holds."""
-    import afnd.complexes
+    import afnd.homotopy
 
-    real = afnd.complexes.tensor_over
+    real = afnd.homotopy.koszul_h0
 
-    def collapsed(base, left, right):
-        square, rename = real(base, left, right)
-        one = TateElement.constant(square.ambient, 1)
-        return quotient(square, [one]), rename
+    def collapsed(cx):
+        square = real(cx)
+        return quotient(square, [TateElement.constant(square.ambient, 1)])
 
-    monkeypatch.setattr(afnd.complexes, "tensor_over", collapsed)
+    monkeypatch.setattr(afnd.homotopy, "koszul_h0", collapsed)
     A = make_base()
     V = weierstrass_localization(
         A, [parse_element("x", A.ambient)], [NormValue.prime_power(5, -1)]
