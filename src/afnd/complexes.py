@@ -165,7 +165,13 @@ class ChainComplex:
         sources, targets = self.levels.get(n, []), self.levels.get(n + 1, [])
         images: list[list[tuple[int, dict]]] = [[] for _ in source.entries]
         growth = degree
-        for (t, s), comp in self.components.get(n, {}).items():
+        # Into a level of zero algebras every image is 0 at every degree, so
+        # none is made.  A zero summand of a mixed level still gets its
+        # images: they set the growth, which truncates the other summands.
+        components = self.components.get(n, {})
+        if all(summand.algebra.is_zero_algebra for summand in targets):
+            components = {}
+        for (t, s), comp in components.items():
             cols = [(j, e) for j, (si, e) in enumerate(source.entries) if si == s]
             pushed = targets[t].algebra.pushed_images(
                 sources[s].algebra.ambient, comp.rename, comp.coeff,
@@ -397,11 +403,17 @@ def derived_tensor(
     the base's: the localization relators of a chain, or the extra
     relations of a quotient.  The complex is the Koszul complex of the
     renamed relators over the pushout module (x)_base target without them,
-    so that pushout is its H^0 (`koszul_h0`).  Returns the complex and the
-    rename of the target's fresh variables.
+    so that pushout is its H^0 (`koszul_h0`).  When the target adds no
+    variable (a quotient), that level is `module` itself, whose ambient and
+    relations it would repeat.  Returns the complex and the rename of the
+    target's fresh variables.
     """
     ambient, relations, rename = pushout(base, module, target)
     n = len(module.relations)
-    level = AffinoidPresentation(ambient, relations[:n])
+    if ambient == module.ambient:
+        # Its normal-form caches are reused, not rebuilt on an equal copy.
+        level = module
+    else:
+        level = AffinoidPresentation(ambient, relations[:n])
     relators = [r for r in relations[n:] if not r.is_zero]
     return koszul_complex(level, relators), rename

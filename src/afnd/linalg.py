@@ -29,6 +29,14 @@ Both leave Jordan-reduced rows: 1 at the row's pivot, 0 at every other
 pivot.  A caller that reduces vectors against them keys the rows by pivot
 column, and `reduce_against` then clears only the pivots in a vector's
 support, each once, in no particular order.
+
+`kernel_basis` eliminates only what singleton removal leaves (the first
+step of structured Gaussian elimination, LaMacchia and Odlyzko 1990): in
+one pass over the entries it peels each column that is the only live entry
+of some row, since such a column is zero in every kernel vector.  An
+injective map, such as multiplication by a relator, peels completely and
+is certified without a pivot; its kernel is the same either way, and so,
+for a fixed column order, is its reduced basis.
 """
 
 from __future__ import annotations
@@ -166,13 +174,55 @@ def reduce_against(vec: SparseRow, reduced: Mapping[int, SparseRow]) -> SparseRo
     return out
 
 
+def _peel(rows: Sequence[SparseRow], holders: dict[int, set[int]]) -> set[int]:
+    """The columns that are zero in every solution of A x = 0, found by
+    singleton removal: a row whose only live entry is at column c forces
+    x_c = 0, so c is peeled and every row holding it loses a live entry.
+    Each row is scanned at most once, when it is taken as a singleton."""
+    live = [len(r) for r in rows]
+    singletons = [i for i, n in enumerate(live) if n == 1]
+    peeled: set[int] = set()
+    while singletons:
+        i = singletons.pop()
+        if live[i] != 1:
+            continue
+        c = next(j for j in rows[i] if j not in peeled)
+        peeled.add(c)
+        for o in holders[c]:
+            live[o] -= 1
+            if live[o] == 1:
+                singletons.append(o)
+    return peeled
+
+
 def kernel_basis(rows: Sequence[SparseRow], ncols: int) -> list[SparseRow]:
     """Sparse basis of {x : A x = 0} for A with `ncols` columns.
 
-    One vector per free column, in column order, deterministic.
+    One vector per free column, in column order, deterministic: the vector
+    of free column f is 1 at f, 0 at every other free column, and holds the
+    pivots it needs in ascending order after f.
+
+    Singleton rows are peeled first (`_peel`).  A peeled column is zero in
+    every kernel vector, so when every column is peeled the kernel is 0 and
+    nothing is eliminated; otherwise `sparse_rref` runs on the rows without
+    their peeled entries, whose kernel is the same.  The free columns and
+    the vector of each are fixed by the kernel and the column order alone,
+    so a peeled column is a pivot column and the output is the one the
+    reduced echelon form of all of A gives.
     """
+    holders = _column_index(rows)
+    if holders and (min(holders) < 0 or max(holders) >= ncols):
+        raise ValueError("column index outside the matrix")
+    peeled = _peel(rows, holders)
+    if len(peeled) == ncols:
+        return []
+    if peeled:
+        rows = [
+            live for r in rows
+            if (live := {j: v for j, v in r.items() if j not in peeled})
+        ]
     reduced, pivots = sparse_rref(rows)
-    pivot_set = set(pivots)
+    pivot_set = peeled.union(pivots)
     basis = {fc: {fc: 1} for fc in range(ncols) if fc not in pivot_set}
     # In a fully reduced row, every entry off the pivot is in a free column.
     for row, pc in zip(reduced, pivots):

@@ -4,6 +4,7 @@ import pytest
 
 import afnd.cech
 from afnd.affinoid import (
+    AffinoidPresentation,
     free_affinoid,
     laurent_localization,
     quotient,
@@ -156,3 +157,27 @@ def test_acyclicity_at_depth_zero_fails(disk_cover):
     report = proved_acyclicity(disk_cover, 0, 8)
     assert report.status == "fails"
     assert report.injectivity_rank == len(disk_cover.base.monomial_basis(8))
+
+
+def test_no_images_into_a_level_of_zero_algebras(three_piece_cover, monkeypatch):
+    """V1 and V3 are disjoint, so the triple intersection is the zero
+    algebra and d^2 makes no image at all.  Level 2 is mixed: V1 ∩ V3 is
+    zero too, but d^1 still pushes into it, since every image sets the
+    growth that truncates the other summands."""
+    cx = build_complex(three_piece_cover, 3)
+    assert [s.algebra.is_zero_algebra for s in cx.levels[2]] == [
+        False, True, False
+    ]
+    assert cx.levels[3][0].algebra.is_zero_algebra
+    targets = []
+    real = AffinoidPresentation.pushed_images
+
+    def recording(self, *args):
+        targets.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(AffinoidPresentation, "pushed_images", recording)
+    top = cx.matrix(2, 8)
+    assert targets == [] and top.entries == [] and top.target.dim == 0
+    cx.matrix(1, 8)
+    assert {id(a) for a in targets} == {id(s.algebra) for s in cx.levels[2]}

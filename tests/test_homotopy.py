@@ -22,6 +22,7 @@ from afnd.homotopy import (
     HOLDS,
     UNRESOLVED,
     _reduce_fold_map,
+    _tor_ranks,
     check_transversal,
     is_epimorphism,
     is_homotopy_epi,
@@ -281,6 +282,46 @@ def test_degree_zero_part_is_the_self_tensor():
     assert named and named <= checked
 
 
+def test_self_tor_of_every_bundled_localization_is_peeled(monkeypatch):
+    """The self-Tor scan of `is_homotopy_epi` takes the kernel of
+    multiplication by the relator, which is injective: on every step of
+    every bundled localization chain, singleton peeling certifies it and
+    `kernel_basis` runs no elimination."""
+    import afnd.complexes
+    import afnd.linalg
+
+    pivot_loop, kernel_basis = afnd.linalg._pivot_loop, afnd.linalg.kernel_basis
+    inside, eliminated = [], []
+
+    def recording_loop(rows, rank):
+        if inside:
+            eliminated.append(len(rows))
+        return pivot_loop(rows, rank)
+
+    def recording_kernel(rows, ncols):
+        inside.append(True)
+        try:
+            return kernel_basis(rows, ncols)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(afnd.linalg, "_pivot_loop", recording_loop)
+    monkeypatch.setattr(afnd.complexes, "kernel_basis", recording_kernel)
+    steps = {}
+    for label, base, piece in scenario_pairs():
+        path = localization_path(piece, base)
+        if path is not None:
+            nodes = path[::-1]
+            for i in range(len(nodes) - 1):
+                steps[id(nodes[i + 1])] = label, nodes[i], nodes[i + 1]
+    assert len(steps) >= 12
+    for label, base, piece in steps.values():
+        cx, _ = derived_tensor(piece, base, piece)
+        ranks, witness = _tor_ranks(cx, 8, -1)
+        assert witness is None and ranks == {-1: 0}, label
+    assert eliminated == []
+
+
 def test_hoepi_step_builds_one_pushout_and_one_square(monkeypatch):
     """A one-step hoepi builds the Koszul level of its derived self-tensor
     and, once self-Tor vanishes, that tensor's H^0, and nothing else: the
@@ -327,9 +368,10 @@ def test_hoepi_step_builds_one_pushout_and_one_square(monkeypatch):
 def test_quotient_gate_builds_no_presentation(monkeypatch):
     """A quotient of the base is gated on the Koszul complex of its extra
     relations over the base itself: the hoepi verdict on generic_table's
-    B -> M builds the Koszul level of its derived self-tensor and nothing
-    for the gate.  It fails on self-Tor, so the pushout, which only the
-    fold map reads, is never built."""
+    B -> M builds nothing for the gate, and the Koszul level of its derived
+    self-tensor is M itself, since the target adds no variable.  It fails
+    on self-Tor, so the pushout, which only the fold map reads, is never
+    built."""
     import afnd.affinoid
 
     algebras = parse_scenario(
@@ -348,7 +390,7 @@ def test_quotient_gate_builds_no_presentation(monkeypatch):
     v = is_homotopy_epi(algebras["B"], algebras["M"], 8)
     assert v.status == FAILS
     assert v.detail.startswith("self-tensor has nonvanishing homology")
-    assert len(built) == 1
+    assert built == []
 
 
 def test_transversal_builds_only_the_koszul_level(monkeypatch):

@@ -65,6 +65,26 @@ def test_kernel_matches_rank_nullity_random():
                 assert sum(a * vec.get(j, 0) for j, a in enumerate(row)) == 0
 
 
+def test_injective_kernel_is_peeled_without_elimination(monkeypatch):
+    """Multiplication by x - 5 on polynomials of degree < 6: rows x^0 and
+    x^6 are singletons, and peeling them frees the next singleton on each
+    side until every column is peeled, so no pivot is taken."""
+    def no_pivot_loop(rows, rank):
+        raise AssertionError("kernel_basis eliminated a peelable matrix")
+
+    monkeypatch.setattr(linalg, "_pivot_loop", no_pivot_loop)
+    n = 6
+    rows = [{0: -5}] + [{j - 1: 1, j: -5} for j in range(1, n)] + [{n - 1: 1}]
+    assert kernel_basis(rows, n) == []
+
+
+@pytest.mark.parametrize("column", [-1, 3])
+def test_kernel_basis_rejects_columns_outside_the_matrix(column):
+    # Peeling counts columns against ncols: a stray index must not count.
+    with pytest.raises(ValueError):
+        kernel_basis([{column: 1}, {0: 1}, {1: 1}, {2: 1}], 3)
+
+
 def test_sparse_rref_reduce_against():
     rows, pivots = sparse_rref([{0: F(2), 1: F(4)}, {1: F(1), 2: F(1)}])
     assert pivots == [0, 1]

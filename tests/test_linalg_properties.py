@@ -1,6 +1,6 @@
-"""Integer entries take the same elimination as their Fraction copies, and
-the norm-aware pivot priorities order like the scores; skipped without
-hypothesis.
+"""Integer entries take the same elimination as their Fraction copies,
+singleton peeling changes no kernel basis, and the norm-aware pivot
+priorities order like the scores; skipped without hypothesis.
 
 Row values stay `int` while they are integral, and `scalar.exact_div`
 divides them.  On random sparse matrices of `int` entries, or of `int` and
@@ -151,6 +151,57 @@ def test_reduction_over_a_pivot_map_is_order_free(case, data):
         assert rem == reduce_in_pivot_order(vec, reduced, pivots)
         assert not set(rem) & set(pivots)
         assert_exact([rem])
+
+
+def reference_kernel_basis(rows, ncols):
+    """`kernel_basis` without singleton peeling: the reduced echelon form of
+    every row, one vector per free column."""
+    reduced, pivots = sparse_rref(rows)
+    pivot_set = set(pivots)
+    basis = {fc: {fc: 1} for fc in range(ncols) if fc not in pivot_set}
+    for row, pc in zip(reduced, pivots):
+        for j, v in row.items():
+            if j != pc:
+                basis[j][pc] = -v
+    return list(basis.values())
+
+
+@st.composite
+def peelable_matrices(draw):
+    """(rows, ncols): a chain of rows, each nonzero at its own column and
+    at some columns earlier in a drawn order, so that the chain peels
+    completely; rows of two or more entries beside it; empty rows; and
+    columns that no row touches.  The chain covers every touched column,
+    some of them, or none (then no row is a singleton)."""
+    nc = draw(st.integers(1, 7))
+    values = [v for v in INTS + FRACTIONS if v]
+    order = draw(st.permutations(range(nc)))
+    rows = []
+    chain = draw(st.one_of(st.just(nc), st.integers(0, nc), st.just(0)))
+    for k in range(chain):
+        earlier = draw(st.lists(st.sampled_from(order[:k]), unique=True)) if k else []
+        rows.append({c: draw(st.sampled_from(values)) for c in earlier + [order[k]]})
+    if nc >= 2:
+        for _ in range(draw(st.integers(0, 4))):
+            cols = draw(st.lists(
+                st.integers(0, nc - 1), min_size=2, max_size=nc, unique=True
+            ))
+            rows.append({c: draw(st.sampled_from(values)) for c in sorted(cols)})
+    rows += [{} for _ in range(draw(st.integers(0, 2)))]
+    return draw(st.permutations(rows)), nc + draw(st.integers(0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(peelable_matrices(), matrices()))
+def test_kernel_basis_matches_the_unpeeled_reference(case):
+    """Peeling singleton rows changes no vector of the kernel basis, no
+    value, and no key order: free column first, then pivots ascending."""
+    rows, ncols = case
+    kernel = kernel_basis(rows, ncols)
+    ref = reference_kernel_basis(rows, ncols)
+    assert kernel == ref
+    assert [list(v) for v in kernel] == [list(v) for v in ref]
+    assert_exact(kernel)
 
 
 def reference_key(field, row_w, col_w, entry, L):
