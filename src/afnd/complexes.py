@@ -22,6 +22,14 @@ instead of dropping terms.  "Homology vanishes at degree D" therefore means:
 every cycle supported in degree <= D is the boundary of a chain supported in
 degree <= D.
 
+Some differentials are known injective with no matrix
+(`ChainComplex.known_injective`).  A summand with exact normal forms has a
+domain as its shape model, and multiplication by a nonzero element of a
+domain has kernel 0.  So where d^n multiplies a one-summand level with
+exact normal forms into itself by a coefficient of nonzero shape normal
+form, `homology` takes no kernel: the Koszul complex of one nonzerodivisor
+is a resolution (Eisenbud, Commutative Algebra, 17.2).
+
 A derived tensor module (x)^L_base target is the Koszul complex of the
 target's own relators, its relations past the base's, over the pushout
 module (x)_base target without them (`derived_tensor`); that pushout is
@@ -143,6 +151,32 @@ class ChainComplex:
             )
         return self._bases[key]
 
+    def known_injective(self, n: int) -> bool:
+        """True when d^n is injective on every degree-bounded basis, read
+        off the components alone; False means not known.
+
+        Level n must be one summand whose presentation has exact normal
+        forms: not the zero algebra, and no generic relations.  Its shape
+        model is then K[free variables]/(u*v - q, q != 0) over disjoint
+        Laurent pairs, a polynomial ring tensored with Laurent rings, so a
+        domain.  A component that multiplies into that same presentation
+        object, with no rename, by a coefficient whose shape normal form is
+        nonzero is then injective, and so is d^n.  Its matrix columns are
+        exact shape normal forms, since no generic layer reduces them.
+        """
+        level = self.levels.get(n, [])
+        if len(level) != 1:
+            return False
+        algebra = level[0].algebra
+        if algebra.is_zero_algebra or algebra.generic_relations:
+            return False
+        return any(
+            self.levels[n + 1][t].algebra is algebra
+            and not comp.rename
+            and not algebra.shape_normal(comp.coeff).is_zero
+            for (t, _), comp in self.components.get(n, {}).items()
+        )
+
     def matrix(self, n: int, degree: int) -> DifferentialMatrix:
         """d^n from the degree-<=degree source basis, exact; the zero map
         where no component is given.
@@ -243,9 +277,18 @@ class HomologyReport:
 def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
     """The cycles of level n, a basis of the kernel of d^n (all of the
     level where d^n is absent), modulo the image of d^(n-1), both on
-    degree-bounded bases."""
+    degree-bounded bases.
+
+    Where `known_injective` certifies d^n, there are no cycles and d^n is
+    not built; at the bottom of the complex, where d^(n-1) has no
+    component, the report is then known without any basis or matrix."""
+    injective = cx.known_injective(n)
+    if injective and not cx.components.get(n - 1):
+        return HomologyReport(n, degree, 0, 0, True, None, 0)
     basis = cx.level_basis(n, degree)
-    zs = kernel_basis(cx.matrix(n, degree).entries, basis.dim)
+    zs = [] if injective else kernel_basis(
+        cx.matrix(n, degree).entries, basis.dim
+    )
     min_ = cx.matrix(n - 1, degree)
     # The boundary space, as sparse row vectors over the level-n basis: the
     # columns of d^{n-1} (none where it is absent), read off its rows.  It is

@@ -34,9 +34,12 @@ support, each once, in no particular order.
 step of structured Gaussian elimination, LaMacchia and Odlyzko 1990): in
 one pass over the entries it peels each column that is the only live entry
 of some row, since such a column is zero in every kernel vector.  An
-injective map, such as multiplication by a relator, peels completely and
-is certified without a pivot; its kernel is the same either way, and so,
-for a fixed column order, is its reduced basis.
+injective map peels completely and is certified without a pivot; its
+kernel is the same either way, and so, for a fixed column order, is its
+reduced basis.  Multiplication by a relator over exact normal forms never
+gets here (`complexes.ChainComplex.known_injective` certifies it from the
+algebra); peeling is the certificate for relator multiplication over a
+level with generic relations, and it shrinks the partial Cech heads.
 """
 
 from __future__ import annotations

@@ -284,14 +284,17 @@ def test_degree_zero_part_is_the_self_tensor():
 
 def test_self_tor_of_every_bundled_localization_is_peeled(monkeypatch):
     """The self-Tor scan of `is_homotopy_epi` takes the kernel of
-    multiplication by the relator, which is injective: on every step of
-    every bundled localization chain, singleton peeling certifies it and
-    `kernel_basis` runs no elimination."""
+    multiplication by the relator, which is injective.  On every step whose
+    Koszul level has exact normal forms, a domain, `known_injective` says so
+    and the scan builds no d^-1 at all; on the one generic step, bidisc
+    A->W, the rule does not fire and singleton peeling certifies the kernel
+    with no elimination."""
     import afnd.complexes
     import afnd.linalg
 
     pivot_loop, kernel_basis = afnd.linalg._pivot_loop, afnd.linalg.kernel_basis
-    inside, eliminated = [], []
+    build = afnd.complexes.ChainComplex._build_matrix
+    inside, eliminated, kernels, built = [], [], [], []
 
     def recording_loop(rows, rank):
         if inside:
@@ -300,13 +303,21 @@ def test_self_tor_of_every_bundled_localization_is_peeled(monkeypatch):
 
     def recording_kernel(rows, ncols):
         inside.append(True)
+        kernels.append(len(rows))
         try:
             return kernel_basis(rows, ncols)
         finally:
             inside.pop()
 
+    def recording_build(self, n, degree):
+        built.append(n)
+        return build(self, n, degree)
+
     monkeypatch.setattr(afnd.linalg, "_pivot_loop", recording_loop)
     monkeypatch.setattr(afnd.complexes, "kernel_basis", recording_kernel)
+    monkeypatch.setattr(
+        afnd.complexes.ChainComplex, "_build_matrix", recording_build
+    )
     steps = {}
     for label, base, piece in scenario_pairs():
         path = localization_path(piece, base)
@@ -315,10 +326,21 @@ def test_self_tor_of_every_bundled_localization_is_peeled(monkeypatch):
             for i in range(len(nodes) - 1):
                 steps[id(nodes[i + 1])] = label, nodes[i], nodes[i + 1]
     assert len(steps) >= 12
+    generic = []
     for label, base, piece in steps.values():
         cx, _ = derived_tensor(piece, base, piece)
+        kernels.clear()
+        built.clear()
         ranks, witness = _tor_ranks(cx, 8, -1)
         assert witness is None and ranks == {-1: 0}, label
+        if cx.levels[0][0].algebra.generic_relations:
+            generic.append(label)
+            assert not cx.known_injective(-1), label
+            assert kernels and -1 in built, label
+        else:
+            assert cx.known_injective(-1), label
+            assert kernels == [] and built == [], label
+    assert generic == ["bidisc_cover:A->W"]
     assert eliminated == []
 
 
