@@ -29,7 +29,7 @@ from typing import Optional
 from afnd.affinoid import (
     AffinoidPresentation,
     localization_path,
-    tensor_over,
+    pushout,
 )
 from afnd.complexes import (
     ChainComplex,
@@ -111,7 +111,15 @@ def is_epimorphism(
         )
     if target.is_zero_algebra:
         return MorphismVerdict(kind, HOLDS, degree, "target is the zero algebra")
-    square, rename = tensor_over(base, target, target)
+    ambient, relations, rename = pushout(base, target, target)
+    if ambient == target.ambient:
+        # A quotient: target (x)_base target is the target with its extra
+        # relations twice, that is the target itself, whose normal-form
+        # caches are reused, not rebuilt on an equal copy, as in
+        # `derived_tensor`.
+        square = target
+    else:
+        square = AffinoidPresentation(ambient, relations)
     kernel_rank, surjective, witness = _reduce_fold_map(
         square, target, rename, degree
     )

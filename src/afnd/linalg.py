@@ -23,7 +23,8 @@ column -> rows index.  Two pivot rules drive the loop:
   spaces over a non-Archimedean field the pivot scores are the exact
   singular values of the map.  The heap orders them by one exact `int`
   priority per entry, which orders and ties exactly as the score does;
-  the scores themselves are `NormValue`s built only for the pivots.
+  the scores themselves are `NormValue`s built only for the pivots, and a
+  strictness constant needs only the last one.
 
 Both leave Jordan-reduced rows: 1 at the row's pivot, 0 at every other
 pivot.  A caller that reduces vectors against them keys the rows by pivot
@@ -259,7 +260,8 @@ class NormAwareElimination:
     rows: row i of pivot (i, j) has 1 at column j and nothing at any other
     pivot column, and every other row is empty.  `pivot_scores`, the
     singular values in that greedy (non-increasing) order, is computed from
-    the kept pivot entries when first read.
+    the kept pivot entries when first read; `smallest_score` computes the
+    last one alone.
 
     Pivots are chosen on an exact integer priority.  With L the lcm of the
     denominators of every weight exponent, score(i, j)^L = prod q^(n_q)
@@ -293,8 +295,8 @@ class NormAwareElimination:
             raise ValueError("weight lists must match the matrix shape")
         p = field.p if field.mode == "p-adic" else 2
         # Each weight object's exponents are read once, keyed by id: hashing
-        # a NormValue would hash its Fraction exponents.  An equal weight
-        # held by another object gives the same integers.
+        # a NormValue would hash its exponents.  An equal weight held by
+        # another object gives the same integers.
         exponents = {}
         for w in self.row_weights + self.col_weights:
             if id(w) not in exponents:
@@ -360,17 +362,24 @@ class NormAwareElimination:
         )
         return -key, -neg_col
 
+    def _score(self, k: int) -> NormValue:
+        """|entry| * row_weight / col_weight of the k-th pivot."""
+        i, j = self.pivots[k]
+        return (
+            scalar_norm(self.field, self._pivot_entries[k])
+            * self.row_weights[i] / self.col_weights[j]
+        )
+
     @cached_property
     def pivot_scores(self) -> list[NormValue]:
-        rw, cw = self.row_weights, self.col_weights
-        return [
-            scalar_norm(self.field, a) * rw[i] / cw[j]
-            for (i, j), a in zip(self.pivots, self._pivot_entries)
-        ]
+        return [self._score(k) for k in range(len(self.pivots))]
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def smallest_score(self) -> NormValue:
-        return self.pivot_scores[-1] if self.pivot_scores else NormValue.zero()
+        """The least singular value, zero for a zero map: the last pivot's
+        score, since greedy scores are non-increasing.  One product, with no
+        `pivot_scores` list built."""
+        return self._score(-1) if self.pivots else NormValue.zero()

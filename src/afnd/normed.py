@@ -45,7 +45,9 @@ def classify(
 
     `col_weights` weight the domain and `row_weights` the codomain.  Both
     constants are the inverse of the smallest pivot score of
-    `NormAwareElimination`, the least singular value of the map.
+    `NormAwareElimination`, the least singular value of the map.  That is
+    the last pivot's score, one product of norm values (`smallest_score`),
+    in `int` exponent arithmetic where the weights are integral.
     """
     elim = NormAwareElimination(field, rows, row_weights, col_weights)
     r = elim.rank

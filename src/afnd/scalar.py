@@ -6,11 +6,14 @@ taken with `exact_div`, never with `/` on two ints, so no float arises.  The
 base field is the rationals carrying either a p-adic absolute value or the
 trivial one.  Norm values are kept in factored form (finite map prime ->
 rational exponent) so that products, quotients and rational roots of radii
-stay exact.  Two norm values are ordered in integers: with d the difference
-of their exponent vectors and L the lcm of its denominators, a > b exactly
-when the integer prod_{d_p > 0} p^(L d_p) exceeds prod_{d_p < 0}
-p^(-L d_p).  Raising to the L-th power is strictly increasing on positive
-reals, so this is the order of the real values.
+stay exact.  An exponent is stored as a scalar is: an `int` when integral
+(every |a| = p^-v, and every radius that is a rational number) and a
+`Fraction` only otherwise, so products, inverses and comparisons of such
+values run in `int` arithmetic.  Two norm values are ordered in integers:
+with d the difference of their exponent vectors and L the lcm of its
+denominators, a > b exactly when the integer prod_{d_p > 0} p^(L d_p)
+exceeds prod_{d_p < 0} p^(-L d_p).  Raising to the L-th power is strictly
+increasing on positive reals, so this is the order of the real values.
 """
 
 from __future__ import annotations
@@ -120,8 +123,9 @@ def padic_valuation(a: Rational, p: int) -> int:
 class NormValue:
     """A nonnegative real of the form prod p_i^{e_i} (e_i rational), or zero.
 
-    Immutable and hashable.  Equality is equality of exponent maps; the
-    total order agrees with the real values.
+    Immutable and hashable.  Exponents are nonzero, `int` when integral and
+    `Fraction` otherwise, keyed by sorted primes.  Equality is equality of
+    exponent maps; the total order agrees with the real values.
     """
 
     __slots__ = ("_exps",)
@@ -137,7 +141,7 @@ class NormValue:
                 raise ValueError(f"{p} is not prime")
             if isinstance(e, float):
                 raise TypeError(f"inexact exponent {e!r}")
-            e = Fraction(e)
+            e = as_entry(Fraction(e))
             if e != 0:
                 cleaned[p] = e
         object.__setattr__(
@@ -145,14 +149,16 @@ class NormValue:
         )
 
     @staticmethod
-    def _trusted_exps(exponents: dict[int, Fraction]) -> "NormValue":
-        """A norm value from a map prime -> Fraction built by arithmetic on
-        validated values: zero exponents are dropped and the primes sorted,
-        with no prime check or exponent conversion.  Only this module
-        builds values this way."""
+    def _trusted_exps(exponents: dict[int, Rational]) -> "NormValue":
+        """A norm value from a map prime -> exponent built by arithmetic on
+        validated values, or from a certified prime: zero exponents are
+        dropped, integral ones made ints (as `as_entry` does, inline on this
+        hot path) and the primes sorted, with no prime check.  Only this
+        module builds values this way."""
         out = object.__new__(NormValue)
         object.__setattr__(out, "_exps", tuple(sorted(
-            (p, e) for p, e in exponents.items() if e
+            (p, e if type(e) is int or e.denominator != 1 else e.numerator)
+            for p, e in exponents.items() if e
         )))
         return out
 
@@ -200,7 +206,7 @@ class NormValue:
         return self._exps is None
 
     @property
-    def exponents(self) -> dict[int, Fraction]:
+    def exponents(self) -> dict[int, Rational]:
         if self._exps is None:
             raise ValueError("zero has no factorization")
         return dict(self._exps)
@@ -345,7 +351,8 @@ def scalar_norm(spec: FieldSpec, a: Rational) -> NormValue:
         return NormValue.zero()
     if spec.mode == "trivial":
         return NormValue.one()
-    return NormValue.prime_power(spec.p, -padic_valuation(a, spec.p))
+    # FieldSpec has certified the prime.
+    return NormValue._trusted_exps({spec.p: -padic_valuation(a, spec.p)})
 
 
 def max_norm(values: Iterable[NormValue]) -> NormValue:

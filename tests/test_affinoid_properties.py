@@ -17,6 +17,7 @@ from afnd.affinoid import (  # noqa: E402
     localization_path,
     quotient,
     rational_localization,
+    tensor_over,
     weierstrass_localization,
 )
 from afnd.scalar import FieldSpec, NormValue  # noqa: E402
@@ -119,6 +120,70 @@ def test_shape_bases_come_out_in_grevlex_order(pres, degrees):
         assert bases[top][: len(basis)] == basis
         assert all(col_of[e] == j for j, e in enumerate(basis))
         assert {e for e in col_of if sum(e) <= degree} == set(basis)
+
+
+# -- self-tensors of quotients ----------------------------------------------
+
+SMALL_COEFFS = [1, -1, 2, 3, 5, Fraction(1, 5), Fraction(-2, 3)]
+SMALL_RADII = [NormValue.one(), NormValue.prime_power(5, -1),
+               NormValue.prime_power(5, 1), NormValue.of_rational(2)]
+
+
+def small_element(data, ambient):
+    """At most three terms of degree <= 2 in each variable."""
+    exponent = st.tuples(*[st.integers(0, 2)] * ambient.nvars)
+    terms = data.draw(
+        st.dictionaries(exponent, st.sampled_from(SMALL_COEFFS), max_size=3)
+    )
+    return TateElement(ambient, terms)
+
+
+def small_relation(data, ambient):
+    """A relation shaped for the substitution layer (x_i - f), the Laurent
+    layer (x_i * x_j - q) or neither."""
+    kind = data.draw(st.sampled_from(["substitution", "pair", "any"]))
+    n = ambient.nvars
+    if kind == "substitution":
+        i = data.draw(st.integers(0, n - 1))
+        return TateElement.variable(ambient, ambient.names[i]) - small_element(
+            data, ambient
+        )
+    if kind == "pair" and n >= 2:
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        q = data.draw(st.sampled_from(SMALL_COEFFS))
+        return (
+            TateElement.variable(ambient, ambient.names[i])
+            * TateElement.variable(ambient, ambient.names[j])
+            - TateElement.constant(ambient, q)
+        )
+    return small_element(data, ambient)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_self_tensor_of_a_quotient_is_the_quotient(data, n):
+    """M (x)_B M for a quotient M of B adds no variable and repeats M's
+    extra relations, so it has M's normal forms: `is_epimorphism` uses M
+    itself as that square."""
+    ambient = Polyradius(
+        FieldSpec.padic(5), tuple(f"x{i}" for i in range(n)),
+        tuple(data.draw(st.sampled_from(SMALL_RADII)) for _ in range(n)),
+    )
+    B = quotient(free_affinoid(ambient), [
+        small_relation(data, ambient)
+        for _ in range(data.draw(st.integers(0, 1)))
+    ])
+    M = quotient(B, [
+        small_relation(data, ambient)
+        for _ in range(data.draw(st.integers(1, 2)))
+    ])
+    square, rename = tensor_over(B, M, M)
+    assert square.ambient == M.ambient and rename == {}
+    assert square.is_zero_algebra == M.is_zero_algebra
+    assert square.substitutions == M.substitutions
+    assert square.laurent_pairs == M.laurent_pairs
+    assert square.generic_relations == M.generic_relations
+    assert square.monomial_basis(4) == M.monomial_basis(4)
 
 
 # -- localization chains ---------------------------------------------------

@@ -415,6 +415,42 @@ def test_quotient_gate_builds_no_presentation(monkeypatch):
     assert built == []
 
 
+def test_epimorphism_onto_a_quotient_builds_no_square(monkeypatch):
+    """The self-tensor of a quotient M of B is M itself, so the epi verdict
+    on generic_table's B -> M builds no presentation and reuses M's generic
+    elimination: after M's basis is read, nothing is eliminated again."""
+    import afnd.affinoid
+
+    algebras = parse_scenario(
+        (SCENARIOS / "generic_table.afnd").read_text(encoding="utf-8")
+    ).algebras
+    M = algebras["M"]
+    assert M.generic_relations and M.monomial_basis(8)
+    built = []
+    init = afnd.affinoid.AffinoidPresentation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    eliminations = []
+    eliminate = afnd.affinoid.NormAwareElimination
+
+    def counting_eliminations(*args):
+        eliminations.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(
+        afnd.affinoid.AffinoidPresentation, "__init__", counting
+    )
+    monkeypatch.setattr(
+        afnd.affinoid, "NormAwareElimination", counting_eliminations
+    )
+    v = is_epimorphism(algebras["B"], M, 8)
+    assert v.status == HOLDS
+    assert built == [] and eliminations == []
+
+
 def test_transversal_builds_only_the_koszul_level(monkeypatch):
     """A transversality verdict reads the homology of the derived tensor and
     never its H^0, so it builds the Koszul level over the pushout and no

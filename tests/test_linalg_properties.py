@@ -242,3 +242,40 @@ def test_pivot_priorities_order_like_the_rational_key(
         refs.append(reference_key(field, row_w[i], col_w[j], a, L))
     assert all(type(k) is int for k in keys)
     assert sign(keys[0] - keys[1]) == sign(refs[0] - refs[1])
+
+
+@st.composite
+def weighted_matrices(draw):
+    """(field, rows, row weights, column weights): sparse rows of entries
+    2^a 3^b 5^c with a sign, weights over 2, 3 and 5 with integral and
+    fractional exponents, against each prime's field and the trivial one."""
+    nr, nc = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    rows = [
+        {j: draw(entries) for j in draw(st.lists(
+            st.integers(0, nc - 1), max_size=nc, unique=True
+        ))}
+        for _ in range(nr)
+    ]
+    return (
+        draw(st.sampled_from(PRIORITY_FIELDS)),
+        rows,
+        [draw(three_prime_weights) for _ in rows],
+        [draw(three_prime_weights) for _ in range(nc)],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_matrices())
+def test_smallest_score_is_the_last_and_least_pivot_score(case):
+    """Greedy scores are non-increasing, so the last pivot's score, which
+    `smallest_score` computes alone, is the least of them all."""
+    field, rows, row_w, col_w = case
+    alone = NormAwareElimination(field, rows, row_w, col_w)
+    smallest = alone.smallest_score()
+    assert "pivot_scores" not in alone.__dict__
+    scores = NormAwareElimination(field, rows, row_w, col_w).pivot_scores
+    if scores:
+        assert smallest == min(scores) == scores[-1]
+        assert str(smallest) == str(scores[-1])
+    else:
+        assert smallest == NormValue.zero()

@@ -54,7 +54,8 @@ def validated_product(a, b):
 @given(values, values, values)
 def test_products_and_inverses_match_validated_values(a, b, c):
     """Products and inverses skip the constructor's checks, and must store
-    what it stores: sorted primes with nonzero Fraction exponents."""
+    what it stores: sorted primes with nonzero exponents, each an int
+    exactly when it is integral and a Fraction otherwise."""
     assert a * NormValue.one() is a
     cases = [(a * b, validated_product(a, b))]
     if not a.is_zero:
@@ -71,7 +72,32 @@ def test_products_and_inverses_match_validated_values(a, b, c):
         assert got.compare(c) == want.compare(c)
         if got._exps is not None:
             assert [p for p, _ in got._exps] == sorted(p for p, _ in got._exps)
-            assert all(type(e) is Fraction and e for _, e in got._exps)
+            assert all(
+                e and type(e) is (int if e.denominator == 1 else Fraction)
+                for _, e in got._exps
+            )
+
+
+def test_integral_exponents_print_as_before():
+    """The int form of an integral exponent changes no printed value,
+    whether the value comes from the constructor or from a product."""
+    cases = [
+        (NormValue({5: -2}), NormValue({5: -1}) * NormValue({5: -1}), "5^-2"),
+        (NormValue({2: 1, 5: 2}),
+         NormValue({5: Fraction(3, 2)}) * NormValue({2: 1, 5: Fraction(1, 2)}),
+         "2*5^2"),
+        (NormValue({5: Fraction(1, 2)}),
+         NormValue({5: Fraction(3, 2)}) * NormValue({5: -1}), "5^1/2"),
+        (NormValue({2: Fraction(-1, 3), 5: 1}),
+         NormValue({2: Fraction(2, 3), 5: 1}) / NormValue({2: 1}),
+         "2^-1/3*5"),
+    ]
+    for built, product, text in cases:
+        for value in (built, product, NormValue.parse(text)):
+            assert str(value) == text
+            assert value == built and hash(value) == hash(built)
+    assert type(NormValue({5: Fraction(4, 2)}).exponents[5]) is int
+    assert type(NormValue.of_rational(Fraction(1, 25)).exponents[5]) is int
 
 
 @given(nonzero_values, st.fractions(min_value=Fraction(1, 6), max_value=6,
