@@ -41,15 +41,16 @@ above the truncation, a field prime above the Miller-Rabin bound).  A check
 of an unknown kind, or with the wrong number of arguments for its kind, is
 malformed and is reported before any check runs, as is a norm-table element
 that does not parse or lies above the truncation.  So is a `cech` DEPTH
-above the number of pieces plus one: the levels past the number of pieces
-are empty.  A `cover` check samples only points of the spectrum of the
-algebra at the root of the base's localization chain, where every relation
-of that algebra vanishes.  Each
-`algebra`, `localize` and `module` declares a new name; declaring one twice
-is malformed.  A `--json` file that cannot be written exits 2
-with one `error:` line naming it.  An unexpected exception also exits 2,
-with one `error: internal error:` line, so that a crash never reads as a
-failed check (exit 1).
+above the number of pieces plus one, since the levels past the number of
+pieces are empty, or below the number of pieces, since the complex cut
+there has a top level whose cokernel is no obstruction.  A `cover` check
+samples only points of the spectrum of the algebra at the root of the
+base's localization chain, where every relation of that algebra vanishes.
+Each `algebra`, `localize` and `module` declares a new name; declaring one
+twice is malformed.  A `--json` file that cannot be written exits 2 with
+one `error:` line naming it.  An unexpected exception also exits 2, with
+one `error: internal error:` line, so that a crash never reads as a failed
+check (exit 1).
 """
 
 from __future__ import annotations
@@ -359,12 +360,20 @@ def parse_scenario(text: str) -> Scenario:
                 f"usage: check NAME {spec.kind} {usage}", spec.line
             )
         # Levels past the number of pieces are empty and test nothing more,
-        # so at most one of them is built.
-        if spec.kind == "cech" and int(spec.args[1]) > count - 1:
-            raise ScenarioError(
-                f"cech DEPTH {spec.args[1]} above the number of pieces "
-                f"plus one ({count - 1})", spec.line,
-            )
+        # so at most one of them is built; a complex cut below the last
+        # nonempty level reads its top as a cokernel that is not there.
+        if spec.kind == "cech":
+            depth, pieces = int(spec.args[1]), count - 2
+            if depth > pieces + 1:
+                raise ScenarioError(
+                    f"cech DEPTH {spec.args[1]} above the number of pieces "
+                    f"plus one ({pieces + 1})", spec.line,
+                )
+            if depth < pieces:
+                raise ScenarioError(
+                    f"cech DEPTH {spec.args[1]} below the number of pieces "
+                    f"({pieces})", spec.line,
+                )
     return Scenario(name, field_spec, degree, algebras, checks)
 
 

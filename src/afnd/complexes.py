@@ -33,7 +33,14 @@ is a resolution (Eisenbud, Commutative Algebra, 17.2).
 A derived tensor module (x)^L_base target is the Koszul complex of the
 target's own relators, its relations past the base's, over the pushout
 module (x)_base target without them (`derived_tensor`); that pushout is
-its H^0 (`koszul_h0`), built only where a verdict reads it.
+its H^0 (`koszul_h0`), built only where a verdict reads it: one derived
+self-tensor serves both the self-Tor scan and the fold map of a verdict,
+and a quotient, its own self-tensor, needs no fold map.
+
+Homology is the cycles modulo the boundaries: each cycle is reduced
+against the reduced echelon form of the boundaries, and the rank of the
+remainders, from `sparse_rref` again, is the homology rank.  All
+Gauss-Jordan elimination is `afnd.linalg`'s.
 """
 
 from __future__ import annotations
@@ -44,15 +51,9 @@ from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from afnd.affinoid import AffinoidPresentation, pushout
-from afnd.linalg import (
-    SparseRow,
-    kernel_basis,
-    reduce_against,
-    sparse_rref,
-    vector_norm,
-)
+from afnd.linalg import SparseRow, kernel_basis, reduce_against, sparse_rref
 from afnd.normed import classify
-from afnd.scalar import FieldSpec, NormValue, Rational, exact_div
+from afnd.scalar import FieldSpec, NormValue, Rational, max_norm, scalar_norm
 from afnd.tate import Exponent, Polyradius, TateElement
 
 
@@ -253,10 +254,9 @@ class CycleWitness:
     @property
     def norm(self) -> NormValue:
         weights = self.basis.weights
-        return vector_norm(
-            self.field,
-            list(self.coords.values()),
-            [weights[k] for k in self.coords],
+        return max_norm(
+            scalar_norm(self.field, c) * weights[k]
+            for k, c in self.coords.items()
         )
 
 
@@ -308,30 +308,20 @@ def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
         )
         return HomologyReport(n, degree, len(zs), len(zs), not zs, witness, 0)
     span = dict(zip(span_pivots, span_rows))
-    # The obstructions, Jordan-reduced among themselves and keyed by pivot.
-    # Each is a remainder modulo the span, so it is zero at every span
-    # pivot: reducing against the span and then against the obstructions
-    # leaves a vector zero at both pivot sets.
-    obstructions: dict[int, SparseRow] = {}
+    # Each cycle's remainder modulo the span; the homology rank is the rank
+    # of the remainders, and the witness is the first cycle that leaves one.
+    remainders: list[SparseRow] = []
     witness = None
     for z in zs:
         # Where d^(n-1) made no image above the degree, its target basis is
         # the memoized cycles' basis and the cycle needs no re-expressing.
         zed = z if min_.target is basis else cx.embed(n, z, basis, min_.target)
-        rem = reduce_against(reduce_against(zed, span), obstructions)
+        rem = reduce_against(zed, span)
         if rem:
-            c = min(rem)
-            pv = rem[c]
-            new = {j: exact_div(v, pv) for j, v in rem.items()}
-            # Clear the new pivot from the earlier obstructions, which keeps
-            # them Jordan-reduced; the span rows are left as they are.
-            for k, row in obstructions.items():
-                if c in row:
-                    obstructions[k] = reduce_against(row, {c: new})
-            obstructions[c] = new
+            remainders.append(rem)
             if witness is None:
                 witness = CycleWitness(n, basis.parts(z), z, basis, cx.field)
-    quotient_rank = len(obstructions)
+    quotient_rank = len(sparse_rref(remainders)[1]) if remainders else 0
     return HomologyReport(
         n, degree, len(zs), quotient_rank, quotient_rank == 0, witness,
         len(span_pivots),

@@ -13,12 +13,15 @@ each fact is proved once.  Degree zero of B (x)^L_A B -> B is the
 multiplication map B (x)_A B -> B, the fold map that `is_epimorphism`
 reduces; the negative degrees are Tor_i^A(B, B), read by the same homology
 scan that `check_transversal` runs with module = target = B.  The fold map's
-source is the derived tensor's own H^0, so one pushout serves both.
+source is that derived tensor's own H^0, for `is_epimorphism` too, except
+on a quotient, which is its own self-tensor: its fold map is the identity.
 
-Every matrix behind a verdict comes from `afnd.complexes`: the derived
-tensor is the Koszul complex of the target's relators, and the fold map is
-the one differential of a two-level complex whose level-1 homology is its
-cokernel; its kernel rank follows by rank-nullity from the same elimination.
+Every matrix behind a verdict comes from `afnd.complexes`, and only
+`derived_tensor` decides which relations are a target's relators: the
+derived tensor is the Koszul complex of those relators, the quotient gate
+scans base (x)^L_base target, and the fold map is the one differential of
+a two-level complex whose level-1 homology is its cokernel; its kernel rank
+follows by rank-nullity from the same elimination.
 """
 
 from __future__ import annotations
@@ -26,11 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from afnd.affinoid import (
-    AffinoidPresentation,
-    localization_path,
-    pushout,
-)
+from afnd.affinoid import AffinoidPresentation, localization_path
 from afnd.complexes import (
     ChainComplex,
     CycleWitness,
@@ -38,7 +37,6 @@ from afnd.complexes import (
     Summand,
     derived_tensor,
     homology,
-    koszul_complex,
     koszul_h0,
 )
 from afnd.tate import TateElement
@@ -71,19 +69,14 @@ def _unresolved(
     """Why the Koszul complex of the target's relators cannot be trusted as
     a resolution, or None when it can.  A localization chain is trusted:
     its relators have the shapes whose one-step resolutions compose.  A
-    quotient of the base is trusted where the Koszul complex of its extra
-    relations over the base, which is base (x)^L_base target, has no
+    quotient of the base is trusted where base (x)^L_base target, the
+    Koszul complex of its extra relations over the base itself, has no
     negative homology at the truncation degree.  Nothing else has a
     resolution."""
     if localization_path(target, base) is not None:
         return None
-    n = len(base.relations)
-    same_ambient = target.ambient == base.ambient
-    if same_ambient and target.relations[:n] == base.relations:
-        # A zero relation presents nothing, and K(0) has H^-1 = base.
-        cx = koszul_complex(
-            base, [r for r in target.relations[n:] if not r.is_zero]
-        )
+    if target.ambient == base.ambient:
+        cx = derived_tensor(base, base, target)[0]
         if _tor_ranks(cx, degree, -1)[1] is None:
             return None
         return MorphismVerdict(
@@ -111,31 +104,27 @@ def is_epimorphism(
         )
     if target.is_zero_algebra:
         return MorphismVerdict(kind, HOLDS, degree, "target is the zero algebra")
-    ambient, relations, rename = pushout(base, target, target)
-    if ambient == target.ambient:
-        # A quotient: target (x)_base target is the target with its extra
-        # relations twice, that is the target itself, whose normal-form
-        # caches are reused, not rebuilt on an equal copy, as in
-        # `derived_tensor`.
-        square = target
-    else:
-        square = AffinoidPresentation(ambient, relations)
-    kernel_rank, surjective, witness = _reduce_fold_map(
-        square, target, rename, degree
-    )
-    if witness is None:
-        return MorphismVerdict(
-            kind, HOLDS, degree,
-            "multiplication map bijective on degree-bounded bases",
+    # A quotient is its own self-tensor, so its fold map is the identity.
+    if target.ambient != base.ambient:
+        cx, rename = derived_tensor(target, base, target)
+        square = koszul_h0(cx)
+        kernel_rank, surjective, witness = _reduce_fold_map(
+            square, target, rename, degree
         )
-    reasons = []
-    if kernel_rank:
-        reasons.append(f"kernel of rank {kernel_rank}")
-    if not surjective:
-        reasons.append("image misses part of the target basis")
-    detail = "multiplication map not bijective: " + ", ".join(reasons)
-    return _certified(
-        MorphismVerdict(kind, FAILS, degree, detail, {}, witness), square, target
+        if witness is not None:
+            reasons = []
+            if kernel_rank:
+                reasons.append(f"kernel of rank {kernel_rank}")
+            if not surjective:
+                reasons.append("image misses part of the target basis")
+            detail = "multiplication map not bijective: " + ", ".join(reasons)
+            return _certified(
+                MorphismVerdict(kind, FAILS, degree, detail, {}, witness),
+                square, target,
+            )
+    return MorphismVerdict(
+        kind, HOLDS, degree,
+        "multiplication map bijective on degree-bounded bases",
     )
 
 
@@ -273,6 +262,10 @@ def check_transversal(
     if not module.is_over(base):
         return MorphismVerdict(
             kind, UNRESOLVED, degree, "module is not presented over the base"
+        )
+    if not target.is_over(base):
+        return MorphismVerdict(
+            kind, UNRESOLVED, degree, "target is not presented over the base"
         )
     if target.is_zero_algebra:
         return MorphismVerdict(kind, HOLDS, degree, "target is the zero algebra")

@@ -58,19 +58,6 @@ from afnd.scalar import (
 SparseRow = dict[int, Rational]
 
 
-def vector_norm(
-    field: FieldSpec, coords: Sequence[Rational], weights: Sequence[NormValue]
-) -> NormValue:
-    """max_i |c_i| * w_i, the norm in a weighted orthogonal space."""
-    best = NormValue.zero()
-    for c, w in zip(coords, weights):
-        if c:
-            v = scalar_norm(field, c) * w
-            if v > best:
-                best = v
-    return best
-
-
 def _column_index(rows: Sequence[SparseRow]) -> dict[int, set[int]]:
     """column -> the rows with a nonzero there."""
     holders: dict[int, set[int]] = {}

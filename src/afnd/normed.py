@@ -2,7 +2,7 @@
 
 A space is a finite orthogonal sum of one-dimensional spaces k_r, recorded by
 its weight list; the norm of a coordinate vector is max_i |c_i| w_i
-(`linalg.vector_norm`).  In this class the strictness constants of a
+(a `scalar.max_norm`).  In this class the strictness constants of a
 morphism have exact closed forms.  `classify` takes a morphism as sparse
 rows with the two weight lists; it is the one strictness computation, shared
 with `complexes.strict_exactness`.

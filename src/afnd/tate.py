@@ -319,15 +319,11 @@ class TateElement:
             if s.is_zero or s > r:
                 raise ValueError(f"radius {s} outside the ambient polydisc")
         field = self.ambient.field
-        best = NormValue.zero()
-        for e, c in self.terms.items():
-            w = scalar_norm(field, c)
-            for s, k in zip(rho, e):
-                if k:
-                    w = w * s**k
-            if w > best:
-                best = w
-        return best
+        at = Polyradius(field, self.ambient.names, tuple(rho))
+        return max_norm(
+            scalar_norm(field, c) * at.monomial_weight(e)
+            for e, c in self.terms.items()
+        )
 
     def evaluate(self, point: Sequence[Rational]) -> Fraction:
         if len(point) != self.ambient.nvars:

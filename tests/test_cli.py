@@ -525,6 +525,36 @@ def test_cech_depth_above_pieces_plus_one_stops_the_run(
     assert len(calls) == 1
 
 
+def test_cech_depth_below_the_number_of_pieces_stops_the_run(
+    tmp_path, monkeypatch, capsys
+):
+    """A complex cut below its last nonempty level has a top whose
+    cokernel is no obstruction: on the genuine cover |x| <= 5^-1,
+    |x| >= 5^-1 of the unit disc, DEPTH 0 and 1 would read `fails`.  Such
+    a DEPTH is malformed and is reported before any check runs."""
+    text = (
+        HEADER + "algebra A\n  var x 1\nend\n"
+        "localize V1 of A\n  bound x 5^-1\nend\n"
+        "localize V2 of A\n  invert x 5\nend\n"
+        "check h hoepi A V1\ncheck c cech A 1 V1 V2\n"
+    )
+    path = tmp_path / "shallow.afnd"
+    calls = _count_hoepi_calls(monkeypatch)
+    for depth in ("0", "1"):
+        path.write_text(text.replace("cech A 1", f"cech A {depth}"))
+        assert main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: line 14: cech DEPTH {depth} below the number of "
+            "pieces (2)\n"
+        )
+    assert calls == []
+    path.write_text(text.replace("cech A 1", "cech A 2"))
+    assert main([str(path)]) == 0
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize(
     "text, line, message",
     [

@@ -416,10 +416,12 @@ def test_quotient_gate_builds_no_presentation(monkeypatch):
 
 
 def test_epimorphism_onto_a_quotient_builds_no_square(monkeypatch):
-    """The self-tensor of a quotient M of B is M itself, so the epi verdict
-    on generic_table's B -> M builds no presentation and reuses M's generic
-    elimination: after M's basis is read, nothing is eliminated again."""
+    """The self-tensor of a quotient M of B is M itself, so its fold map is
+    the identity: the epi verdict on generic_table's B -> M holds with no
+    presentation, matrix or elimination built once M's basis is read."""
     import afnd.affinoid
+    import afnd.complexes
+    import afnd.linalg
 
     algebras = parse_scenario(
         (SCENARIOS / "generic_table.afnd").read_text(encoding="utf-8")
@@ -440,14 +442,21 @@ def test_epimorphism_onto_a_quotient_builds_no_square(monkeypatch):
         eliminations.append(args)
         return eliminate(*args)
 
+    def refuse(*args):
+        raise AssertionError("the fold map of a quotient is the identity")
+
     monkeypatch.setattr(
         afnd.affinoid.AffinoidPresentation, "__init__", counting
     )
     monkeypatch.setattr(
         afnd.affinoid, "NormAwareElimination", counting_eliminations
     )
+    monkeypatch.setattr(afnd.complexes.ChainComplex, "matrix", refuse)
+    monkeypatch.setattr(afnd.complexes, "sparse_rref", refuse)
+    monkeypatch.setattr(afnd.linalg, "sparse_rref", refuse)
     v = is_epimorphism(algebras["B"], M, 8)
     assert v.status == HOLDS
+    assert v.detail == "multiplication map bijective on degree-bounded bases"
     assert built == [] and eliminations == []
 
 
@@ -537,6 +546,9 @@ def test_verdict_details():
     k = quotient(A, [x])
     B = free_affinoid(unit_disc("x", "y"))
     C = free_affinoid(unit_disc("y"))
+    y = parse_element("y", C.ambient)
+    # A localization of C, so not presented over A.
+    VC = weierstrass_localization(C, [y], [NormValue.prime_power(5, -1)])
     Z = quotient(A, [parse_element("1 + 5*x", A.ambient)])
     assert Z.is_zero_algebra
     # x^2, x^3 is not a regular sequence, so its Koszul complex is rejected.
@@ -603,6 +615,10 @@ def test_verdict_details():
         (
             check_transversal(C, A, V, D), UNRESOLVED,
             "module is not presented over the base", {},
+        ),
+        (
+            check_transversal(k, A, VC, D), UNRESOLVED,
+            "target is not presented over the base", {},
         ),
         (
             check_transversal(A, A, B, D), UNRESOLVED,

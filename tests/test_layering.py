@@ -103,6 +103,20 @@ def test_linalg_has_one_pivot_loop():
     assert users == {"_pivot_loop"}
 
 
+def test_verdicts_and_homology_build_on_one_tensor_and_one_elimination():
+    # Only `derived_tensor` decides which relations are a target's
+    # relators, so homotopy builds no pushout or Koszul complex of its own;
+    # complexes ranks its obstructions with `sparse_rref`, so
+    # `_pivot_loop` is the only Gauss-Jordan step in afnd.
+    imports = {
+        stem: imported_afnd_modules(PACKAGE / f"{stem}.py")
+        for stem in ("homotopy", "complexes")
+    }
+    for name in ("pushout", "tensor_over", "koszul_complex"):
+        assert not any(n.endswith(f".{name}") for n in imports["homotopy"])
+    assert "afnd.scalar.exact_div" not in imports["complexes"]
+
+
 def unused_imports(tree):
     """The names a module imports and never reads."""
     imported = []

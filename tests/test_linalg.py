@@ -14,7 +14,6 @@ from afnd.linalg import (
     kernel_basis,
     reduce_against,
     sparse_rref,
-    vector_norm,
 )
 from afnd.scalar import FieldSpec, NormValue, scalar_norm
 from afnd.tate import Polyradius, parse_element
@@ -122,13 +121,6 @@ def test_reduce_against_touches_only_the_vector_support():
     # One lookup per column of the vector, none for the columns 11 and 21
     # that the subtraction adds, and the rows of the set are not walked.
     assert keyed.lookups == [301, 10, 20]
-
-
-def test_vector_norm():
-    w = [NormValue.one(), NormValue.of_rational(5)]
-    assert vector_norm(Q5, [F(5), F(0)], w) == NormValue.prime_power(5, -1)
-    assert vector_norm(Q5, [F(0), F(1)], w) == NormValue.of_rational(5)
-    assert vector_norm(Q5, [F(0), F(0)], w).is_zero
 
 
 def unit_weights(n):

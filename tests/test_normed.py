@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from afnd.affinoid import free_affinoid, tensor_over
-from afnd.linalg import vector_norm
+from afnd.complexes import CycleWitness, LevelBasis
 from afnd.normed import classify
 from afnd.scalar import FieldSpec, NormValue
 from afnd.tate import Polyradius
@@ -25,11 +25,18 @@ def tensor_weight(r1, r2):
 
 
 def test_space_norm():
-    weights = (NormValue.one(), NormValue.of_rational(5))
-    coords = [Fraction(5), Fraction(0)]
-    assert vector_norm(Q5, coords, weights) == NormValue.prime_power(5, -1)
-    ones = [Fraction(1), Fraction(1)]
-    assert vector_norm(Q5, ones, weights) == NormValue.of_rational(5)
+    # The norm of a witness is max_i |c_i| w_i over its coordinates, with
+    # the monomial weights 1 and 5 of the basis 1, x at radius 5.
+    ambient = Polyradius(Q5, ("x",), (NormValue.of_rational(5),))
+    entries = [(0, (0,)), (0, (1,))]
+    basis = LevelBasis(entries, 1, {e: j for j, e in enumerate(entries)}, [ambient])
+
+    def norm(coords):
+        return CycleWitness(0, basis.parts(coords), coords, basis, Q5).norm
+
+    assert norm({0: Fraction(5)}) == NormValue.prime_power(5, -1)
+    assert norm({0: Fraction(1), 1: Fraction(1)}) == NormValue.of_rational(5)
+    assert norm({}).is_zero
 
 
 def test_one_dimensional_tensor():
