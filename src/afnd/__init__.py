@@ -5,7 +5,12 @@ absolute value.  Norms live in the multiplicative group generated by primes
 with rational exponents, and every comparison is decided in integers (two
 powers of the values, cleared of fractional exponents).  No floats enter any
 verdict.
+
+The library logs to the "afnd" logger and leaves handling to the
+application: with no handler configured, nothing reaches stderr.
 """
+
+import logging
 
 from afnd.affinoid import (
     AffinoidPresentation,
@@ -37,3 +42,5 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

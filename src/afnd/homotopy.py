@@ -18,10 +18,17 @@ on a quotient, which is its own self-tensor: its fold map is the identity.
 
 Every matrix behind a verdict comes from `afnd.complexes`, and only
 `derived_tensor` decides which relations are a target's relators: the
-derived tensor is the Koszul complex of those relators, the quotient gate
-scans base (x)^L_base target, and the fold map is the one differential of
-a two-level complex whose level-1 homology is its cokernel; its kernel rank
-follows by rank-nullity from the same elimination.
+derived tensor is the Koszul complex of those relators, and the quotient
+gate scans base (x)^L_base target, the complex that `transversal` then
+reads when its module is the base.  A fold map between exact shape models
+that is a bijection of variables, carrying Laurent pairs onto Laurent
+pairs, is certified bijective with no matrix (`_exact_bijection`).  That
+covers a localization step with exact normal forms, whose self-tensor
+normalizes the primed copies of its fresh variables to the originals
+(BGR 7.3.2 gives the isomorphism).  Any other fold map, such as one with a
+generic relation at either end, is the one differential of a two-level
+complex whose level-1 homology is its cokernel; its kernel rank follows
+by rank-nullity from the same elimination.
 """
 
 from __future__ import annotations
@@ -66,27 +73,41 @@ def _unresolved(
     target: AffinoidPresentation,
     degree: int,
 ) -> MorphismVerdict | None:
+    """The verdict of `_resolution_gate` alone."""
+    return _resolution_gate(kind, base, target, degree)[0]
+
+
+def _resolution_gate(
+    kind: str,
+    base: AffinoidPresentation,
+    target: AffinoidPresentation,
+    degree: int,
+) -> tuple[MorphismVerdict | None, tuple[ChainComplex, dict[int, int]] | None]:
     """Why the Koszul complex of the target's relators cannot be trusted as
-    a resolution, or None when it can.  A localization chain is trusted:
-    its relators have the shapes whose one-step resolutions compose.  A
-    quotient of the base is trusted where base (x)^L_base target, the
-    Koszul complex of its extra relations over the base itself, has no
-    negative homology at the truncation degree.  Nothing else has a
-    resolution."""
+    a resolution, or None when it can, and what the gate scanned.
+
+    A localization chain is trusted: its relators have the shapes whose
+    one-step resolutions compose.  A quotient of the base is trusted where
+    base (x)^L_base target, the Koszul complex of its extra relations over
+    the base itself, has no negative homology at the truncation degree;
+    that complex and its negative-degree ranks are returned, so a caller
+    that needs the same derived tensor scans no degree twice.  Nothing
+    else has a resolution."""
     if localization_path(target, base) is not None:
-        return None
+        return None, None
     if target.ambient == base.ambient:
         cx = derived_tensor(base, base, target)[0]
-        if _tor_ranks(cx, degree, -1)[1] is None:
-            return None
+        ranks, witness = _tor_ranks(cx, degree, -1)
+        if witness is None:
+            return None, (cx, ranks)
         return MorphismVerdict(
             kind, UNRESOLVED, degree,
             "fallback Koszul complex does not resolve the target "
             "at this truncation degree",
-        )
+        ), None
     return MorphismVerdict(
         kind, UNRESOLVED, degree, "no resolution available for the target"
-    )
+    ), None
 
 
 def is_epimorphism(
@@ -140,11 +161,14 @@ def _reduce_fold_map(
     Returns the kernel rank, whether every degree-bounded target basis
     monomial is hit (no homology at level 1), and a witness when either
     fails: the first kernel vector, else the first unhit target monomial.
-    The level-1 homology eliminates the columns of the differential once;
-    the kernel rank is the source dimension minus their rank, and only a
-    kernel vector costs a second elimination.
+    A fold map that `_exact_bijection` certifies is bijective with no
+    matrix.  Otherwise the level-1 homology eliminates the columns of the
+    differential once; the kernel rank is the source dimension minus their
+    rank, and only a kernel vector costs a second elimination.
     """
     inverse = {v: k for k, v in rename.items()}
+    if _exact_bijection(big, target, inverse):
+        return 0, True, None
     one = TateElement.constant(target.ambient, 1)
     fold = ChainComplex(
         target.field,
@@ -157,6 +181,51 @@ def _reduce_fold_map(
     if kernel_rank:
         witness = homology(fold, 0, degree).witness
     return kernel_rank, rep.is_zero, witness
+
+
+def _exact_bijection(
+    big: AffinoidPresentation,
+    target: AffinoidPresentation,
+    inverse: dict[str, str],
+) -> bool:
+    """True when the fold map big -> target is bijective on every
+    degree-bounded basis, read off the two presentations alone; False
+    means not known.
+
+    Both ends must have exact normal forms (neither the zero algebra nor
+    generic relations), so their bases are their shape monomials: the
+    monomials in the free variables with no whole Laurent pair.  Each free
+    variable of `big`, sent back along `inverse`, must shape-normalize in
+    the target to c*y with c != 0 and y a free target variable, one to one
+    onto the target's free variables, and this map sigma must carry big's
+    Laurent pairs onto the target's.  A shape monomial of degree d then
+    maps to a nonzero multiple of the shape monomial of degree d that
+    sigma names, so the fold matrix is a permutation with nonzero entries
+    between bases of equal size at every D.  That is the case of a
+    localization step with exact normal forms, whose self-tensor
+    normalizes the primed copies of its fresh variables to the originals.
+    """
+    if any(a.is_zero_algebra or a.generic_relations for a in (big, target)):
+        return False
+    names = target.ambient.names
+    sigma = {}
+    for i in big.free_variable_indices():
+        name = big.ambient.names[i]
+        image = target.shape_normal(
+            TateElement.variable(target.ambient, inverse.get(name, name))
+        ).terms
+        if len(image) != 1:
+            return False
+        [e] = image
+        if sum(e) != 1:
+            return False
+        sigma[name] = names[e.index(1)]
+    free = [names[i] for i in target.free_variable_indices()]
+    if sorted(sigma.values()) != sorted(free):
+        return False
+    return {
+        frozenset(map(sigma.get, pair)) for pair in big.laurent_pairs
+    } == set(map(frozenset, target.laurent_pairs))
 
 
 def _certified(
@@ -269,12 +338,15 @@ def check_transversal(
         )
     if target.is_zero_algebra:
         return MorphismVerdict(kind, HOLDS, degree, "target is the zero algebra")
-    blocked = _unresolved(kind, base, target, degree)
+    blocked, scanned = _resolution_gate(kind, base, target, degree)
     if blocked is not None:
         return blocked
-    ranks, witness = _tor_ranks(
-        derived_tensor(module, base, target)[0], degree, 0
-    )
+    if module is base and scanned is not None:
+        # base (x)^L_base target is the complex the quotient gate scanned.
+        cx, known = scanned
+    else:
+        cx, known = derived_tensor(module, base, target)[0], {}
+    ranks, witness = _tor_ranks(cx, degree, 0, known)
     if witness is not None:
         return MorphismVerdict(
             kind, FAILS, degree,
@@ -286,14 +358,15 @@ def check_transversal(
 
 
 def _tor_ranks(
-    cx: ChainComplex, degree: int, top: int
+    cx: ChainComplex, degree: int, top: int, known: dict[int, int] | None = None
 ) -> tuple[dict[int, int], Optional[CycleWitness]]:
     """Homology ranks of a derived tensor in degrees <= top, and the first
-    witness of nonzero negative-degree homology."""
-    ranks: dict[int, int] = {}
+    witness of nonzero negative-degree homology.  The degrees of `known`,
+    ranks already scanned with no witness, are not scanned again."""
+    ranks = dict(known or {})
     witness = None
     for n in cx.degrees():
-        if n > top:
+        if n > top or n in ranks:
             continue
         rep = homology(cx, n, degree)
         ranks[n] = rep.rank

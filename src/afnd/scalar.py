@@ -179,26 +179,6 @@ class NormValue:
     def prime_power(p: int, e: Rational) -> "NormValue":
         return NormValue({p: e})
 
-    @staticmethod
-    def of_rational(a: Rational) -> "NormValue":
-        """The factored value of a positive rational number."""
-        if isinstance(a, float):
-            raise TypeError(f"inexact value {a!r}")
-        a = Fraction(a)
-        if a <= 0:
-            raise ValueError("need a positive rational")
-        exps: dict[int, Fraction] = {}
-        for n, sign in ((a.numerator, 1), (a.denominator, -1)):
-            d = 2
-            while d * d <= n:
-                while n % d == 0:
-                    exps[d] = exps.get(d, Fraction(0)) + sign
-                    n //= d
-                d += 1
-            if n > 1:
-                exps[n] = exps.get(n, Fraction(0)) + sign
-        return NormValue(exps)
-
     # -- queries -----------------------------------------------------------
 
     @property

@@ -1,7 +1,32 @@
 """Checks and set-ups that several test modules share."""
 
+from fractions import Fraction
+
 from afnd.cech import acyclicity_check
+from afnd.complexes import ChainComplex, MapComponent, Summand
 from afnd.homotopy import is_homotopy_epi
+from afnd.scalar import NormValue
+from afnd.tate import TateElement
+
+
+def of_rational(a):
+    """The factored norm value of a positive rational number."""
+    if isinstance(a, float):
+        raise TypeError(f"inexact value {a!r}")
+    a = Fraction(a)
+    if a <= 0:
+        raise ValueError("need a positive rational")
+    exps: dict[int, Fraction] = {}
+    for n, sign in ((a.numerator, 1), (a.denominator, -1)):
+        d = 2
+        while d * d <= n:
+            while n % d == 0:
+                exps[d] = exps.get(d, Fraction(0)) + sign
+                n //= d
+            d += 1
+        if n > 1:
+            exps[n] = exps.get(n, Fraction(0)) + sign
+    return NormValue(exps)
 
 
 def verify_d_squared(cx, degree):
@@ -21,6 +46,17 @@ def verify_d_squared(cx, degree):
             if any(composed.values()):
                 return False
     return True
+
+
+def fold_complex(big, target, rename):
+    """The two-level complex of `homotopy._reduce_fold_map`."""
+    inverse = {v: k for k, v in rename.items()}
+    one = TateElement.constant(target.ambient, 1)
+    return ChainComplex(
+        target.field,
+        {0: [Summand(big, "source")], 1: [Summand(target, "target")]},
+        {0: {(0, 0): MapComponent(one, inverse)}},
+    )
 
 
 def proved_acyclicity(cover, depth, degree):

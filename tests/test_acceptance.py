@@ -46,7 +46,7 @@ from afnd.spectrum import (
     domain_of,
 )
 from afnd.tate import Polyradius, TateElement, parse_element
-from helpers import proved_acyclicity, verify_d_squared
+from helpers import of_rational, proved_acyclicity, verify_d_squared
 
 Q5 = FieldSpec.padic(5)
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -126,10 +126,10 @@ def test_one_dimensional_tensor_table():
         )
         return square.ambient.monomial_weight((1, 1))
 
-    assert tensor_weight(NormValue.of_rational(2), NormValue.of_rational(3)) \
-        == NormValue.of_rational(6)
+    assert tensor_weight(of_rational(2), of_rational(3)) \
+        == of_rational(6)
     for r in (2, 3, 7, 10):
-        v = NormValue.of_rational(r)
+        v = of_rational(r)
         assert tensor_weight(v, NormValue.one()) == v
     rng = random.Random(5)
     for _ in range(20):
@@ -164,7 +164,7 @@ def test_homotopy_epimorphism_suite():
     D = 10
     w = weierstrass_localization(A, [x], [NormValue.prime_power(5, -1)])
     assert is_homotopy_epi(A, w, D).holds
-    lau = laurent_localization(A, g=[x], g_radii=[NormValue.of_rational(5)])
+    lau = laurent_localization(A, g=[x], g_radii=[of_rational(5)])
     assert is_homotopy_epi(A, lau, D).holds
     cert = BezoutCertificate(
         parse_element("-1", A.ambient), (parse_element("1", A.ambient),)
@@ -187,7 +187,7 @@ def two_piece_cover():
     A = free_affinoid(unit_disc())
     x = parse_element("x", A.ambient)
     v1 = weierstrass_localization(A, [x], [NormValue.prime_power(5, -1)])
-    v2 = laurent_localization(A, g=[x], g_radii=[NormValue.of_rational(5)])
+    v2 = laurent_localization(A, g=[x], g_radii=[of_rational(5)])
     return A, v1, v2
 
 
@@ -297,9 +297,9 @@ def test_amitsur_differential_squares_to_zero():
         f=[x],
         f_radii=[NormValue.prime_power(5, -1)],
         g=[x],
-        g_radii=[NormValue.of_rational(25)],
+        g_radii=[of_rational(25)],
     )
-    v3 = laurent_localization(A, g=[x], g_radii=[NormValue.of_rational(5)])
+    v3 = laurent_localization(A, g=[x], g_radii=[of_rational(5)])
     cover = CoverData(A, (v1, v2, v3))
     assert verify_d_squared(build_complex(cover, 3), 8)
 
@@ -309,7 +309,7 @@ def test_transversality_verdicts():
     A = free_affinoid(unit_disc())
     x = parse_element("x", A.ambient)
     M = quotient(A, [x])
-    lau = laurent_localization(A, g=[x], g_radii=[NormValue.of_rational(5)])
+    lau = laurent_localization(A, g=[x], g_radii=[of_rational(5)])
     good = check_transversal(M, A, lau, 10)
     assert good.holds
     assert all(r == 0 for r in good.homology_ranks.values())
@@ -325,13 +325,13 @@ def test_strictness_classification():
     one = [NormValue.one()]
     mult = classify(Q5, [{0: Fraction(5)}], one, one)
     assert mult.mono and mult.epi and mult.strict
-    assert mult.strict_mono_constant == NormValue.of_rational(5)
-    assert mult.strict_epi_constant == NormValue.of_rational(5)
+    assert mult.strict_mono_constant == of_rational(5)
+    assert mult.strict_epi_constant == of_rational(5)
     zero = classify(Q5, [{}], one, one)
     assert not zero.mono and not zero.epi
     assert zero.strict_mono_constant is None
     assert zero.strict_epi_constant is None
-    two = [NormValue.one(), NormValue.of_rational(2)]
+    two = [NormValue.one(), of_rational(2)]
     proj = classify(Q5, [{0: Fraction(1)}], one, two)
     assert proj.epi and not proj.mono and proj.strict
     assert proj.strict_epi_constant == NormValue.one()

@@ -22,6 +22,7 @@ from afnd.cli import run_scenario
 from afnd.linalg import NormAwareElimination
 from afnd.scalar import FieldSpec, NormValue
 from afnd.tate import Polyradius, TateElement, grevlex_key, parse_element
+from helpers import of_rational
 
 Q5 = FieldSpec.padic(5)
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -111,7 +112,7 @@ def test_duplicate_generic_relation_is_kept_once():
     taken first on equal keys: dropping the copy changes no pivot and no
     normal-form basis."""
     bidisc = Polyradius(
-        Q5, ("x", "y"), (NormValue.one(), NormValue.of_rational(2))
+        Q5, ("x", "y"), (NormValue.one(), of_rational(2))
     )
     B = free_affinoid(bidisc)
     M = quotient(B, [parse_element("3*x^2 - 10*y", bidisc)])
@@ -142,7 +143,7 @@ def test_weierstrass_localization_eliminates_variable(A):
 
 def test_laurent_localization_normal_form(A):
     W = laurent_localization(
-        A, g=[parse_element("x", A.ambient)], g_radii=[NormValue.of_rational(5)]
+        A, g=[parse_element("x", A.ambient)], g_radii=[of_rational(5)]
     )
     s = W.ambient.names[-1]
     assert [str(rel) for rel in W.relations] == [f"-1 + x*{s}"]
@@ -242,7 +243,7 @@ def test_generic_basis_builds_no_pivot_scores(monkeypatch):
     """The normal-form basis reads which columns are pivots, not their
     scores, so it divides no norms."""
     bidisc = Polyradius(
-        Q5, ("x", "y"), (NormValue.one(), NormValue.of_rational(2))
+        Q5, ("x", "y"), (NormValue.one(), of_rational(2))
     )
     M = quotient(free_affinoid(bidisc), [parse_element("3*x^2 - 10*y", bidisc)])
     assert M.generic_relations

@@ -24,10 +24,11 @@ from afnd.scalar import FieldSpec, NormValue  # noqa: E402
 from afnd.tate import (  # noqa: E402
     Polyradius, TateElement, grevlex_key, parse_element
 )
+from helpers import of_rational  # noqa: E402
 
 DEGREE = 6
 BIDISC = Polyradius(
-    FieldSpec.padic(5), ("x", "y"), (NormValue.one(), NormValue.of_rational(2))
+    FieldSpec.padic(5), ("x", "y"), (NormValue.one(), of_rational(2))
 )
 RELATIONS = [
     "3*x^2 - 10*y", "x*y - 5 + x^3", "x^2*y + 5*x - 2*y^2", "y^2 - x^3 + 25",
@@ -126,7 +127,7 @@ def test_shape_bases_come_out_in_grevlex_order(pres, degrees):
 
 SMALL_COEFFS = [1, -1, 2, 3, 5, Fraction(1, 5), Fraction(-2, 3)]
 SMALL_RADII = [NormValue.one(), NormValue.prime_power(5, -1),
-               NormValue.prime_power(5, 1), NormValue.of_rational(2)]
+               NormValue.prime_power(5, 1), of_rational(2)]
 
 
 def small_element(data, ambient):

@@ -14,7 +14,7 @@ from afnd.cech import CoverData, acyclicity_check, build_complex
 from afnd.homotopy import is_homotopy_epi
 from afnd.scalar import FieldSpec, NormValue
 from afnd.tate import Polyradius, parse_element
-from helpers import proved_acyclicity, verify_d_squared
+from helpers import of_rational, proved_acyclicity, verify_d_squared
 
 Q5 = FieldSpec.padic(5)
 
@@ -32,7 +32,7 @@ def disk_cover():
     """|x| <= 1/5 and |x| >= 1/5 cover the unit disk."""
     A = free_affinoid(unit_disc())
     v1 = weierstrass_localization(A, [x_of(A)], [NormValue.prime_power(5, -1)])
-    v2 = laurent_localization(A, g=[x_of(A)], g_radii=[NormValue.of_rational(5)])
+    v2 = laurent_localization(A, g=[x_of(A)], g_radii=[of_rational(5)])
     return CoverData(A, (v1, v2))
 
 
@@ -47,9 +47,9 @@ def three_piece_cover():
         f=[x],
         f_radii=[NormValue.prime_power(5, -1)],
         g=[x],
-        g_radii=[NormValue.of_rational(25)],
+        g_radii=[of_rational(25)],
     )
-    v3 = laurent_localization(A, g=[x], g_radii=[NormValue.of_rational(5)])
+    v3 = laurent_localization(A, g=[x], g_radii=[of_rational(5)])
     return CoverData(A, (v1, v2, v3))
 
 
@@ -84,7 +84,7 @@ def test_acyclicity_refuses_unverified_pieces():
 def test_acyclicity_detects_gap():
     A = free_affinoid(unit_disc())
     v1 = weierstrass_localization(A, [x_of(A)], [NormValue.prime_power(5, -2)])
-    v2 = laurent_localization(A, g=[x_of(A)], g_radii=[NormValue.of_rational(5)])
+    v2 = laurent_localization(A, g=[x_of(A)], g_radii=[of_rational(5)])
     report = proved_acyclicity(CoverData(A, (v1, v2)), 2, 8)
     assert report.status == "fails"
 

@@ -373,6 +373,28 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["scenario"] == "norm-table"
 
 
+def test_library_runs_write_nothing_to_stderr():
+    """A failing check is logged on the "afnd" logger.  Run as a library,
+    with no logging configured, the run prints nothing; the CLI configures
+    logging and still prints the warning.  A subprocess is used because
+    pytest installs its own log handler."""
+    src = str(pathlib.Path(afnd.cli.__file__).resolve().parent.parent)
+    path = str(SCENARIOS / "generic_table.afnd")
+    library = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from afnd.cli import run_scenario; "
+         "assert not run_scenario(sys.argv[1])['all_passed']", path],
+        capture_output=True, text=True, env={"PYTHONPATH": src},
+    )
+    assert (library.returncode, library.stderr) == (0, "")
+    cli = subprocess.run(
+        [sys.executable, "-m", "afnd.cli", path],
+        capture_output=True, text=True, env={"PYTHONPATH": src},
+    )
+    assert cli.returncode == 1
+    assert cli.stderr == "WARNING:afnd:check m-hoepi: fails\n"
+
+
 THREE_PIECE_POINTS = """
 scenario three-piece-points
 degree 16

@@ -21,7 +21,7 @@ from afnd.homotopy import _unresolved
 from afnd.linalg import kernel_basis, reduce_against
 from afnd.scalar import FieldSpec, NormValue, exact_div
 from afnd.tate import Polyradius, TateElement, grevlex_key, parse_element
-from helpers import verify_d_squared
+from helpers import fold_complex, of_rational, verify_d_squared
 from test_homotopy import (
     SCENARIOS, fold_maps, hand_maps, resolvable, scenario_pairs
 )
@@ -113,7 +113,7 @@ def test_strict_exactness_constant():
     cx = two_term(A, parse_element("5", A.ambient))
     w = strict_exactness(cx, 8, [0])
     assert w.exact
-    assert w.constant == NormValue.of_rational(5)
+    assert w.constant == of_rational(5)
     # At an injectivity position with no cycles the constant is one.
     winj = strict_exactness(cx, 8, [-1])
     assert winj.exact
@@ -209,17 +209,6 @@ def reference_matrix(cx, n, degree):
         for e, c in nf.items():
             entries[((t, e), col)] = c
     return growth, rows, entries
-
-
-def fold_complex(big, target, rename):
-    """The two-level complex of `homotopy._reduce_fold_map`."""
-    inverse = {v: k for k, v in rename.items()}
-    one = TateElement.constant(target.ambient, 1)
-    return ChainComplex(
-        target.field,
-        {0: [Summand(big, "source")], 1: [Summand(target, "target")]},
-        {0: {(0, 0): MapComponent(one, inverse)}},
-    )
 
 
 def oracle_complexes():
@@ -414,12 +403,15 @@ def test_differentials_hold_ints_where_integral(monkeypatch):
     """Every differential that the unit-disk scenario builds at D=8 holds
     only ints and Fractions, and each integral value is an int.  The
     self-Tor scan certifies d^-1 of each derived tensor without building
-    it, so those multiplication-by-relator matrices are built here."""
+    it, and a localization step's fold map is certified bijective without
+    its matrix, so those multiplication-by-relator and fold matrices are
+    built here."""
     import afnd.homotopy
 
-    built, tensors = [], []
+    built, tensors, folds = [], [], []
     build = ChainComplex._build_matrix
     real_derived = afnd.homotopy.derived_tensor
+    real_fold = afnd.homotopy._reduce_fold_map
 
     def recording(self, n, degree):
         m = build(self, n, degree)
@@ -431,11 +423,19 @@ def test_differentials_hold_ints_where_integral(monkeypatch):
         tensors.append(out[0])
         return out
 
+    def recording_fold(big, target, rename, degree):
+        folds.append(fold_complex(big, target, rename))
+        return real_fold(big, target, rename, degree)
+
     monkeypatch.setattr(ChainComplex, "_build_matrix", recording)
     monkeypatch.setattr(afnd.homotopy, "derived_tensor", recording_derived)
+    monkeypatch.setattr(afnd.homotopy, "_reduce_fold_map", recording_fold)
     run_scenario(str(SCENARIOS / "unit_disk.afnd"), 8)
     relator_columns = [cx.matrix(-1, 8) for cx in tensors]
     assert relator_columns and all(any(m.entries) for m in relator_columns)
+    # The old fold-map path: the level-1 homology builds d^0 and d^1.
+    assert folds and all(homology(cx, 1, 8).is_zero for cx in folds)
+    assert all(any(cx.matrix(0, 8).entries) for cx in folds)
     values = [v for m in built for row in m.entries for v in row.values()]
     assert len(built) >= 10 and values
     assert all(type(v) is int for v in values if v == int(v))

@@ -16,7 +16,7 @@ from afnd.affinoid import (
     weierstrass_localization,
 )
 from afnd.cli import parse_scenario
-from afnd.complexes import derived_tensor
+from afnd.complexes import ChainComplex, derived_tensor
 from afnd.homotopy import (
     FAILS,
     HOLDS,
@@ -30,6 +30,7 @@ from afnd.homotopy import (
 from afnd.linalg import reduce_against, sparse_rref
 from afnd.scalar import FieldSpec, NormValue
 from afnd.tate import Polyradius, TateElement, parse_element
+from helpers import of_rational
 
 Q5 = FieldSpec.padic(5)
 D = 10
@@ -84,7 +85,7 @@ def test_weierstrass_hoepi():
 def test_laurent_hoepi():
     A = make_base()
     V = laurent_localization(
-        A, g=[parse_element("x", A.ambient)], g_radii=[NormValue.of_rational(5)]
+        A, g=[parse_element("x", A.ambient)], g_radii=[of_rational(5)]
     )
     assert is_homotopy_epi(A, V, D).holds
 
@@ -114,7 +115,7 @@ def test_transversal_module_vs_disjoint_localization():
     A = make_base()
     M = quotient(A, [parse_element("x", A.ambient)])
     V = laurent_localization(
-        A, g=[parse_element("x", A.ambient)], g_radii=[NormValue.of_rational(5)]
+        A, g=[parse_element("x", A.ambient)], g_radii=[of_rational(5)]
     )
     v = check_transversal(M, A, V, D)
     assert v.status == HOLDS
@@ -487,26 +488,75 @@ def test_transversal_builds_only_the_koszul_level(monkeypatch):
 
 
 def test_fold_map_runs_one_elimination(monkeypatch):
-    """The kernel rank comes from the elimination behind the cokernel."""
+    """A Weierstrass step's fold map is certified bijective from the two
+    presentations, with no matrix and no elimination.  Without that
+    certificate, the kernel rank comes from the elimination behind the
+    cokernel."""
     import afnd.complexes
+    import afnd.homotopy
     import afnd.linalg
 
     real = afnd.linalg.sparse_rref
-    sizes = []
+    build = ChainComplex._build_matrix
+    calls, sizes, built = [], [], []
 
     def counting(rows):
+        calls.append(len(rows))
         if any(rows):
             sizes.append(len(rows))
         return real(rows)
 
+    def building(self, n, degree):
+        built.append(n)
+        return build(self, n, degree)
+
     monkeypatch.setattr(afnd.linalg, "sparse_rref", counting)
     monkeypatch.setattr(afnd.complexes, "sparse_rref", counting)
+    monkeypatch.setattr(ChainComplex, "_build_matrix", building)
     A = make_base()
     V = weierstrass_localization(
         A, [parse_element("x", A.ambient)], [NormValue.prime_power(5, -1)]
     )
     assert is_epimorphism(A, V, D).holds
-    assert len(sizes) == 1
+    assert calls == [] and built == []
+    monkeypatch.setattr(afnd.homotopy, "_exact_bijection", lambda *args: False)
+    assert is_epimorphism(A, V, D).holds
+    assert len(sizes) == 1 and built
+
+
+def test_transversal_over_the_base_scans_one_tensor_once(monkeypatch):
+    """On a quotient T of the base, base (x)^L_base T is the complex the
+    quotient gate scans: it is built once, and each degree is scanned once.
+    The verdict equals that of a module equal to the base but not it."""
+    import afnd.homotopy
+
+    real_derived = afnd.homotopy.derived_tensor
+    real_homology = afnd.homotopy.homology
+    tensors, scans = [], []
+
+    def recording_derived(*args):
+        out = real_derived(*args)
+        tensors.append(out[0])
+        return out
+
+    def recording_homology(cx, n, degree):
+        scans.append((cx, n))
+        return real_homology(cx, n, degree)
+
+    monkeypatch.setattr(afnd.homotopy, "derived_tensor", recording_derived)
+    monkeypatch.setattr(afnd.homotopy, "homology", recording_homology)
+    A = make_base()
+    T = quotient(A, [parse_element("x^2 + 5", A.ambient)])
+    v = check_transversal(A, A, T, D)
+    [cx] = tensors
+    assert scans == [(cx, -1), (cx, 0)]
+    assert v.status == HOLDS and v.homology_ranks[-1] == 0
+    copy = free_affinoid(A.ambient)
+    w = check_transversal(copy, A, T, D)
+    assert len(tensors) == 3 and len(scans) == 5
+    assert (w.status, w.detail, w.homology_ranks, w.witness) == (
+        v.status, v.detail, v.homology_ranks, v.witness
+    )
 
 
 def test_collapsed_self_tensor_proves_the_target_zero(monkeypatch):
@@ -542,7 +592,7 @@ def test_verdict_details():
     W = weierstrass_localization(
         V, [x.in_ambient(V.ambient)], [NormValue.prime_power(5, -2)]
     )
-    lau = laurent_localization(A, g=[x], g_radii=[NormValue.of_rational(5)])
+    lau = laurent_localization(A, g=[x], g_radii=[of_rational(5)])
     k = quotient(A, [x])
     B = free_affinoid(unit_disc("x", "y"))
     C = free_affinoid(unit_disc("y"))

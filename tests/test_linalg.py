@@ -17,6 +17,7 @@ from afnd.linalg import (
 )
 from afnd.scalar import FieldSpec, NormValue, scalar_norm
 from afnd.tate import Polyradius, parse_element
+from helpers import of_rational
 
 Q5 = FieldSpec.padic(5)
 F = Fraction
@@ -289,7 +290,7 @@ def test_norm_aware_rejects_columns_beyond_the_weights():
 
 def test_norm_aware_rejects_negative_columns():
     # Python would read column -1 as the last weight and pivot there.
-    col_w = [NormValue.one(), NormValue.of_rational(5)]
+    col_w = [NormValue.one(), of_rational(5)]
     with pytest.raises(ValueError):
         NormAwareElimination(Q5, [{-1: 1}], unit_weights(1), col_w)
 
@@ -389,11 +390,11 @@ def _cover_complexes():
     A = free_affinoid(disc)
     x = parse_element("x", A.ambient)
     v1 = weierstrass_localization(A, [x], [NormValue.prime_power(5, -1)])
-    v2 = laurent_localization(A, g=[x], g_radii=[NormValue.of_rational(5)])
+    v2 = laurent_localization(A, g=[x], g_radii=[of_rational(5)])
     w1 = weierstrass_localization(A, [x], [NormValue.prime_power(5, -2)])
     w2 = laurent_localization(
         A, f=[x], f_radii=[NormValue.prime_power(5, -1)],
-        g=[x], g_radii=[NormValue.of_rational(25)],
+        g=[x], g_radii=[of_rational(25)],
     )
     yield build_complex(CoverData(A, (v1, v2)), 2)
     yield build_complex(CoverData(A, (w1, w2, v2)), 3)

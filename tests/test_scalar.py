@@ -19,6 +19,7 @@ from afnd.scalar import (
     padic_valuation,
     scalar_norm,
 )
+from helpers import of_rational
 
 Q5 = FieldSpec.padic(5)
 TRIV = FieldSpec.trivial()
@@ -57,7 +58,7 @@ def test_padic_valuation():
 def test_scalar_norm_basics():
     assert scalar_norm(TRIV, 7) == NormValue.one()
     assert scalar_norm(Q5, 0) == NormValue.zero()
-    assert scalar_norm(Q5, 50) == NormValue.of_rational(Fraction(1, 25))
+    assert scalar_norm(Q5, 50) == of_rational(Fraction(1, 25))
     assert scalar_norm(Q5, Fraction(3, 5)) == NormValue.prime_power(5, 1)
 
 
@@ -79,14 +80,14 @@ def test_float_norm_values_are_rejected():
     with pytest.raises(TypeError, match="inexact exponent"):
         NormValue.prime_power(5, 0.5)
     with pytest.raises(TypeError, match="inexact value"):
-        NormValue.of_rational(0.5)
+        of_rational(0.5)
     assert NormValue({5: Fraction(1, 10)}) == NormValue.prime_power(
         5, Fraction(1, 10)
     )
     assert str(NormValue({5: 1, 2: Fraction(-1, 2)})) == str(
-        NormValue.of_rational(5) * NormValue.prime_power(2, Fraction(-1, 2))
+        of_rational(5) * NormValue.prime_power(2, Fraction(-1, 2))
     )
-    assert NormValue.of_rational(Fraction(1, 2)) == NormValue.prime_power(2, -1)
+    assert of_rational(Fraction(1, 2)) == NormValue.prime_power(2, -1)
 
 
 def test_norm_value_ordering_same_prime():
@@ -102,7 +103,7 @@ def test_norm_value_ordering_mixed_primes():
     b = NormValue.prime_power(3, 1)
     assert a < b
     # 8 vs 2*3 = 6 going the other way.
-    assert NormValue.prime_power(2, 3) > NormValue.of_rational(6)
+    assert NormValue.prime_power(2, 3) > of_rational(6)
 
 
 def _decimal_log(exps):

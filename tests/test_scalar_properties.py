@@ -10,6 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from afnd.scalar import NormValue, as_entry, exact_div  # noqa: E402
+from helpers import of_rational  # noqa: E402
 
 exponents = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 nonzero_values = st.dictionaries(
@@ -97,7 +98,7 @@ def test_integral_exponents_print_as_before():
             assert str(value) == text
             assert value == built and hash(value) == hash(built)
     assert type(NormValue({5: Fraction(4, 2)}).exponents[5]) is int
-    assert type(NormValue.of_rational(Fraction(1, 25)).exponents[5]) is int
+    assert type(of_rational(Fraction(1, 25)).exponents[5]) is int
 
 
 @given(nonzero_values, st.fractions(min_value=Fraction(1, 6), max_value=6,

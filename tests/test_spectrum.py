@@ -23,6 +23,7 @@ from afnd.spectrum import (
     seminorm,
 )
 from afnd.tate import Polyradius, parse_element
+from helpers import of_rational
 
 Q5 = FieldSpec.padic(5)
 UNIT = Polyradius(Q5, ("x",), (NormValue.one(),))
@@ -61,7 +62,7 @@ def make_cover(inner_exp, outer_radius):
     A = free_affinoid(UNIT)
     x = parse_element("x", A.ambient)
     v1 = weierstrass_localization(A, [x], [NormValue.prime_power(5, inner_exp)])
-    v2 = laurent_localization(A, g=[x], g_radii=[NormValue.of_rational(outer_radius)])
+    v2 = laurent_localization(A, g=[x], g_radii=[of_rational(outer_radius)])
     return A, v1, v2
 
 
@@ -121,7 +122,7 @@ def test_domain_of_chained_localization_reads_every_step():
     x = parse_element("x", A.ambient)
     step = weierstrass_localization(A, [x], [NormValue.prime_power(5, -1)])
     V = laurent_localization(
-        step, g=[x.in_ambient(step.ambient)], g_radii=[NormValue.of_rational(25)]
+        step, g=[x.in_ambient(step.ambient)], g_radii=[of_rational(25)]
     )
     dom = domain_of(V)
     assert [i.num.ambient for i in dom] == [UNIT, UNIT]
@@ -156,7 +157,7 @@ def test_rational_domain_bound_from_certificate_is_sound_and_exact(r):
     V = rational_localization(A, [x], g, [r], certificate=cert)
     step = V.localization.base
     s = step.ambient.names[-1]
-    assert step.ambient.radius_of(s) == NormValue.of_rational(5)
+    assert step.ambient.radius_of(s) == of_rational(5)
     # The Laurent step cuts out nothing more than the rational domain.
     dom = domain_of(V)
     for pt in default_sample(UNIT):

@@ -13,6 +13,7 @@ from afnd.tate import (
     fresh_name,
     parse_element,
 )
+from helpers import of_rational
 
 Q5 = FieldSpec.padic(5)
 
@@ -24,7 +25,7 @@ def disc(*spec):
 
 
 UNIT = disc(("x", NormValue.one()))
-BIG = disc(("x", NormValue.of_rational(5)))
+BIG = disc(("x", of_rational(5)))
 
 
 def test_polyradius_validation():
@@ -52,13 +53,13 @@ def test_gauss_norm():
     f = parse_element("5 + x", UNIT)
     assert f.gauss_norm() == NormValue.one()
     g = parse_element("5*x^2", BIG)
-    assert g.gauss_norm() == NormValue.of_rational(5)
+    assert g.gauss_norm() == of_rational(5)
 
 
 def test_arithmetic_and_multiplicativity():
-    r2 = disc(("x", NormValue.of_rational(2)))
+    r2 = disc(("x", of_rational(2)))
     x = TateElement.variable(r2, "x")
-    assert (x * x).gauss_norm() == NormValue.of_rational(4)
+    assert (x * x).gauss_norm() == of_rational(4)
     f = parse_element("1 + 5*x", UNIT)
     one = TateElement.constant(UNIT, 1)
     assert f * one == f
