@@ -9,21 +9,23 @@ level down, and each restriction map's rename is read off the block of
 variables every piece owns in the ambients.  The acyclicity check takes the
 verdicts that each piece is a homotopy epimorphism over the base at the
 requested truncation degree, proved by the caller, and refuses to run unless
-every one holds; it then reports strict exactness with certified
-preimage-norm constants.  Proving the pieces is left to the caller, so a run
+every one holds.  Its one report holds the verdict of
+`complexes.strict_exactness` at each level, with its certified
+preimage-norm constant, and the overall constant: the largest of an exact
+level's, or 1.  Proving the pieces is left to the caller, so a run
 proves each piece once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
 from afnd.affinoid import AffinoidPresentation, tensor_over
 from afnd.complexes import (
     ChainComplex,
-    ExactnessWitness,
+    DegreeVerdict,
     MapComponent,
     Summand,
     homology,
@@ -97,9 +99,10 @@ class AcyclicityReport:
     status: str  # "exact" | "fails" | "refused"
     truncation: int
     detail: str
-    precondition: list[MorphismVerdict]
     injectivity_rank: int = 0
-    witness: Optional[ExactnessWitness] = None
+    # One verdict per level 1..depth; none when refused.
+    positions: list[DegreeVerdict] = field(default_factory=list)
+    # The largest constant of an exact position, or 1; None when refused.
     constant: Optional[NormValue] = None
 
     @property
@@ -119,36 +122,36 @@ def acyclicity_check(
     homotopy epimorphisms over the base, proved at this degree; the check
     refuses with a diagnostic unless every one holds.
     """
-    verdicts = list(precondition)
-    if len(verdicts) != len(cover.pieces) or any(
-        v.truncation != degree for v in verdicts
+    if len(precondition) != len(cover.pieces) or any(
+        v.truncation != degree for v in precondition
     ):
         raise ValueError(
             "precondition needs one verdict per piece at this degree"
         )
-    bad = [i for i, v in enumerate(verdicts) if v.status != HOLDS]
+    bad = [(i, v) for i, v in enumerate(precondition) if v.status != HOLDS]
     if bad:
         details = "; ".join(
-            f"piece {i}: {verdicts[i].status} ({verdicts[i].detail})" for i in bad
+            f"piece {i}: {v.status} ({v.detail})" for i, v in bad
         )
         return AcyclicityReport(
             "refused", degree,
             "pieces not verified as homotopy epimorphisms: " + details,
-            verdicts,
         )
     cx = build_complex(cover, depth)
     head_kernel = homology(cx, 0, degree).rank
     # Every level up to `depth` has its incoming differential, empty past the
     # number of pieces, so the top position tests surjectivity.
-    witness = strict_exactness(cx, degree, range(1, depth + 1))
-    constant = witness.constant
-    if not head_kernel and witness.exact:
+    positions = strict_exactness(cx, degree, range(1, depth + 1))
+    constant = max(
+        [NormValue.one(), *(v.constant for v in positions if v.exact)]
+    )
+    if not head_kernel and all(v.exact for v in positions):
         return AcyclicityReport(
             "exact", degree, "augmented cover complex strictly exact",
-            verdicts, 0, witness, constant,
+            0, positions, constant,
         )
     return AcyclicityReport(
         "fails", degree,
         "augmented cover complex not exact at this truncation",
-        verdicts, head_kernel, witness, constant,
+        head_kernel, positions, constant,
     )

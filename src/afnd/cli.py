@@ -482,7 +482,7 @@ def _run_check(
                     "homology_rank": v.homology_rank,
                     "constant": str(v.constant),
                 }
-                for v in (report.witness.verdicts if report.witness else [])
+                for v in report.positions
             ],
         )
     elif spec.kind == "cover":
@@ -524,7 +524,7 @@ def _run_check(
         record.update(
             verdict="covered" if report.covered else "uncovered",
             points_checked=report.points_checked,
-            witnesses=report.witness_strings(),
+            witnesses=[str(w) for w in report.witnesses],
         )
     else:  # norm-table
         alg = algebras[args[0]]

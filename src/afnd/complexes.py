@@ -16,7 +16,9 @@ per complex and degree.  Its columns, and the cycles it re-expresses, are
 term maps from a walk that starts at the component's coefficient
 (`AffinoidPresentation.pushed_images`), not elements.  Ranks need no norms,
 so the monomial weights of a level basis and the norm of a witness cycle
-are computed when read, by `strict_exactness` or a printed witness.
+are computed when read: by `strict_exactness`, which gives one
+`DegreeVerdict` per position with the `normed.strict_epi_constant` of
+its incoming differential, or by a printed witness.
 Images that overflow the requested degree enlarge the target truncation
 instead of dropping terms.  "Homology vanishes at degree D" therefore means:
 every cycle supported in degree <= D is the boundary of a chain supported in
@@ -52,7 +54,7 @@ from typing import Mapping, Optional, Sequence
 
 from afnd.affinoid import AffinoidPresentation, pushout
 from afnd.linalg import SparseRow, kernel_basis, reduce_against, sparse_rref
-from afnd.normed import classify
+from afnd.normed import strict_epi_constant
 from afnd.scalar import FieldSpec, NormValue, Rational, max_norm, scalar_norm
 from afnd.tate import Exponent, Polyradius, TateElement
 
@@ -337,50 +339,32 @@ class DegreeVerdict:
     counterexample: Optional[CycleWitness]
 
 
-@dataclass
-class ExactnessWitness:
-    truncation: int
-    verdicts: list[DegreeVerdict]
-    exact: bool
-    constant: NormValue
-
-
 def strict_exactness(
     cx: ChainComplex, degree: int, positions: Sequence[int]
-) -> ExactnessWitness:
+) -> list[DegreeVerdict]:
     """Exactness at interior degrees, with certified preimage-norm constants.
 
     At each position the reported constant C satisfies: every cycle that is a
     boundary has a preimage of norm <= C times the cycle norm.  C is the
-    strict-epi constant that `normed.classify` gives the incoming
-    differential (the inverse of its smallest pivot score), which bounds all
-    norm-minimal preimages at once; positions with no cycles, or a zero
-    incoming differential, report C = 1.
+    `normed.strict_epi_constant` of the incoming differential (the inverse
+    of its smallest pivot score), which bounds all norm-minimal preimages at
+    once; positions with no cycles, or a zero incoming differential, report
+    C = 1.
     """
     verdicts: list[DegreeVerdict] = []
-    overall = NormValue.one()
-    exact = True
     for n in positions:
         rep = homology(cx, n, degree)
-        if rep.cycle_rank == 0:
-            verdicts.append(
-                DegreeVerdict(n, True, 0, NormValue.one(), None)
-            )
-            continue
-        min_ = cx.matrix(n - 1, degree)
-        constant = classify(
-            cx.field, min_.entries, min_.target.weights, min_.source.weights
-        ).strict_epi_constant or NormValue.one()
-        if rep.is_zero:
-            verdicts.append(DegreeVerdict(n, True, 0, constant, None))
-            if constant > overall:
-                overall = constant
-        else:
-            exact = False
-            verdicts.append(
-                DegreeVerdict(n, False, rep.rank, constant, rep.witness)
-            )
-    return ExactnessWitness(degree, verdicts, exact, overall)
+        constant = NormValue.one()
+        if rep.cycle_rank:
+            min_ = cx.matrix(n - 1, degree)
+            constant = strict_epi_constant(
+                cx.field, min_.entries, min_.target.weights,
+                min_.source.weights,
+            ) or constant
+        verdicts.append(
+            DegreeVerdict(n, rep.is_zero, rep.rank, constant, rep.witness)
+        )
+    return verdicts
 
 
 # -- Koszul complexes and derived tensors ------------------------------------

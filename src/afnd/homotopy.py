@@ -55,7 +55,6 @@ UNRESOLVED = "unresolved"
 
 @dataclass
 class MorphismVerdict:
-    kind: str
     status: str
     truncation: int
     detail: str
@@ -67,18 +66,7 @@ class MorphismVerdict:
         return self.status == HOLDS
 
 
-def _unresolved(
-    kind: str,
-    base: AffinoidPresentation,
-    target: AffinoidPresentation,
-    degree: int,
-) -> MorphismVerdict | None:
-    """The verdict of `_resolution_gate` alone."""
-    return _resolution_gate(kind, base, target, degree)[0]
-
-
 def _resolution_gate(
-    kind: str,
     base: AffinoidPresentation,
     target: AffinoidPresentation,
     degree: int,
@@ -101,12 +89,12 @@ def _resolution_gate(
         if witness is None:
             return None, (cx, ranks)
         return MorphismVerdict(
-            kind, UNRESOLVED, degree,
+            UNRESOLVED, degree,
             "fallback Koszul complex does not resolve the target "
             "at this truncation degree",
         ), None
     return MorphismVerdict(
-        kind, UNRESOLVED, degree, "no resolution available for the target"
+        UNRESOLVED, degree, "no resolution available for the target"
     ), None
 
 
@@ -118,13 +106,12 @@ def is_epimorphism(
     Tested as bijectivity of the multiplication map from target (x)_base
     target onto target, on degree-bounded reduced bases.
     """
-    kind = "epimorphism"
     if not target.is_over(base):
         return MorphismVerdict(
-            kind, UNRESOLVED, degree, "target is not presented over the base"
+            UNRESOLVED, degree, "target is not presented over the base"
         )
     if target.is_zero_algebra:
-        return MorphismVerdict(kind, HOLDS, degree, "target is the zero algebra")
+        return MorphismVerdict(HOLDS, degree, "target is the zero algebra")
     # A quotient is its own self-tensor, so its fold map is the identity.
     if target.ambient != base.ambient:
         cx, rename = derived_tensor(target, base, target)
@@ -140,11 +127,11 @@ def is_epimorphism(
                 reasons.append("image misses part of the target basis")
             detail = "multiplication map not bijective: " + ", ".join(reasons)
             return _certified(
-                MorphismVerdict(kind, FAILS, degree, detail, {}, witness),
+                MorphismVerdict(FAILS, degree, detail, {}, witness),
                 square, target,
             )
     return MorphismVerdict(
-        kind, HOLDS, degree,
+        HOLDS, degree,
         "multiplication map bijective on degree-bounded bases",
     )
 
@@ -255,13 +242,12 @@ def is_homotopy_epi(
     self-tensor target (x)_base target, maps bijectively onto the target
     (the epimorphism fold map), both on degree-bounded bases.
     """
-    kind = "homotopy-epimorphism"
     if not target.is_over(base):
         return MorphismVerdict(
-            kind, UNRESOLVED, degree, "target is not presented over the base"
+            UNRESOLVED, degree, "target is not presented over the base"
         )
     if target.is_zero_algebra:
-        return MorphismVerdict(kind, HOLDS, degree, "target is the zero algebra")
+        return MorphismVerdict(HOLDS, degree, "target is the zero algebra")
     path = localization_path(target, base)
     if path is not None and len(path) > 2:
         # Homotopy epimorphisms compose, so an iterated localization is
@@ -276,17 +262,17 @@ def is_homotopy_epi(
                 )
                 return step
         return MorphismVerdict(
-            kind, HOLDS, degree,
+            HOLDS, degree,
             "holds at every step of the localization chain",
         )
-    blocked = _unresolved(kind, base, target, degree)
+    blocked = _resolution_gate(base, target, degree)[0]
     if blocked is not None:
         return blocked
     cx, rename = derived_tensor(target, base, target)
     ranks, witness = _tor_ranks(cx, degree, -1)
     if witness is not None:
         return MorphismVerdict(
-            kind, FAILS, degree,
+            FAILS, degree,
             "self-tensor has nonvanishing homology in negative degrees",
             ranks, witness,
         )
@@ -294,7 +280,7 @@ def is_homotopy_epi(
     if square.is_zero_algebra:
         # The fold map sends 1 (x) 1 to 1, so 1 = 0 in the target too.
         return MorphismVerdict(
-            kind, HOLDS, degree,
+            HOLDS, degree,
             "target is the zero algebra: its self-tensor collapses", ranks,
         )
     kernel_rank, hit, witness = _reduce_fold_map(square, target, rename, degree)
@@ -305,12 +291,12 @@ def is_homotopy_epi(
         )
         detail = f"degree-zero part differs from the target: {why}"
         return _certified(
-            MorphismVerdict(kind, FAILS, degree, detail, ranks, witness),
+            MorphismVerdict(FAILS, degree, detail, ranks, witness),
             square, target,
         )
     ranks[0] = 0
     return MorphismVerdict(
-        kind, HOLDS, degree,
+        HOLDS, degree,
         "self-tensor concentrated in degree zero and matching the target",
         ranks,
     )
@@ -327,18 +313,17 @@ def check_transversal(
     Holds when every negative homology group of the derived tensor vanishes
     on degree-bounded bases; the degree-zero rank is reported alongside.
     """
-    kind = "transversality"
     if not module.is_over(base):
         return MorphismVerdict(
-            kind, UNRESOLVED, degree, "module is not presented over the base"
+            UNRESOLVED, degree, "module is not presented over the base"
         )
     if not target.is_over(base):
         return MorphismVerdict(
-            kind, UNRESOLVED, degree, "target is not presented over the base"
+            UNRESOLVED, degree, "target is not presented over the base"
         )
     if target.is_zero_algebra:
-        return MorphismVerdict(kind, HOLDS, degree, "target is the zero algebra")
-    blocked, scanned = _resolution_gate(kind, base, target, degree)
+        return MorphismVerdict(HOLDS, degree, "target is the zero algebra")
+    blocked, scanned = _resolution_gate(base, target, degree)
     if blocked is not None:
         return blocked
     if module is base and scanned is not None:
@@ -349,11 +334,11 @@ def check_transversal(
     ranks, witness = _tor_ranks(cx, degree, 0, known)
     if witness is not None:
         return MorphismVerdict(
-            kind, FAILS, degree,
+            FAILS, degree,
             "derived tensor has homology in negative degrees", ranks, witness,
         )
     return MorphismVerdict(
-        kind, HOLDS, degree, "derived tensor concentrated in degree zero", ranks
+        HOLDS, degree, "derived tensor concentrated in degree zero", ranks
     )
 
 

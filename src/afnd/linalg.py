@@ -22,9 +22,9 @@ column -> rows index.  Two pivot rules drive the loop:
   smallest row index then smallest column index.  For weighted orthogonal
   spaces over a non-Archimedean field the pivot scores are the exact
   singular values of the map.  The heap orders them by one exact `int`
-  priority per entry, which orders and ties exactly as the score does;
-  the scores themselves are `NormValue`s built only for the pivots, and a
-  strictness constant needs only the last one.
+  priority per entry, which orders and ties exactly as the score does.
+  A strictness constant reads only the last pivot's score, the one
+  `NormValue` score it builds (`smallest_score`).
 
 Both leave Jordan-reduced rows: 1 at the row's pivot, 0 at every other
 pivot.  A caller that reduces vectors against them keys the rows by pivot
@@ -48,7 +48,6 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from afnd.scalar import (
@@ -245,10 +244,10 @@ class NormAwareElimination:
     smallest column index.  After construction, `pivots` lists the (row,
     column) pairs in the order chosen and `srows` holds the Jordan-reduced
     rows: row i of pivot (i, j) has 1 at column j and nothing at any other
-    pivot column, and every other row is empty.  `pivot_scores`, the
-    singular values in that greedy (non-increasing) order, is computed from
-    the kept pivot entries when first read; `smallest_score` computes the
-    last one alone.
+    pivot column, and every other row is empty.  The pivot scores are the
+    singular values in that greedy (non-increasing) order; none is computed
+    with the pivots, and `smallest_score` computes the last one alone from
+    its kept pivot entry.
 
     Pivots are chosen on an exact integer priority.  With L the lcm of the
     denominators of every weight exponent, score(i, j)^L = prod q^(n_q)
@@ -357,10 +356,6 @@ class NormAwareElimination:
             * self.row_weights[i] / self.col_weights[j]
         )
 
-    @cached_property
-    def pivot_scores(self) -> list[NormValue]:
-        return [self._score(k) for k in range(len(self.pivots))]
-
     @property
     def rank(self) -> int:
         return len(self.pivots)
@@ -368,5 +363,5 @@ class NormAwareElimination:
     def smallest_score(self) -> NormValue:
         """The least singular value, zero for a zero map: the last pivot's
         score, since greedy scores are non-increasing.  One product, with no
-        `pivot_scores` list built."""
+        other score built."""
         return self._score(-1) if self.pivots else NormValue.zero()

@@ -142,9 +142,6 @@ class CoverCheckReport:
     points_checked: int
     witnesses: list[BerkovichPointSample]
 
-    def witness_strings(self) -> list[str]:
-        return [str(w) for w in self.witnesses]
-
 
 def cover_check(
     domains: Sequence[Sequence[DomainInequality]],

@@ -29,6 +29,12 @@ def of_rational(a):
     return NormValue(exps)
 
 
+def pivot_scores(elim):
+    """The pivot scores of a `NormAwareElimination`, in pivot order: its
+    singular values, non-increasing."""
+    return [elim._score(k) for k in range(elim.rank)]
+
+
 def verify_d_squared(cx, degree):
     """Exact check that consecutive differentials of `cx` compose to zero."""
     for n in cx.degrees():

@@ -36,7 +36,7 @@ from afnd.homotopy import (
     is_homotopy_epi,
 )
 from afnd.linalg import kernel_basis
-from afnd.normed import classify
+from afnd.normed import strict_epi_constant
 from afnd.scalar import FieldSpec, NormValue, scalar_norm
 from afnd.spectrum import (
     GaussPoint,
@@ -220,7 +220,7 @@ def test_tate_acyclicity_with_oracle():
     report = proved_acyclicity(cover, 2, degree)
     assert report.exact
     assert report.constant == NormValue.one()
-    for verdict in report.witness.verdicts:
+    for verdict in report.positions:
         assert verdict.exact
         assert verdict.constant == NormValue.one()
     # Independent oracle: every overlap monomial is a +-1 image of a piece
@@ -272,7 +272,7 @@ def test_cover_surjectivity_and_conservativity():
     gap_v2 = laurent_localization(A, g=[x], g_radii=[NormValue.one()])
     gap = cover_check([domain_of(v1), domain_of(gap_v2)], points=sample)
     assert not gap.covered
-    assert gap.witness_strings() == ["gauss(0±5^-1/2)"]
+    assert [str(w) for w in gap.witnesses] == ["gauss(0±5^-1/2)"]
     # The annulus probe is nonzero yet vanishes against both gap pieces.
     probe = laurent_localization(
         weierstrass_localization(
@@ -321,20 +321,12 @@ def test_transversality_verdicts():
 
 
 def test_strictness_classification():
-    """Hand matrices classify with the exact strictness constants."""
+    """Hand matrices have exact strictness constants: 5, none and 1."""
     one = [NormValue.one()]
-    mult = classify(Q5, [{0: Fraction(5)}], one, one)
-    assert mult.mono and mult.epi and mult.strict
-    assert mult.strict_mono_constant == of_rational(5)
-    assert mult.strict_epi_constant == of_rational(5)
-    zero = classify(Q5, [{}], one, one)
-    assert not zero.mono and not zero.epi
-    assert zero.strict_mono_constant is None
-    assert zero.strict_epi_constant is None
+    assert strict_epi_constant(Q5, [{0: 5}], one, one) == of_rational(5)
+    assert strict_epi_constant(Q5, [{}], one, one) is None
     two = [NormValue.one(), of_rational(2)]
-    proj = classify(Q5, [{0: Fraction(1)}], one, two)
-    assert proj.epi and not proj.mono and proj.strict
-    assert proj.strict_epi_constant == NormValue.one()
+    assert strict_epi_constant(Q5, [{0: 1}], one, two) == NormValue.one()
 
 
 def test_scenario_reports_deterministic():

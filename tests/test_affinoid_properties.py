@@ -252,7 +252,7 @@ def trusted_shape(rel, var, fresh):
 @settings(max_examples=40, deadline=None)
 @given(st.data(), st.integers(1, 3))
 def test_localization_chains_have_trusted_relator_shapes(data, length):
-    """`homotopy._unresolved` trusts a localization chain as its own
+    """`homotopy._resolution_gate` trusts a localization chain as its own
     resolution; this is the shape of its relators that the trust rests
     on."""
     base = free_affinoid(DISC)

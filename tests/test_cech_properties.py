@@ -57,7 +57,7 @@ def summary(report):
     """Everything a Cech report states, in the order the CLI prints it."""
     positions = [
         (v.degree, v.exact, v.homology_rank, v.constant)
-        for v in (report.witness.verdicts if report.witness else [])
+        for v in report.positions
     ]
     return (
         report.status, report.injectivity_rank, report.constant, positions

@@ -643,12 +643,18 @@ def test_cech_depth_below_the_number_of_pieces_stops_the_run(
             "scenario h\nfield trivial\nalgebra A\n  var x 1\nend\n"
             "localize V of A\n  bound x 1\nend\ncheck c cover A V\n",
             9,
-            "p-adic",
+            "cover checks sample points and need a p-adic field",
         ),
         (
             HEADER + "algebra A\n  var x 1\nend\ncheck c cover A A\n",
             7,
-            "no localization data",
+            "cover piece 'A' carries no localization data",
+        ),
+        (
+            HEADER + "algebra A\n  var x 1\nend\n"
+            "module M of A\n  relation x\nend\ncheck c cover A M\n",
+            10,
+            "cover piece 'M' carries no localization data",
         ),
         (
             HEADER + "algebra A\n  var x 1\nend\nalgebra B\n  var y 1\nend\n"
@@ -777,7 +783,8 @@ def test_cech_depth_below_the_number_of_pieces_stops_the_run(
          "invert-zero-denominator", "var-not-a-norm-value",
          "bound-not-a-norm-value", "norm-table-above-truncation",
          "norm-table-element-after-comment", "cover-trivial-field",
-         "cover-of-non-localization", "cover-piece-on-another-polydisc",
+         "cover-of-non-localization", "cover-piece-is-a-module",
+         "cover-piece-on-another-polydisc",
          "cech-piece-not-over-base", "hoepi-numeric-target",
          "cech-numeric-piece", "cover-numeric-piece",
          "norm-table-zero-denominator", "relation-zero-denominator",
@@ -795,3 +802,4 @@ def test_library_errors_exit_2_with_line(tmp_path, capsys, text, line, message):
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {line}: ")
     assert message in err
+    assert err.count("\n") == 1  # one line, no traceback

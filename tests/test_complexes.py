@@ -17,7 +17,7 @@ from afnd.complexes import (
     koszul_complex,
     strict_exactness,
 )
-from afnd.homotopy import _unresolved
+from afnd.homotopy import _resolution_gate
 from afnd.linalg import kernel_basis, reduce_against
 from afnd.scalar import FieldSpec, NormValue, exact_div
 from afnd.tate import Polyradius, TateElement, grevlex_key, parse_element
@@ -111,11 +111,11 @@ def test_strict_exactness_constant():
     # [A --(5)--> A]: every degree-0 cycle is a boundary, but preimages
     # cost a factor of 5 in norm.
     cx = two_term(A, parse_element("5", A.ambient))
-    w = strict_exactness(cx, 8, [0])
+    [w] = strict_exactness(cx, 8, [0])
     assert w.exact
     assert w.constant == of_rational(5)
     # At an injectivity position with no cycles the constant is one.
-    winj = strict_exactness(cx, 8, [-1])
+    [winj] = strict_exactness(cx, 8, [-1])
     assert winj.exact
     assert winj.constant == NormValue.one()
 
@@ -151,7 +151,7 @@ def test_quotient_resolution_validity_gate():
     ]
     for base, target, expected in cases:
         assert resolves(base, target, 8) is expected
-        assert (_unresolved("k", base, target, 8) is None) is expected
+        assert (_resolution_gate(base, target, 8)[0] is None) is expected
 
 
 def test_derived_tensor_regular_module():

@@ -1,16 +1,14 @@
-"""Weighted orthogonal spaces: norms, tensors, strictness of sparse maps."""
+"""Weighted orthogonal spaces: the norm of a vector and of a tensor."""
 
 from fractions import Fraction
 
 from afnd.affinoid import free_affinoid, tensor_over
 from afnd.complexes import CycleWitness, LevelBasis
-from afnd.normed import classify
 from afnd.scalar import FieldSpec, NormValue
 from afnd.tate import Polyradius
 from helpers import of_rational
 
 Q5 = FieldSpec.padic(5)
-ONE = NormValue.one()
 
 
 def tensor_weight(r1, r2):
@@ -45,23 +43,3 @@ def test_one_dimensional_tensor():
     assert tensor_weight(2, 3) == of_rational(6)
     for r in (2, 3, 7):
         assert tensor_weight(r, 1) == of_rational(r)
-
-
-def test_classify_mult_by_p():
-    c = classify(Q5, [{0: Fraction(5)}], [ONE], [ONE])
-    assert c.mono and c.epi and c.strict
-    assert c.strict_mono_constant == of_rational(5)
-    assert c.strict_epi_constant == of_rational(5)
-
-
-def test_classify_zero_map():
-    c = classify(Q5, [{}], [ONE], [ONE])
-    assert not c.mono and not c.epi
-    assert c.strict_mono_constant is None
-    assert c.strict_epi_constant is None
-
-
-def test_classify_projection():
-    c = classify(Q5, [{0: Fraction(1)}], [ONE], [ONE, of_rational(2)])
-    assert c.epi and not c.mono
-    assert c.strict_epi_constant == NormValue.one()

@@ -82,7 +82,7 @@ def test_gap_cover_reports_gauss_witness():
         [domain_of(v1), domain_of(v2)], points=default_sample(A.ambient)
     )
     assert not report.covered
-    assert report.witness_strings() == ["gauss(0±5^-1/2)"]
+    assert [str(w) for w in report.witnesses] == ["gauss(0±5^-1/2)"]
 
 
 def test_membership_mixed_conditions():
