@@ -134,6 +134,12 @@ class AffinoidPresentation:
     def field(self) -> FieldSpec:
         return self.ambient.field
 
+    @property
+    def exact_normal_forms(self) -> bool:
+        """Neither the zero algebra nor a generic relation: every normal
+        form is a shape normal form, exact at every degree."""
+        return not (self.is_zero_algebra or self.generic_relations)
+
     # -- normalization -----------------------------------------------------
 
     def _normalize(self) -> None:

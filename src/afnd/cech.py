@@ -9,11 +9,11 @@ level down, and each restriction map's rename is read off the block of
 variables every piece owns in the ambients.  The acyclicity check takes the
 verdicts that each piece is a homotopy epimorphism over the base at the
 requested truncation degree, proved by the caller, and refuses to run unless
-every one holds.  Its one report holds the verdict of
-`complexes.strict_exactness` at each level, with its certified
-preimage-norm constant, and the overall constant: the largest of an exact
-level's, or 1.  Proving the pieces is left to the caller, so a run
-proves each piece once.
+every one holds.  Its one report holds the `HomologyReport`s it read, the
+head's and each level's, the latter paired by `complexes.strict_exactness`
+with its certified preimage-norm constant, and the overall constant: the
+largest of an exact level's, or 1.  Proving the pieces is left to the
+caller, so a run proves each piece once.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from afnd.affinoid import AffinoidPresentation, tensor_over
 from afnd.complexes import (
     ChainComplex,
-    DegreeVerdict,
+    HomologyReport,
     MapComponent,
     Summand,
     homology,
@@ -99,9 +99,13 @@ class AcyclicityReport:
     status: str  # "exact" | "fails" | "refused"
     truncation: int
     detail: str
-    injectivity_rank: int = 0
-    # One verdict per level 1..depth; none when refused.
-    positions: list[DegreeVerdict] = field(default_factory=list)
+    # The level-0 homology, the kernel of the head d^0; None when refused.
+    head: Optional[HomologyReport] = None
+    # One (homology report, constant) pair of `strict_exactness` per level
+    # 1..depth; none when refused.
+    positions: list[tuple[HomologyReport, NormValue]] = field(
+        default_factory=list
+    )
     # The largest constant of an exact position, or 1; None when refused.
     constant: Optional[NormValue] = None
 
@@ -138,20 +142,16 @@ def acyclicity_check(
             "pieces not verified as homotopy epimorphisms: " + details,
         )
     cx = build_complex(cover, depth)
-    head_kernel = homology(cx, 0, degree).rank
+    head = homology(cx, 0, degree)
     # Every level up to `depth` has its incoming differential, empty past the
     # number of pieces, so the top position tests surjectivity.
     positions = strict_exactness(cx, degree, range(1, depth + 1))
     constant = max(
-        [NormValue.one(), *(v.constant for v in positions if v.exact)]
+        [NormValue.one(), *(c for rep, c in positions if rep.is_zero)]
     )
-    if not head_kernel and all(v.exact for v in positions):
-        return AcyclicityReport(
-            "exact", degree, "augmented cover complex strictly exact",
-            0, positions, constant,
-        )
+    exact = head.is_zero and all(rep.is_zero for rep, _ in positions)
+    detail = "strictly exact" if exact else "not exact at this truncation"
     return AcyclicityReport(
-        "fails", degree,
-        "augmented cover complex not exact at this truncation",
-        head_kernel, positions, constant,
+        "exact" if exact else "fails", degree,
+        f"augmented cover complex {detail}", head, positions, constant,
     )

@@ -44,8 +44,8 @@ that does not parse or lies above the truncation.  So is a `cech` DEPTH
 above the number of pieces plus one, since the levels past the number of
 pieces are empty, or below the number of pieces, since the complex cut
 there has a top level whose cokernel is no obstruction.  A `cover` check
-samples only points of the spectrum of the algebra at the root of the
-base's localization chain, where every relation of that algebra vanishes.
+runs `spectrum.cover_check`: it samples the polydisc at the root of the
+base's localization chain and keeps only the points of the base.
 Each `algebra`, `localize` and `module` declares a new name; declaring one
 twice is malformed.  A `--json` file that cannot be written exits 2 with
 one `error:` line naming it.  An unexpected exception also exits 2, with
@@ -81,13 +81,7 @@ from afnd.homotopy import (
     is_homotopy_epi,
 )
 from afnd.scalar import FieldSpec, NormValue
-from afnd.spectrum import (
-    cover_check,
-    default_sample,
-    domain_of,
-    member,
-    seminorm,
-)
+from afnd.spectrum import cover_check
 from afnd.tate import ElementSyntaxError, Polyradius, TateElement, parse_element
 
 log = logging.getLogger("afnd")
@@ -477,12 +471,12 @@ def _run_check(
             constant=str(report.constant) if report.constant else None,
             positions=[
                 {
-                    "degree": v.degree,
-                    "exact": v.exact,
-                    "homology_rank": v.homology_rank,
-                    "constant": str(v.constant),
+                    "degree": rep.degree,
+                    "exact": rep.is_zero,
+                    "homology_rank": rep.rank,
+                    "constant": str(constant),
                 }
-                for v in report.positions
+                for rep, constant in report.positions
             ],
         )
     elif spec.kind == "cover":
@@ -492,20 +486,7 @@ def _run_check(
                 "cover checks sample points and need a p-adic field",
                 spec.line,
             )
-        # Points and domains both live on the polydisc at the root of the
-        # base's localization chain.  Only points of the root's spectrum,
-        # where each of its relations vanishes, are sampled, and a localized
-        # base keeps only its own.
-        root = localization_path(base)[-1]
-        points = [
-            pt for pt in default_sample(root.ambient)
-            if all(seminorm(pt, f).is_zero for f in root.relations)
-        ]
-        if base.localization is not None:
-            with _at_line(spec.line):
-                region = domain_of(base)
-            points = [pt for pt in points if member(pt, region)]
-        domains = []
+        root = localization_path(base)[-1].ambient
         for ref in args[1:]:
             piece = algebras[ref]
             if piece.localization is None:
@@ -513,14 +494,13 @@ def _run_check(
                     f"cover piece {ref!r} carries no localization data",
                     spec.line,
                 )
-            if localization_path(piece)[-1].ambient != root.ambient:
+            if localization_path(piece)[-1].ambient != root:
                 raise ScenarioError(
                     f"cover piece {ref!r} does not localize the polydisc "
                     f"of {args[0]!r}", spec.line,
                 )
-            with _at_line(spec.line):
-                domains.append(domain_of(piece))
-        report = cover_check(domains, points)
+        with _at_line(spec.line):
+            report = cover_check(base, [algebras[ref] for ref in args[1:]])
         record.update(
             verdict="covered" if report.covered else "uncovered",
             points_checked=report.points_checked,

@@ -16,9 +16,9 @@ per complex and degree.  Its columns, and the cycles it re-expresses, are
 term maps from a walk that starts at the component's coefficient
 (`AffinoidPresentation.pushed_images`), not elements.  Ranks need no norms,
 so the monomial weights of a level basis and the norm of a witness cycle
-are computed when read: by `strict_exactness`, which gives one
-`DegreeVerdict` per position with the `normed.strict_epi_constant` of
-its incoming differential, or by a printed witness.
+are computed when read: by `strict_exactness`, which pairs the
+`HomologyReport` of each position with the `normed.strict_epi_constant`
+of its incoming differential, or by a printed witness.
 Images that overflow the requested degree enlarge the target truncation
 instead of dropping terms.  "Homology vanishes at degree D" therefore means:
 every cycle supported in degree <= D is the boundary of a chain supported in
@@ -158,20 +158,20 @@ class ChainComplex:
         """True when d^n is injective on every degree-bounded basis, read
         off the components alone; False means not known.
 
-        Level n must be one summand whose presentation has exact normal
-        forms: not the zero algebra, and no generic relations.  Its shape
-        model is then K[free variables]/(u*v - q, q != 0) over disjoint
-        Laurent pairs, a polynomial ring tensored with Laurent rings, so a
-        domain.  A component that multiplies into that same presentation
-        object, with no rename, by a coefficient whose shape normal form is
-        nonzero is then injective, and so is d^n.  Its matrix columns are
+        Level n must be one summand whose presentation has
+        `exact_normal_forms`.  Its shape model is then K[free variables]/
+        (u*v - q, q != 0) over disjoint Laurent pairs, a polynomial ring
+        tensored with Laurent rings, so a domain.  A component that
+        multiplies into that same presentation object, with no rename, by a
+        coefficient whose shape normal form is nonzero is then injective,
+        and so is d^n.  Its matrix columns are
         exact shape normal forms, since no generic layer reduces them.
         """
         level = self.levels.get(n, [])
         if len(level) != 1:
             return False
         algebra = level[0].algebra
-        if algebra.is_zero_algebra or algebra.generic_relations:
+        if not algebra.exact_normal_forms:
             return False
         return any(
             self.levels[n + 1][t].algebra is algebra
@@ -265,15 +265,17 @@ class CycleWitness:
 @dataclass
 class HomologyReport:
     degree: int
-    truncation: int
     cycle_rank: int
     rank: int
-    is_zero: bool
     # The first cycle that is not a boundary, None when homology vanishes.
     witness: Optional[CycleWitness]
     # Rank of d^{n-1} from the degree-bounded basis: the boundary space the
     # cycles are tested against (0 where d^{n-1} is absent).
     boundary_rank: int
+
+    @property
+    def is_zero(self) -> bool:
+        return self.rank == 0
 
 
 def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
@@ -286,7 +288,7 @@ def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
     component, the report is then known without any basis or matrix."""
     injective = cx.known_injective(n)
     if injective and not cx.components.get(n - 1):
-        return HomologyReport(n, degree, 0, 0, True, None, 0)
+        return HomologyReport(n, 0, 0, None, 0)
     basis = cx.level_basis(n, degree)
     zs = [] if injective else kernel_basis(
         cx.matrix(n, degree).entries, basis.dim
@@ -308,7 +310,7 @@ def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
             CycleWitness(n, basis.parts(zs[0]), zs[0], basis, cx.field)
             if zs else None
         )
-        return HomologyReport(n, degree, len(zs), len(zs), not zs, witness, 0)
+        return HomologyReport(n, len(zs), len(zs), witness, 0)
     span = dict(zip(span_pivots, span_rows))
     # Each cycle's remainder modulo the span; the homology rank is the rank
     # of the remainders, and the witness is the first cycle that leaves one.
@@ -325,33 +327,24 @@ def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
                 witness = CycleWitness(n, basis.parts(z), z, basis, cx.field)
     quotient_rank = len(sparse_rref(remainders)[1]) if remainders else 0
     return HomologyReport(
-        n, degree, len(zs), quotient_rank, quotient_rank == 0, witness,
-        len(span_pivots),
+        n, len(zs), quotient_rank, witness, len(span_pivots)
     )
-
-
-@dataclass
-class DegreeVerdict:
-    degree: int
-    exact: bool
-    homology_rank: int
-    constant: NormValue
-    counterexample: Optional[CycleWitness]
 
 
 def strict_exactness(
     cx: ChainComplex, degree: int, positions: Sequence[int]
-) -> list[DegreeVerdict]:
-    """Exactness at interior degrees, with certified preimage-norm constants.
+) -> list[tuple[HomologyReport, NormValue]]:
+    """Exactness at interior degrees, with certified preimage-norm constants:
+    one homology report per position, paired with its constant.
 
-    At each position the reported constant C satisfies: every cycle that is a
+    At each position the constant C satisfies: every cycle that is a
     boundary has a preimage of norm <= C times the cycle norm.  C is the
     `normed.strict_epi_constant` of the incoming differential (the inverse
     of its smallest pivot score), which bounds all norm-minimal preimages at
-    once; positions with no cycles, or a zero incoming differential, report
+    once; positions with no cycles, or a zero incoming differential, have
     C = 1.
     """
-    verdicts: list[DegreeVerdict] = []
+    pairs: list[tuple[HomologyReport, NormValue]] = []
     for n in positions:
         rep = homology(cx, n, degree)
         constant = NormValue.one()
@@ -361,10 +354,8 @@ def strict_exactness(
                 cx.field, min_.entries, min_.target.weights,
                 min_.source.weights,
             ) or constant
-        verdicts.append(
-            DegreeVerdict(n, rep.is_zero, rep.rank, constant, rep.witness)
-        )
-    return verdicts
+        pairs.append((rep, constant))
+    return pairs
 
 
 # -- Koszul complexes and derived tensors ------------------------------------

@@ -179,20 +179,19 @@ def _exact_bijection(
     degree-bounded basis, read off the two presentations alone; False
     means not known.
 
-    Both ends must have exact normal forms (neither the zero algebra nor
-    generic relations), so their bases are their shape monomials: the
-    monomials in the free variables with no whole Laurent pair.  Each free
-    variable of `big`, sent back along `inverse`, must shape-normalize in
-    the target to c*y with c != 0 and y a free target variable, one to one
-    onto the target's free variables, and this map sigma must carry big's
-    Laurent pairs onto the target's.  A shape monomial of degree d then
+    Both ends must have `exact_normal_forms`, so their bases are their
+    shape monomials: the monomials in the free variables with no whole
+    Laurent pair.  Each free variable of `big`, sent back along `inverse`,
+    must shape-normalize in the target to c*y with c != 0 and y a free
+    target variable, one to one onto the target's free variables, and this
+    map sigma must carry big's Laurent pairs onto the target's.  A shape monomial of degree d then
     maps to a nonzero multiple of the shape monomial of degree d that
     sigma names, so the fold matrix is a permutation with nonzero entries
     between bases of equal size at every D.  That is the case of a
     localization step with exact normal forms, whose self-tensor
     normalizes the primed copies of its fresh variables to the originals.
     """
-    if any(a.is_zero_algebra or a.generic_relations for a in (big, target)):
+    if not (big.exact_normal_forms and target.exact_normal_forms):
         return False
     names = target.ambient.names
     sigma = {}

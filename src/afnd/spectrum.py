@@ -8,11 +8,12 @@ subdomain |f_i| <= r_i |g| is decided exactly.  A domain is a tuple of
 `DomainInequality`, their conjunction; `domain_of` reads one off a
 localization chain, on the polydisc at its root.
 
-A pointwise cover check is a falsifier, not a proof: a cover that passes the
-sample may still have gaps, and the conservativity probe shows that
-tensor-vanishing against the pieces cannot detect them either, which is why
-the sample includes Gauss points at non-rational radii between the rigid
-ones.
+`cover_check` samples the polydisc at the root of a base's localization
+chain, keeps the points of the base, and asks whether each lies in some
+piece.  It is a falsifier, not a proof: a cover that passes the sample may
+still have gaps, and the conservativity probe shows that tensor-vanishing
+against the pieces cannot detect them either, which is why the sample
+includes Gauss points at non-rational radii between the rigid ones.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ def default_sample(ambient: Polyradius) -> list[BerkovichPointSample]:
 
     Rigid points: the origin and p^k on the diagonal for k = 0, 1, 2;
     Gauss points centered at the origin with radii p^(-q) for
-    q = 0, 1/2, 1, 3/2, 2.  Points outside the polydisc are skipped.
+    q = 0, 1/2, 1, 3/2, 2.  Points outside the polydisc are skipped.  With
+    no variables the polydisc is Sp(K), one point: the sample is rigid().
     """
     field = ambient.field
     if field.mode != "p-adic":
@@ -123,6 +125,8 @@ def default_sample(ambient: Polyradius) -> list[BerkovichPointSample]:
     p = field.p
     n = ambient.nvars
     points: list[BerkovichPointSample] = [RigidPoint((Fraction(0),) * n)]
+    if not n:
+        return points
     for k in range(3):
         c = Fraction(p) ** k
         if all(scalar_norm(field, c) <= r for r in ambient.radii):
@@ -144,10 +148,24 @@ class CoverCheckReport:
 
 
 def cover_check(
-    domains: Sequence[Sequence[DomainInequality]],
-    points: Sequence[BerkovichPointSample],
+    base: AffinoidPresentation, pieces: Sequence[AffinoidPresentation]
 ) -> CoverCheckReport:
-    """Does every sample point land in some domain of the family?"""
+    """Does every sample point of the base lie in the domain of some piece?
+
+    Points and domains live on the polydisc at the root of the base's
+    localization chain, which every piece must localize too.  The points
+    kept are those where every relation of the root vanishes and, for a
+    localized base, those in its own domain.
+    """
+    root = localization_path(base)[-1]
+    points = [
+        pt for pt in default_sample(root.ambient)
+        if all(seminorm(pt, f).is_zero for f in root.relations)
+    ]
+    if base.localization is not None:
+        region = domain_of(base)
+        points = [pt for pt in points if member(pt, region)]
+    domains = [domain_of(piece) for piece in pieces]
     witnesses = [
         pt for pt in points if not any(member(pt, d) for d in domains)
     ]

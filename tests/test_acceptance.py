@@ -43,7 +43,6 @@ from afnd.spectrum import (
     conservativity_probe,
     cover_check,
     default_sample,
-    domain_of,
 )
 from afnd.tate import Polyradius, TateElement, parse_element
 from helpers import of_rational, proved_acyclicity, verify_d_squared
@@ -220,9 +219,9 @@ def test_tate_acyclicity_with_oracle():
     report = proved_acyclicity(cover, 2, degree)
     assert report.exact
     assert report.constant == NormValue.one()
-    for verdict in report.positions:
-        assert verdict.exact
-        assert verdict.constant == NormValue.one()
+    for rep, constant in report.positions:
+        assert rep.is_zero
+        assert constant == NormValue.one()
     # Independent oracle: every overlap monomial is a +-1 image of a piece
     # monomial of the same weight (surjectivity with norm constant one) ...
     cx = build_complex(cover, 2)
@@ -266,11 +265,12 @@ def test_cover_surjectivity_and_conservativity():
         str(pt.radii[0]) for pt in sample if isinstance(pt, GaussPoint)
     }
     assert gauss_radii == {"1", "5^-1/2", "5^-1", "5^-3/2", "5^-2"}
-    full = cover_check([domain_of(v1), domain_of(v2)], points=sample)
+    full = cover_check(A, [v1, v2])
     assert full.covered
+    assert full.points_checked == len(sample)
     x = parse_element("x", A.ambient)
     gap_v2 = laurent_localization(A, g=[x], g_radii=[NormValue.one()])
-    gap = cover_check([domain_of(v1), domain_of(gap_v2)], points=sample)
+    gap = cover_check(A, [v1, gap_v2])
     assert not gap.covered
     assert [str(w) for w in gap.witnesses] == ["gauss(0±5^-1/2)"]
     # The annulus probe is nonzero yet vanishes against both gap pieces.

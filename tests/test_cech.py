@@ -69,7 +69,8 @@ def test_acyclicity_exact_with_unit_constant(disk_cover):
     report = proved_acyclicity(disk_cover, 2, 12)
     assert report.exact
     assert str(report.constant) == "1"
-    assert all(v.exact for v in report.positions)
+    assert report.head.is_zero
+    assert all(rep.is_zero for rep, _ in report.positions)
 
 
 def test_acyclicity_refuses_unverified_pieces():
@@ -155,7 +156,7 @@ def test_acyclicity_at_depth_zero_fails(disk_cover):
     # its head has the whole degree-bounded base as kernel.
     report = proved_acyclicity(disk_cover, 0, 8)
     assert report.status == "fails"
-    assert report.injectivity_rank == len(disk_cover.base.monomial_basis(8))
+    assert report.head.rank == len(disk_cover.base.monomial_basis(8))
 
 
 def test_no_images_into_a_level_of_zero_algebras(three_piece_cover, monkeypatch):

@@ -56,12 +56,11 @@ covers = st.lists(pieces, min_size=2, max_size=3)
 def summary(report):
     """Everything a Cech report states, in the order the CLI prints it."""
     positions = [
-        (v.degree, v.exact, v.homology_rank, v.constant)
-        for v in report.positions
+        (rep.degree, rep.is_zero, rep.rank, constant)
+        for rep, constant in report.positions
     ]
-    return (
-        report.status, report.injectivity_rank, report.constant, positions
-    )
+    head_rank = report.head.rank if report.head else 0
+    return (report.status, head_rank, report.constant, positions)
 
 
 @settings(max_examples=12, deadline=None)

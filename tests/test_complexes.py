@@ -111,13 +111,13 @@ def test_strict_exactness_constant():
     # [A --(5)--> A]: every degree-0 cycle is a boundary, but preimages
     # cost a factor of 5 in norm.
     cx = two_term(A, parse_element("5", A.ambient))
-    [w] = strict_exactness(cx, 8, [0])
-    assert w.exact
-    assert w.constant == of_rational(5)
+    [(rep, constant)] = strict_exactness(cx, 8, [0])
+    assert rep.degree == 0 and rep.is_zero
+    assert constant == of_rational(5)
     # At an injectivity position with no cycles the constant is one.
-    [winj] = strict_exactness(cx, 8, [-1])
-    assert winj.exact
-    assert winj.constant == NormValue.one()
+    [(rep_inj, constant_inj)] = strict_exactness(cx, 8, [-1])
+    assert rep_inj.degree == -1 and rep_inj.is_zero
+    assert constant_inj == NormValue.one()
 
 
 def resolves(base, target, degree):

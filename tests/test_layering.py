@@ -189,3 +189,13 @@ def test_only_cli_proves_homotopy_epimorphisms():
         )
     }
     assert provers == {"cli"}
+
+
+def test_cover_sampling_is_decided_in_spectrum():
+    # The scenario runner hands a cover check's base and pieces to
+    # `spectrum.cover_check`, which alone picks and filters the points.
+    imports = imported_afnd_modules(PACKAGE / "cli.py")
+    spectrum = {n for n in imports if n.startswith("afnd.spectrum.")}
+    assert spectrum == {"afnd.spectrum.cover_check"}
+    for name in ("default_sample", "member", "seminorm", "domain_of"):
+        assert not any(n.endswith(f".{name}") for n in imports)

@@ -8,6 +8,7 @@ from afnd.affinoid import (
     BezoutCertificate,
     free_affinoid,
     laurent_localization,
+    quotient,
     rational_localization,
     weierstrass_localization,
 )
@@ -68,9 +69,7 @@ def make_cover(inner_exp, outer_radius):
 
 def test_full_cover_passes():
     A, v1, v2 = make_cover(-1, 5)
-    report = cover_check(
-        [domain_of(v1), domain_of(v2)], points=default_sample(A.ambient)
-    )
+    report = cover_check(A, [v1, v2])
     assert report.covered
     assert report.points_checked == 9
 
@@ -78,11 +77,62 @@ def test_full_cover_passes():
 def test_gap_cover_reports_gauss_witness():
     # |x| <= 1/5 and |x| >= 1 miss the radius 5^(-1/2) Gauss point.
     A, v1, v2 = make_cover(-1, 1)
-    report = cover_check(
-        [domain_of(v1), domain_of(v2)], points=default_sample(A.ambient)
-    )
+    report = cover_check(A, [v1, v2])
     assert not report.covered
     assert [str(w) for w in report.witnesses] == ["gauss(0±5^-1/2)"]
+
+
+def localized_base(outer_radius):
+    """V = {|x| <= 5^-1} in the unit disc, covered by |x| <= 5^-2 and
+    |x| >= 1/outer_radius."""
+    A = free_affinoid(UNIT)
+    x = parse_element("x", A.ambient)
+    V = weierstrass_localization(A, [x], [NormValue.prime_power(5, -1)])
+    xv = x.in_ambient(V.ambient)
+    w1 = weierstrass_localization(V, [xv], [NormValue.prime_power(5, -2)])
+    w2 = laurent_localization(V, g=[xv], g_radii=[of_rational(outer_radius)])
+    return V, [w1, w2]
+
+
+def quotient_base(relation):
+    """M = A/(relation), one point, covered by |x| >= 5^-1."""
+    A = free_affinoid(UNIT)
+    M = quotient(A, [parse_element(relation, A.ambient)])
+    x = parse_element("x", M.ambient)
+    return M, [laurent_localization(M, g=[x], g_radii=[of_rational(5)])]
+
+
+def point_base():
+    """Sp(K), the polydisc with no variables, and |5| <= 5^-2, which misses
+    its one point."""
+    A = free_affinoid(Polyradius(Q5, (), ()))
+    five = parse_element("5", A.ambient)
+    return A, [
+        weierstrass_localization(A, [five], [NormValue.prime_power(5, -2)])
+    ]
+
+
+@pytest.mark.parametrize(
+    "cover, covered, points, witnesses",
+    [
+        # Only the six sample points of the disc that lie in V are checked.
+        (localized_base(25), True, 6, []),
+        (localized_base(5), False, 6, ["gauss(0±5^-3/2)"]),
+        # Sp(M) is one rigid point; Gauss points never lie in it.
+        (quotient_base("x - 1"), True, 1, []),
+        (quotient_base("x"), False, 1, ["rigid(0)"]),
+        # The sample on no variables is that one point, once.
+        (point_base(), False, 1, ["rigid()"]),
+    ],
+    ids=["localized", "localized-gap", "quotient", "quotient-gap", "point"],
+)
+def test_cover_check_samples_only_the_points_of_the_base(
+    cover, covered, points, witnesses
+):
+    report = cover_check(*cover)
+    assert report.covered == covered
+    assert report.points_checked == points
+    assert [str(w) for w in report.witnesses] == witnesses
 
 
 def test_membership_mixed_conditions():
