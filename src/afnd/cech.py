@@ -9,11 +9,14 @@ level down, and each restriction map's rename is read off the block of
 variables every piece owns in the ambients.  The acyclicity check takes the
 verdicts that each piece is a homotopy epimorphism over the base at the
 requested truncation degree, proved by the caller, and refuses to run unless
-every one holds.  Its one report holds the `HomologyReport`s it read, the
-head's and each level's, the latter paired by `complexes.strict_exactness`
-with its certified preimage-norm constant, and the overall constant: the
-largest of an exact level's, or 1.  Proving the pieces is left to the
-caller, so a run proves each piece once.
+every one holds.  One `complexes.strict_exactness` call decides the head
+and every level, by rank counts where they prove exactness, with one
+norm-aware elimination per nonempty differential; where every position is
+exact, no cycle is found.  The report holds the `HomologyReport`s of that
+call, the head's and each level's, the latter paired with its certified
+preimage-norm constant, and the overall constant: the largest of an exact
+level's, or 1.  Proving the pieces is left to the caller, so a run proves
+each piece once.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from afnd.complexes import (
     HomologyReport,
     MapComponent,
     Summand,
-    homology,
     strict_exactness,
 )
 from afnd.homotopy import HOLDS, MorphismVerdict
@@ -142,10 +144,10 @@ def acyclicity_check(
             "pieces not verified as homotopy epimorphisms: " + details,
         )
     cx = build_complex(cover, depth)
-    head = homology(cx, 0, degree)
-    # Every level up to `depth` has its incoming differential, empty past the
+    # The head is decided with the levels, so d^0 is eliminated once.  Every
+    # level up to `depth` has its incoming differential, empty past the
     # number of pieces, so the top position tests surjectivity.
-    positions = strict_exactness(cx, degree, range(1, depth + 1))
+    (head, _), *positions = strict_exactness(cx, degree, range(depth + 1))
     constant = max(
         [NormValue.one(), *(c for rep, c in positions if rep.is_zero)]
     )

@@ -41,8 +41,14 @@ and a quotient, its own self-tensor, needs no fold map.
 
 Homology is the cycles modulo the boundaries: each cycle is reduced
 against the reduced echelon form of the boundaries, and the rank of the
-remainders, from `sparse_rref` again, is the homology rank.  All
-Gauss-Jordan elimination is `afnd.linalg`'s.
+remainders, from `sparse_rref` again, is the homology rank.
+`strict_exactness` finds no cycle where ranks suffice: it eliminates each
+differential at most once, norm-aware, and that one elimination gives both
+the rank of d^n and the constant of position n + 1.  Where d^(n-1) did not
+grow past the degree and d^n d^(n-1) = 0, rank d^(n-1) + rank d^n = dim L_n
+proves position n exact; any other position is `homology`'s, which stays
+the one code that finds cycles.  All Gauss-Jordan elimination is
+`afnd.linalg`'s.
 """
 
 from __future__ import annotations
@@ -53,7 +59,9 @@ from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from afnd.affinoid import AffinoidPresentation, pushout
-from afnd.linalg import SparseRow, kernel_basis, reduce_against, sparse_rref
+from afnd.linalg import (
+    NormAwareElimination, SparseRow, kernel_basis, reduce_against, sparse_rref
+)
 from afnd.normed import strict_epi_constant
 from afnd.scalar import FieldSpec, NormValue, Rational, max_norm, scalar_norm
 from afnd.tate import Exponent, Polyradius, TateElement
@@ -331,29 +339,76 @@ def homology(cx: ChainComplex, n: int, degree: int) -> HomologyReport:
     )
 
 
+def _composes_to_zero(
+    outer: DifferentialMatrix, inner: DifferentialMatrix
+) -> bool:
+    """Whether outer * inner = 0, exactly: row i of the product is the
+    combination of the rows of `inner` that row i of `outer` selects."""
+    for row in outer.entries:
+        composed: dict[int, Rational] = {}
+        for k, a in row.items():
+            for j, b in inner.entries[k].items():
+                composed[j] = composed.get(j, 0) + a * b
+        if any(composed.values()):
+            return False
+    return True
+
+
 def strict_exactness(
     cx: ChainComplex, degree: int, positions: Sequence[int]
 ) -> list[tuple[HomologyReport, NormValue]]:
-    """Exactness at interior degrees, with certified preimage-norm constants:
-    one homology report per position, paired with its constant.
+    """Exactness at the given degrees, with certified preimage-norm
+    constants: one homology report per position, paired with its constant.
+
+    Each differential gets at most one `NormAwareElimination` in a call,
+    kept until it returns; none where it is absent or has no rows or no
+    columns, and its rank is then 0.  Position n is exact by a rank count,
+    with no cycle found, when d^(n-1) did not grow past the degree,
+    d^n d^(n-1) = 0 on the two matrices, and rank d^(n-1) + rank d^n =
+    dim L_n: the image of d^(n-1) then lies in the kernel of d^n and has
+    its dimension.  Any other position is `homology`'s.
 
     At each position the constant C satisfies: every cycle that is a
     boundary has a preimage of norm <= C times the cycle norm.  C is the
-    `normed.strict_epi_constant` of the incoming differential (the inverse
-    of its smallest pivot score), which bounds all norm-minimal preimages at
-    once; positions with no cycles, or a zero incoming differential, have
-    C = 1.
+    `normed.strict_epi_constant` of the incoming differential's elimination
+    (the inverse of its smallest pivot score), which bounds all
+    norm-minimal preimages at once; positions with no cycles, or a zero
+    incoming differential, have C = 1.
     """
+    eliminations: dict[int, Optional[NormAwareElimination]] = {}
+
+    def elimination(k: int) -> Optional[NormAwareElimination]:
+        if k not in eliminations:
+            eliminations[k] = None
+            if cx.components.get(k):
+                m = cx.matrix(k, degree)
+                if m.source.dim and m.target.dim:
+                    eliminations[k] = NormAwareElimination(
+                        cx.field, m.entries, m.target.weights,
+                        m.source.weights,
+                    )
+        return eliminations[k]
+
+    def rank(k: int) -> int:
+        elim = elimination(k)
+        return elim.rank if elim else 0
+
     pairs: list[tuple[HomologyReport, NormValue]] = []
     for n in positions:
-        rep = homology(cx, n, degree)
+        basis = cx.level_basis(n, degree)
+        inner = cx.matrix(n - 1, degree)
+        rep = None
+        if inner.target is basis:
+            r_in, r_out = rank(n - 1), rank(n)
+            if r_in + r_out == basis.dim and _composes_to_zero(
+                cx.matrix(n, degree), inner
+            ):
+                rep = HomologyReport(n, basis.dim - r_out, 0, None, r_in)
+        if rep is None:
+            rep = homology(cx, n, degree)
         constant = NormValue.one()
-        if rep.cycle_rank:
-            min_ = cx.matrix(n - 1, degree)
-            constant = strict_epi_constant(
-                cx.field, min_.entries, min_.target.weights,
-                min_.source.weights,
-            ) or constant
+        if rep.cycle_rank and (elim := elimination(n - 1)):
+            constant = strict_epi_constant(elim) or constant
         pairs.append((rep, constant))
     return pairs
 

@@ -4,34 +4,25 @@ A space is a finite orthogonal sum of one-dimensional spaces k_r, recorded by
 its weight list; the norm of a coordinate vector is max_i |c_i| w_i
 (a `scalar.max_norm`).  In this class every image is closed, so every map
 is strict, and its strictness constant has an exact closed form.
-`strict_epi_constant` takes a morphism as sparse rows with the two weight
-lists; it is the one strictness computation, read by
-`complexes.strict_exactness`.
+`strict_epi_constant` reads it off a map's `NormAwareElimination`; it is
+the one strictness computation.  `complexes.strict_exactness` builds one
+elimination per differential and reads both the rank for its exactness
+count and, through this function, the constant from it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from afnd.linalg import NormAwareElimination, SparseRow
-from afnd.scalar import FieldSpec, NormValue
+from afnd.linalg import NormAwareElimination
+from afnd.scalar import NormValue
 
 
-def strict_epi_constant(
-    field: FieldSpec,
-    rows: Sequence[SparseRow],
-    row_weights: Sequence[NormValue],
-    col_weights: Sequence[NormValue],
-) -> NormValue | None:
+def strict_epi_constant(elim: NormAwareElimination) -> NormValue | None:
     """The least C with inf-preimage-norm <= C ||f|| for every f in the
-    image of the map given by sparse `rows`, one per codomain coordinate;
-    None for the zero map.
+    image of the map that `elim` eliminated; None for the zero map.
 
-    `col_weights` weight the domain and `row_weights` the codomain.  C is
-    the inverse of the smallest pivot score of `NormAwareElimination`, the
-    least singular value of the map.  That is the last pivot's score, one
-    product of norm values (`smallest_score`), in `int` exponent arithmetic
-    where the weights are integral.
+    C is the inverse of the smallest pivot score of the elimination, the
+    least singular value of the map between its weighted spaces.  That is
+    the last pivot's score, one product of norm values (`smallest_score`),
+    in `int` exponent arithmetic where the weights are integral.
     """
-    elim = NormAwareElimination(field, rows, row_weights, col_weights)
     return elim.smallest_score().inverse() if elim.rank else None

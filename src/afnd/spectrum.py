@@ -153,11 +153,17 @@ def cover_check(
     """Does every sample point of the base lie in the domain of some piece?
 
     Points and domains live on the polydisc at the root of the base's
-    localization chain, which every piece must localize too.  The points
-    kept are those where every relation of the root vanishes and, for a
-    localized base, those in its own domain.
+    localization chain, which every piece must localize too; a piece on
+    another polydisc is a ValueError, since its domain would be read on
+    the wrong coordinates.  The points kept are those where every relation
+    of the root vanishes and, for a localized base, those in its own domain.
     """
     root = localization_path(base)[-1]
+    if any(localization_path(piece)[-1].ambient != root.ambient
+           for piece in pieces):
+        raise ValueError(
+            "every piece must localize the polydisc at the root of the base"
+        )
     points = [
         pt for pt in default_sample(root.ambient)
         if all(seminorm(pt, f).is_zero for f in root.relations)

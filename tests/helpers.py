@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 from afnd.cech import acyclicity_check
-from afnd.complexes import ChainComplex, MapComponent, Summand
+from afnd.complexes import ChainComplex, MapComponent, Summand, homology
 from afnd.homotopy import is_homotopy_epi
+from afnd.linalg import NormAwareElimination
+from afnd.normed import strict_epi_constant
 from afnd.scalar import NormValue
 from afnd.tate import TateElement
 
@@ -52,6 +54,35 @@ def verify_d_squared(cx, degree):
             if any(composed.values()):
                 return False
     return True
+
+
+def reference_strict_exactness(cx, degree, positions):
+    """`complexes.strict_exactness` with no rank count and no shared
+    elimination: `homology` at every position, and where it finds cycles,
+    the constant of a `NormAwareElimination` of d^(n-1) built for that
+    position alone."""
+    pairs = []
+    for n in positions:
+        rep = homology(cx, n, degree)
+        constant = NormValue.one()
+        if rep.cycle_rank:
+            m = cx.matrix(n - 1, degree)
+            elim = NormAwareElimination(
+                cx.field, m.entries, m.target.weights, m.source.weights
+            )
+            constant = strict_epi_constant(elim) or constant
+        pairs.append((rep, constant))
+    return pairs
+
+
+def exactness_facts(pairs):
+    """Everything the (report, constant) pairs of `strict_exactness` state,
+    each witness by its coordinates."""
+    return [
+        (rep.degree, rep.cycle_rank, rep.rank, rep.boundary_rank,
+         rep.witness.coords if rep.witness else None, constant)
+        for rep, constant in pairs
+    ]
 
 
 def fold_complex(big, target, rename):

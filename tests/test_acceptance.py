@@ -35,7 +35,7 @@ from afnd.homotopy import (
     is_epimorphism,
     is_homotopy_epi,
 )
-from afnd.linalg import kernel_basis
+from afnd.linalg import NormAwareElimination, kernel_basis
 from afnd.normed import strict_epi_constant
 from afnd.scalar import FieldSpec, NormValue, scalar_norm
 from afnd.spectrum import (
@@ -323,10 +323,16 @@ def test_transversality_verdicts():
 def test_strictness_classification():
     """Hand matrices have exact strictness constants: 5, none and 1."""
     one = [NormValue.one()]
-    assert strict_epi_constant(Q5, [{0: 5}], one, one) == of_rational(5)
-    assert strict_epi_constant(Q5, [{}], one, one) is None
+
+    def constant(rows, row_weights, col_weights):
+        return strict_epi_constant(
+            NormAwareElimination(Q5, rows, row_weights, col_weights)
+        )
+
+    assert constant([{0: 5}], one, one) == of_rational(5)
+    assert constant([{}], one, one) is None
     two = [NormValue.one(), of_rational(2)]
-    assert strict_epi_constant(Q5, [{0: 1}], one, two) == NormValue.one()
+    assert constant([{0: 1}], one, two) == NormValue.one()
 
 
 def test_scenario_reports_deterministic():

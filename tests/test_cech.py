@@ -1,8 +1,16 @@
 """Cover complexes and acyclicity verdicts."""
 
+import importlib
+import pathlib
+import pkgutil
+from collections import Counter
+
 import pytest
 
+import afnd
 import afnd.cech
+import afnd.cli
+import afnd.linalg
 from afnd.affinoid import (
     AffinoidPresentation,
     free_affinoid,
@@ -12,11 +20,13 @@ from afnd.affinoid import (
 )
 from afnd.cech import CoverData, acyclicity_check, build_complex
 from afnd.homotopy import is_homotopy_epi
+from afnd.linalg import NormAwareElimination
 from afnd.scalar import FieldSpec, NormValue
 from afnd.tate import Polyradius, parse_element
 from helpers import of_rational, proved_acyclicity, verify_d_squared
 
 Q5 = FieldSpec.padic(5)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def unit_disc():
@@ -181,3 +191,72 @@ def test_no_images_into_a_level_of_zero_algebras(three_piece_cover, monkeypatch)
     assert targets == [] and top.entries == [] and top.target.dim == 0
     cx.matrix(1, 8)
     assert {id(a) for a in targets} == {id(s.algebra) for s in cx.levels[2]}
+
+
+@pytest.mark.parametrize(
+    "path, degree, eliminations",
+    [
+        ("scenarios/unit_disk.afnd", 32, 2),
+        # Its d^2 maps into the empty triple intersection: no rows.
+        ("perfbench/scenarios/three_piece.afnd", 16, 2),
+    ],
+)
+def test_cech_check_eliminates_each_differential_once(
+    monkeypatch, path, degree, eliminations
+):
+    """A Cech check whose positions are all exact finds no cycle: each
+    position is a rank count, and each nonempty differential gets one
+    norm-aware elimination, which also gives the constants.  Counted by
+    wrapping the `afnd.linalg` names wherever `afnd` imports them."""
+    counts = Counter()
+    checking = []
+    modules = [
+        importlib.import_module(f"afnd.{m.name}")
+        for m in pkgutil.iter_modules(afnd.__path__)
+    ]
+    for name in ("kernel_basis", "sparse_rref", "reduce_against"):
+        raw = getattr(afnd.linalg, name)
+
+        def counted(*args, _raw=raw, _name=name):
+            counts[_name] += bool(checking)
+            return _raw(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is raw:
+                monkeypatch.setattr(module, name, counted)
+    raw_init = NormAwareElimination.__init__
+
+    def init(self, *args):
+        counts["NormAwareElimination"] += bool(checking)
+        raw_init(self, *args)
+
+    monkeypatch.setattr(NormAwareElimination, "__init__", init)
+    complexes = []
+    raw_build = afnd.cech.build_complex
+
+    def build(*args):
+        complexes.append(raw_build(*args))
+        return complexes[-1]
+
+    monkeypatch.setattr(afnd.cech, "build_complex", build)
+    raw_check = afnd.cli.acyclicity_check
+
+    def check(*args, **kwargs):
+        checking.append(True)
+        try:
+            return raw_check(*args, **kwargs)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(afnd.cli, "acyclicity_check", check)
+    afnd.cli.run_scenario(str(ROOT / path), degree)
+    [cx] = complexes
+    nonempty = sum(
+        1 for n, comps in cx.components.items()
+        if comps and (m := cx.matrix(n, degree)).source.dim and m.target.dim
+    )
+    assert counts["kernel_basis"] == 0
+    assert counts["sparse_rref"] == 0
+    assert counts["reduce_against"] == 0
+    assert counts["NormAwareElimination"] <= nonempty
+    assert counts["NormAwareElimination"] == eliminations

@@ -21,7 +21,9 @@ from afnd.homotopy import _resolution_gate
 from afnd.linalg import kernel_basis, reduce_against
 from afnd.scalar import FieldSpec, NormValue, exact_div
 from afnd.tate import Polyradius, TateElement, grevlex_key, parse_element
-from helpers import fold_complex, of_rational, verify_d_squared
+from helpers import (
+    exactness_facts, fold_complex, of_rational, verify_d_squared
+)
 from test_homotopy import (
     SCENARIOS, fold_maps, hand_maps, resolvable, scenario_pairs
 )
@@ -118,6 +120,59 @@ def test_strict_exactness_constant():
     [(rep_inj, constant_inj)] = strict_exactness(cx, 8, [-1])
     assert rep_inj.degree == -1 and rep_inj.is_zero
     assert constant_inj == NormValue.one()
+
+
+def test_strict_exactness_checks_the_composite():
+    """A sequence that is no complex: d^-1 = 5 * (1, 0) and d^0 = (1, 0),
+    so d^0 d^-1 = 5.  At degree 4 the ranks 5 and 5 sum to dim L_0 = 10,
+    and yet the position is not exact; the composite sends it to
+    `homology`."""
+    A = free_affinoid(disc())
+    five = TateElement.constant(A.ambient, 5)
+    one = TateElement.constant(A.ambient, 1)
+    cx = ChainComplex(
+        Q5,
+        {
+            -1: [Summand(A, "a")],
+            0: [Summand(A, "b"), Summand(A, "c")],
+            1: [Summand(A, "d")],
+        },
+        {-1: {(0, 0): MapComponent(five)}, 0: {(0, 0): MapComponent(one)}},
+    )
+    assert exactness_facts(strict_exactness(cx, 4, [-1, 0, 1])) == [
+        (-1, 0, 0, 0, None, NormValue.one()),
+        (0, 5, 5, 5, {5: 1}, of_rational(5)),
+        (1, 5, 0, 5, None, NormValue.one()),
+    ]
+
+
+def test_strict_exactness_where_boundaries_grow():
+    """Koszul complexes over M = B/(3x^2 - 10y), a level with a generic
+    relation.  Their differentials multiply by relators, so images grow
+    past the degree and those positions are `homology`'s.  In K(M; x) at
+    degree 4 the ranks of d^-1 and d^0 are 9 and 0 and dim L_0 = 9, yet 1
+    is no boundary: H^0 = M/(x) = K.  In K(M; x, y), y lies in (x), so
+    H^-1 = M/(x) too."""
+    B = free_affinoid(
+        Polyradius(Q5, ("x", "y"), (NormValue.one(), of_rational(Fraction(1, 5))))
+    )
+    M = quotient(B, [parse_element("3*x^2 - 10*y", B.ambient)])
+    assert not M.exact_normal_forms
+    x, y = parse_element("x", M.ambient), parse_element("y", M.ambient)
+    cx = koszul_complex(M, [x])
+    assert cx.matrix(-1, 4).target is not cx.level_basis(0, 4)
+    assert exactness_facts(strict_exactness(cx, 4, [-1, 0])) == [
+        (-1, 0, 0, 0, None, NormValue.one()),
+        (0, 9, 1, 9, {0: 1}, NormValue.one()),
+    ]
+    cx = koszul_complex(M, [x, y])
+    for n in (-1, 0):
+        assert cx.matrix(n - 1, 4).target is not cx.level_basis(n, 4)
+    assert exactness_facts(strict_exactness(cx, 4, [-2, -1, 0])) == [
+        (-2, 0, 0, 0, None, NormValue.one()),
+        (-1, 8, 1, 9, {9: 1, 1: Fraction(-3, 10)}, NormValue.one()),
+        (0, 9, 1, 10, {0: 1}, of_rational(5)),
+    ]
 
 
 def resolves(base, target, degree):
@@ -447,7 +502,8 @@ def test_cycles_are_re_expressed_only_when_the_boundary_basis_grew(
 ):
     """A cycle is re-expressed on the target basis of d^(n-1) only when
     that basis is larger than the cycles' own; on the unit-disk scenario
-    at D=12 it never is."""
+    at D=12 it never is, nor in the homology of its cover complex, which
+    its Cech check decides by rank counts alone."""
     calls = []
     embed = ChainComplex.embed
 
@@ -458,6 +514,11 @@ def test_cycles_are_re_expressed_only_when_the_boundary_basis_grew(
     monkeypatch.setattr(ChainComplex, "embed", counting)
     report = run_scenario(str(SCENARIOS / "unit_disk.afnd"), 12)
     assert report["all_passed"]
+    cover = parse_scenario(
+        (SCENARIOS / "unit_disk.afnd").read_text(encoding="utf-8")
+    ).algebras
+    cx = build_complex(CoverData(cover["A"], (cover["V1"], cover["V2"])), 2)
+    assert all(homology(cx, n, 12).is_zero for n in range(3))
     assert calls == []
 
 

@@ -82,6 +82,18 @@ def test_gap_cover_reports_gauss_witness():
     assert [str(w) for w in report.witnesses] == ["gauss(0±5^-1/2)"]
 
 
+def test_cover_check_rejects_a_piece_on_another_polydisc():
+    """A piece localizing the disc in y would be read on the sample of the
+    disc in x, where it would pass every point."""
+    A = free_affinoid(UNIT)
+    B = free_affinoid(Polyradius(Q5, ("y",), (NormValue.one(),)))
+    V = weierstrass_localization(
+        B, [parse_element("y", B.ambient)], [NormValue.one()]
+    )
+    with pytest.raises(ValueError, match="localize the polydisc"):
+        cover_check(A, [V])
+
+
 def localized_base(outer_radius):
     """V = {|x| <= 5^-1} in the unit disc, covered by |x| <= 5^-2 and
     |x| >= 1/outer_radius."""
